@@ -4,8 +4,7 @@ The central-difference gradient checker is the ground truth for every
 analytic gradient in the package: per-sample parameter gradients,
 temperature gradients, and the three one-step meta-gradients. The other
 probes quantify qualitative claims: clean/corrupt weight separation,
-rate/performance correlation, weighted gradient variance, and the top of
-the loss Hessian spectrum.
+rate/performance correlation, and the top of the loss Hessian spectrum.
 """
 
 from __future__ import annotations
@@ -180,8 +179,7 @@ def _check_instance_metagrad(rng, step):
     _, grads = nn.per_sample_backward(model, train_batch)
     rolled = meta.rollout_one_step(model, grads, train_batch, dps, lr)
     _, meta_grads = nn.per_sample_backward(rolled, meta_batch)
-    mg = meta.instance_metagrad(grads, train_batch.indices, meta_grads.mean(axis=0), lr)
-    analytic = np.array([mg[int(i)] for i in train_batch.indices])
+    analytic = meta.instance_metagrad(grads, meta_grads.mean(axis=0), lr)
     numeric = np.empty(train_batch.size)
     for pos, idx in enumerate(train_batch.indices):
         plus = dps.copy()
@@ -199,11 +197,9 @@ def _check_class_metagrad(rng, step):
     _, grads = nn.per_sample_backward(model, train_batch)
     rolled = meta.rollout_one_step(model, grads, train_batch, dps, lr)
     _, meta_grads = nn.per_sample_backward(rolled, meta_batch)
-    mg = meta.class_metagrad(
+    present, analytic = meta.class_metagrad(
         grads, train_batch.labels, meta_grads.mean(axis=0), lr, dps.w_class.size
     )
-    present = sorted(mg)
-    analytic = np.array([mg[c] for c in present])
     numeric = np.empty(len(present))
     for pos, c in enumerate(present):
         plus = dps.copy()
@@ -348,21 +344,6 @@ def lr_performance_correlation(rates, accuracies):
     if nx == 0.0 or ny == 0.0:
         return None
     return float((x @ y) / (nx * ny))
-
-
-def grad_variance(grads, weights):
-    """Trace of the empirical covariance (ddof 1) of the weighted
-    per-sample gradient contributions w_i * g_i."""
-    grads = np.asarray(grads, dtype=np.float64)
-    weights = np.asarray(weights, dtype=np.float64)
-    b = grads.shape[0]
-    if b < 2:
-        raise ValueError("need at least 2 samples")
-    if weights.shape != (b,):
-        raise ValueError("one weight per gradient row required")
-    contrib = weights[:, None] * grads
-    centered = contrib - contrib.mean(axis=0)
-    return float((centered * centered).sum() / (b - 1))
 
 
 def hessian_top_eigs(grad_fn, theta0, m, tol=1e-6, max_iters=500, seed=0):

@@ -87,10 +87,6 @@ class CorruptionManifest:
     n_population: int
 
     @property
-    def drawn_indices(self):
-        return np.array([e[0] for e in self.entries], dtype=np.int64)
-
-    @property
     def corrupt_indices(self):
         """Instances whose assigned label actually differs from the original."""
         return np.array(
@@ -335,18 +331,31 @@ def load_dataset(path):
         if header[:3] != ["index", "label", "true_label"]:
             raise ConfigError(f"unrecognized dataset header in {path}")
         d = len(header) - 3
-        indices, labels, true_labels, rows = [], [], [], []
-        for line in fh:
+        indices, labels, true_labels, rows, line_of = [], [], [], [], {}
+        for lineno, line in enumerate(fh, start=2):
             line = line.strip()
             if not line:
                 continue
             parts = line.split(",")
             if len(parts) != d + 3:
                 raise ConfigError(f"malformed dataset row in {path}: {line[:60]}")
-            indices.append(int(parts[0]))
+            idx = int(parts[0])
+            if idx in line_of:
+                raise ConfigError(
+                    f"{path} line {lineno}: duplicate instance index {idx} "
+                    f"(first on line {line_of[idx]})"
+                )
+            line_of[idx] = lineno
+            indices.append(idx)
             labels.append(int(parts[1]))
             true_labels.append(int(parts[2]))
             rows.append([float(v) for v in parts[3:]])
+    # learned tables are sized by the row count and indexed by instance id
+    for idx, lineno in line_of.items():
+        if not 0 <= idx < len(indices):
+            raise ConfigError(
+                f"{path} line {lineno}: instance index {idx} outside [0, {len(indices)})"
+            )
     true_arr = np.array(true_labels, dtype=np.int64)
     n_classes = int(true_arr.max()) + 1 if true_arr.size else 0
     return LabeledDataset(

@@ -1,6 +1,5 @@
-"""Experiment orchestration: data preparation, the training loop in its
-three flavors (baseline optimizer, lookahead meta step, temperature
-curriculum), k-fold trajectory collection, replay retraining, metrics
+"""Experiment orchestration: data preparation, the training loop shared by
+training and replay retraining, k-fold trajectory collection, metrics
 logging, and multi-seed aggregation.
 
 Every run is fully determined by (config digest, seed.data, seed.init,
@@ -227,8 +226,7 @@ def _weight_stats(cfg, dps, bundle):
     w_eff = _effective_instance_weights(cfg, dps, train)
     if bundle.manifest is None or len(bundle.manifest.corrupt_indices) == 0:
         return float(w_eff.mean()), float(w_eff.std()), None, None
-    corrupt_ids = set(int(i) for i in bundle.manifest.corrupt_indices)
-    is_corrupt = np.array([int(i) in corrupt_ids for i in train.indices])
+    is_corrupt = np.isin(train.indices, bundle.manifest.corrupt_indices)
     w_clean = w_eff[~is_corrupt]
     w_corrupt = w_eff[is_corrupt]
     return (
@@ -256,20 +254,14 @@ def _update_sigma_tables(cfg, dps, batch, dsigma, data_lr):
     scale = data_lr / batch.size
     clamps = 0
     if mode in ("class", "joint"):
-        for c in np.unique(batch.labels):
-            members = batch.labels == c
-            new = dps.sigma_class[c] - scale * float(dsigma[members].sum())
-            if mode == "class" and new < losses_mod.SIGMA_MIN:
-                new = losses_mod.SIGMA_MIN
-                clamps += 1
-            dps.sigma_class[c] = new
+        classes = np.unique(batch.labels)
+        # one slice sum per class: np.bincount adds in another order
+        sums = np.array([dsigma[batch.labels == c].sum() for c in classes])
+        floor = losses_mod.SIGMA_MIN if mode == "class" else None
+        clamps += meta.sgd_at(dps.sigma_class, classes, scale * sums, floor)
     if mode in ("instance", "joint"):
-        for pos, idx in enumerate(batch.indices):
-            new = dps.sigma_inst[idx] - scale * float(dsigma[pos])
-            if mode == "instance" and new < losses_mod.SIGMA_MIN:
-                new = losses_mod.SIGMA_MIN
-                clamps += 1
-            dps.sigma_inst[idx] = new
+        floor = losses_mod.SIGMA_MIN if mode == "instance" else None
+        clamps += meta.sgd_at(dps.sigma_inst, batch.indices, scale * dsigma, floor)
     return clamps
 
 
@@ -285,7 +277,36 @@ def run_training(cfg, bundle=None, out_dir=None):
         bundle = prepare_data(cfg)
     if cfg.meta_driven and (bundle.meta is None or bundle.meta.n == 0):
         raise ConfigError("meta-driven run requires a non-empty meta set")
+    return _train(cfg, bundle, out_dir)
 
+
+def replay_train(cfg, schedule, bundle=None, out_dir=None):
+    """Retrain on the full train split with frozen per-epoch weight
+    tables; no meta set is consumed."""
+    config_mod.validate_config(cfg)
+    if bundle is None:
+        bundle = prepare_replay_bundle(cfg)
+    if schedule.epochs < cfg.epochs:
+        raise ConfigError(
+            f"trajectory covers {schedule.epochs} epochs, config needs {cfg.epochs}"
+        )
+    if schedule.n_instances != bundle.n_instances:
+        raise ConfigError(
+            f"trajectory is over {schedule.n_instances} instances, "
+            f"dataset has {bundle.n_instances}"
+        )
+    return _train(cfg, replace(bundle, meta=None), out_dir, schedule)
+
+
+def _train(cfg, bundle, out_dir, schedule=None):
+    """The epoch loop behind run_training and replay_train.
+
+    Without a schedule each step is the configured one: the lookahead meta
+    step, a temperature step, or a plain optimizer step. With a schedule
+    (a replay) each epoch's data parameters are that epoch's recorded
+    tables, and each step is the lookahead rollout under them with no
+    meta update.
+    """
     manifest = nn.build_manifest(
         bundle.train.dim, list(cfg.hidden), bundle.n_classes, cfg.activation
     )
@@ -307,9 +328,8 @@ def run_training(cfg, bundle=None, out_dir=None):
         if cfg.formulation == "temperature"
         else losses_mod.PLAIN_CE
     )
-    use_meta_path = cfg.meta_driven
     opt_state = None
-    if not use_meta_path:
+    if schedule is None and not cfg.meta_driven:
         opt_state = optim.make_optimizer(
             cfg.optimizer,
             cfg.lr,
@@ -343,11 +363,22 @@ def run_training(cfg, bundle=None, out_dir=None):
             lr = _epoch_lr(cfg, epoch)
             if opt_state is not None:
                 opt_state.lr = lr
+            if schedule is not None:
+                tables = schedule.snapshot(epoch).as_tables()
+                dps = meta.DataParamState(
+                    w_inst=tables["w_inst"],
+                    w_class=tables["w_class"],
+                    lam_wd=tables["lam_wd"],
+                    mode=cfg.mode,
+                )
             perm = rng_shuffle.permutation(n_train)
             for start in range(0, n_train, cfg.batch_size):
                 positions = perm[start : start + cfg.batch_size]
                 batch = _make_batch(bundle.train, positions)
-                if use_meta_path:
+                if schedule is not None:
+                    _, grads = nn.per_sample_backward(theta, batch)
+                    theta = meta.rollout_one_step(theta, grads, batch, dps, lr)
+                elif cfg.meta_driven:
                     meta_positions = rng_meta.integers(
                         0, bundle.meta.n, size=batch.size
                     )
@@ -421,88 +452,6 @@ def run_training(cfg, bundle=None, out_dir=None):
         counters=counters,
         bundle=bundle,
         class_meta_acc=class_meta_acc,
-    )
-    if out_dir is not None:
-        write_run_outputs(out_dir, result)
-    return result
-
-
-def replay_train(cfg, schedule, bundle=None, out_dir=None):
-    """Retrain on the full train split with frozen per-epoch weight
-    tables; no meta set is consumed."""
-    config_mod.validate_config(cfg)
-    if bundle is None:
-        bundle = prepare_replay_bundle(cfg)
-    if schedule.epochs < cfg.epochs:
-        raise ConfigError(
-            f"trajectory covers {schedule.epochs} epochs, config needs {cfg.epochs}"
-        )
-    if schedule.n_instances != bundle.n_instances:
-        raise ConfigError(
-            f"trajectory is over {schedule.n_instances} instances, "
-            f"dataset has {bundle.n_instances}"
-        )
-    manifest = nn.build_manifest(
-        bundle.train.dim, list(cfg.hidden), bundle.n_classes, cfg.activation
-    )
-    theta = nn.init_params(manifest, cfg.seed_init)
-    rng_shuffle = np.random.default_rng(cfg.seed_shuffle)
-    trajectory = TrajectoryLog(bundle.n_instances, bundle.n_classes)
-    counters = {
-        "steps": 0,
-        "train_grad_evals": 0,
-        "meta_grad_evals": 0,
-        "meta_samples_consumed": 0,
-        "clamp_events": 0,
-    }
-    metrics = []
-    n_train = bundle.train.n
-    for epoch in range(cfg.epochs):
-        t0 = time.perf_counter()
-        lr = _epoch_lr(cfg, epoch)
-        tables = meta.replay_schedule(schedule, epoch)
-        dps = meta.DataParamState(
-            w_inst=tables["w_inst"],
-            w_class=tables["w_class"],
-            lam_wd=tables["lam_wd"],
-            mode=cfg.mode,
-        )
-        perm = rng_shuffle.permutation(n_train)
-        for start in range(0, n_train, cfg.batch_size):
-            positions = perm[start : start + cfg.batch_size]
-            batch = _make_batch(bundle.train, positions)
-            _, grads = nn.per_sample_backward(theta, batch)
-            theta = meta.rollout_one_step(theta, grads, batch, dps, lr)
-            counters["train_grad_evals"] += batch.size
-            counters["steps"] += 1
-        trajectory.record(dps)
-        train_loss, train_acc = _evaluate(theta, bundle.train)
-        _, test_acc = _evaluate(theta, bundle.test)
-        wc_mean, wc_std, wx_mean, wx_std = _weight_stats(cfg, dps, bundle)
-        metrics.append(
-            MetricsRecord(
-                epoch=epoch,
-                train_loss=train_loss,
-                train_acc=train_acc,
-                meta_loss=None,
-                meta_acc=None,
-                test_acc=test_acc,
-                w_clean_mean=wc_mean,
-                w_clean_std=wc_std,
-                w_corrupt_mean=wx_mean,
-                w_corrupt_std=wx_std,
-                lam_wd=float(dps.lam_wd),
-                wall_ms=(time.perf_counter() - t0) * 1000.0,
-            )
-        )
-    result = RunResult(
-        config=cfg,
-        model=theta,
-        raw_model=theta,
-        trajectory=trajectory,
-        metrics=metrics,
-        counters=counters,
-        bundle=bundle,
     )
     if out_dir is not None:
         write_run_outputs(out_dir, result)

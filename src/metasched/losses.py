@@ -1,5 +1,5 @@
-"""Cross-entropy losses, the weighted batch objective, and the
-temperature-scaled cross-entropy with analytic gradients.
+"""Cross-entropy losses and the temperature-scaled cross-entropy with
+analytic gradients.
 
 The temperature variant divides the logits of a sample by an effective
 temperature ``sigma_eff`` before the softmax:
@@ -161,16 +161,28 @@ def resolve_sigma(mode, y, index, dps):
 
 
 def resolve_sigma_batch(mode, labels, indices, dps):
-    """Vector of effective temperatures for a batch.
+    """Vector of effective temperatures for a batch; the array form of
+    ``resolve_sigma``.
 
     Returns (sigmas, clamped) where clamped marks the rows that hit the
     SIGMA_MIN floor.
     """
-    out = np.empty(len(labels), dtype=np.float64)
-    clamped = np.zeros(len(labels), dtype=bool)
-    for i, (y, idx) in enumerate(zip(labels, indices)):
-        out[i], clamped[i] = resolve_sigma(mode, int(y), int(idx), dps)
-    return out, clamped
+    if mode == "class":
+        if dps.sigma_class is None:
+            raise ValueError("class temperature requested but sigma_class is missing")
+        raw = dps.sigma_class[labels]
+    elif mode == "instance":
+        if dps.sigma_inst is None:
+            raise ValueError("instance temperature requested but sigma_inst is missing")
+        raw = dps.sigma_inst[indices]
+    elif mode == "joint":
+        if dps.sigma_class is None or dps.sigma_inst is None:
+            raise ValueError("joint temperature requires both sigma tables")
+        raw = dps.sigma_class[labels] + dps.sigma_inst[indices]
+    else:
+        raise ValueError(f"unknown temperature mode {mode!r}")
+    clamped = raw < SIGMA_MIN
+    return np.where(clamped, SIGMA_MIN, raw), clamped
 
 
 def cross_entropy_batch(logits, labels):
@@ -204,24 +216,6 @@ def temperature_ce_batch(logits, labels, sigma_eff):
     dz /= sigma[:, None]
     dsigma = (logits[rows, labels] - (p * logits).sum(axis=1)) / sigma**2
     return losses, dz, dsigma
-
-
-def weighted_batch_loss(losses, weights, model, lam_wd):
-    """Weighted mean loss plus the squared-L2 decay term.
-
-    (1/B) * sum_i w_i L_i + (lam_wd / 2) * ||theta||^2, with B the number
-    of samples (an empty batch contributes zero data loss with B taken
-    as 1, leaving only the regularizer).
-    """
-    losses = np.asarray(losses, dtype=np.float64)
-    weights = np.asarray(weights, dtype=np.float64)
-    if losses.shape != weights.shape:
-        raise ShapeError(f"losses {losses.shape} and weights {weights.shape} differ")
-    if losses.size and weights.min() < 0:
-        raise ValueError("negative sample weight; clamping happens upstream")
-    b = max(1, losses.size)
-    theta = np.asarray(model.values, dtype=np.float64)
-    return float(weights @ losses) / b + 0.5 * lam_wd * float(theta @ theta)
 
 
 def predict(z):

@@ -104,12 +104,21 @@ class DataParamState:
 
 @dataclass
 class MetaStepReport:
-    """Everything one meta step computed, for logging and verification."""
+    """Everything one meta step computed, for logging and verification.
+
+    The meta-gradient maps are arrays: ``per_instance_metagrad[r]`` belongs
+    to ``instance_ids[r]``, the dataset index of train-batch row r, and
+    ``per_class_metagrad[j]`` to class ``class_ids[j]``. The class map is
+    filled only in class mode, for the classes present in the batch; in
+    every other mode both class arrays are empty.
+    """
 
     rollout_theta: nn.ParamVector
     meta_loss: float
-    per_instance_metagrad: dict
-    per_class_metagrad: dict
+    instance_ids: np.ndarray
+    per_instance_metagrad: np.ndarray
+    class_ids: np.ndarray
+    per_class_metagrad: np.ndarray
     wd_metagrad: float
     clamp_count: int = 0
 
@@ -138,48 +147,53 @@ def rollout_one_step(theta, grads, batch, dps, lr):
     return theta.with_values(new)
 
 
-def instance_metagrad(grads, indices, meta_grad, lr):
-    """Meta-gradient per sampled instance: -(lr/B) <meta_grad, g_i>.
-
-    Instances absent from the batch receive no entry.
-    """
+def _metagrad_dots(grads, meta_grad):
     if grads.shape[1] != meta_grad.shape[0]:
         raise ShapeError(
             f"per-sample grads have {grads.shape[1]} columns, meta gradient has "
             f"{meta_grad.shape[0]}"
         )
-    b = grads.shape[0]
-    dots = grads @ meta_grad
-    return {int(idx): float(-(lr / b) * d) for idx, d in zip(indices, dots)}
+    return grads @ meta_grad
+
+
+def instance_metagrad(grads, meta_grad, lr):
+    """Meta-gradient per train-batch row: -(lr/B) <meta_grad, g_i>."""
+    return -(lr / grads.shape[0]) * _metagrad_dots(grads, meta_grad)
 
 
 def class_metagrad(grads, labels, meta_grad, lr, n_classes=None):
-    """Meta-gradient per class present in the batch.
+    """Meta-gradient per class present in the batch, as (classes, values).
 
     Equals -(lr * n_c / B) <meta_grad, mean of member gradients>, which is
-    the sum of the members' instance meta-gradients. Absent classes get
-    no entry.
+    the sum of the members' instance meta-gradients.
     """
-    if grads.shape[1] != meta_grad.shape[0]:
-        raise ShapeError(
-            f"per-sample grads have {grads.shape[1]} columns, meta gradient has "
-            f"{meta_grad.shape[0]}"
-        )
+    dots = _metagrad_dots(grads, meta_grad)
     labels = np.asarray(labels)
     if n_classes is not None and labels.size and (labels.min() < 0 or labels.max() >= n_classes):
         raise ValueError(f"label out of range [0, {n_classes})")
     b = grads.shape[0]
-    dots = grads @ meta_grad
-    out = {}
-    for c in np.unique(labels):
-        members = dots[labels == c]
-        out[int(c)] = float(-(lr * members.size / b) * members.mean())
-    return out
+    classes = np.unique(labels)
+    members = [dots[labels == c] for c in classes]
+    return classes, np.array([-(lr * m.size / b) * m.mean() for m in members])
 
 
 def wd_metagrad(theta, meta_grad, lr):
     """Meta-gradient on the weight-decay coefficient: -lr <meta_grad, theta>."""
     return float(-lr * (meta_grad @ theta.values))
+
+
+def sgd_at(table, ids, step, floor=None):
+    """In place ``table[ids] -= step``, projected onto [floor, inf) when a
+    floor is given. Returns the number of rows projected. With repeated
+    ids the last row wins, as with one assignment per row in order."""
+    new = table[ids] - step
+    clamps = 0
+    if floor is not None:
+        below = new < floor
+        clamps = int(np.count_nonzero(below))
+        new[below] = floor
+    table[ids] = new
+    return clamps
 
 
 def apply_data_param_update(dps, report, data_lr, wd_lr):
@@ -191,19 +205,13 @@ def apply_data_param_update(dps, report, data_lr, wd_lr):
     out = dps.copy()
     clamps = 0
     if dps.mode == "instance":
-        for idx, g in report.per_instance_metagrad.items():
-            new = out.w_inst[idx] - data_lr * g
-            if new < 0.0:
-                new = 0.0
-                clamps += 1
-            out.w_inst[idx] = new
+        clamps += sgd_at(
+            out.w_inst, report.instance_ids, data_lr * report.per_instance_metagrad, 0.0
+        )
     elif dps.mode == "class":
-        for c, g in report.per_class_metagrad.items():
-            new = out.w_class[c] - data_lr * g
-            if new < 0.0:
-                new = 0.0
-                clamps += 1
-            out.w_class[c] = new
+        clamps += sgd_at(
+            out.w_class, report.class_ids, data_lr * report.per_class_metagrad, 0.0
+        )
     if dps.wd_learnable:
         new_wd = out.lam_wd - wd_lr * report.wd_metagrad
         if new_wd < 0.0:
@@ -232,13 +240,18 @@ def meta_train_step(theta, dps, train_batch, meta_batch, lr, data_lr, wd_lr):
     meta_losses, meta_grads = nn.per_sample_backward(theta_next, meta_batch)
     meta_grad = meta_grads.mean(axis=0)
 
+    class_ids, class_grads = np.empty(0, dtype=np.int64), np.empty(0)
+    if dps.mode == "class":
+        class_ids, class_grads = class_metagrad(
+            grads, train_batch.labels, meta_grad, lr, n_classes=dps.w_class.size
+        )
     report = MetaStepReport(
         rollout_theta=theta_next,
         meta_loss=float(meta_losses.mean()),
-        per_instance_metagrad=instance_metagrad(grads, train_batch.indices, meta_grad, lr),
-        per_class_metagrad=class_metagrad(
-            grads, train_batch.labels, meta_grad, lr, n_classes=dps.w_class.size
-        ),
+        instance_ids=train_batch.indices,
+        per_instance_metagrad=instance_metagrad(grads, meta_grad, lr),
+        class_ids=class_ids,
+        per_class_metagrad=class_grads,
         wd_metagrad=wd_metagrad(theta, meta_grad, lr),
     )
     dps_next = apply_data_param_update(dps, report, data_lr, wd_lr)
@@ -247,12 +260,3 @@ def meta_train_step(theta, dps, train_batch, meta_batch, lr, data_lr, wd_lr):
         dps_next.w_class[:] = 1.0
     return theta_next, dps_next, report
 
-
-def replay_schedule(trajectory, epoch):
-    """Frozen weight tables for one epoch of a recorded trajectory.
-
-    Used to retrain on the full train set with the learned schedule as
-    fixed multipliers; no meta set and no meta-gradients are involved.
-    """
-    snap = trajectory.snapshot(epoch)
-    return snap.as_tables()

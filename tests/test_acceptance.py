@@ -159,10 +159,10 @@ def test_criterion_3_class_sums_instances():
             theta, dps, report = meta_train_step(
                 theta, dps, batch, meta_batch, cfg.lr, cfg.data_lr, cfg.wd_lr
             )
-            for c, class_grad in report.per_class_metagrad.items():
+            for c, class_grad in zip(report.class_ids, report.per_class_metagrad):
                 member_sum = sum(
-                    report.per_instance_metagrad[int(i)]
-                    for i, label in zip(batch.indices, batch.labels)
+                    inst_grad
+                    for inst_grad, label in zip(report.per_instance_metagrad, batch.labels)
                     if label == c
                 )
                 assert abs(class_grad - member_sum) <= 1e-12

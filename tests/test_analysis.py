@@ -1,4 +1,4 @@
-"""Gradient checker, separation AUC, correlation, variance, Hessian probe."""
+"""Gradient checker, separation AUC, correlation, Hessian probe."""
 
 from dataclasses import replace
 
@@ -10,7 +10,6 @@ from metasched.analysis import (
     CHECK_TARGETS,
     compare_grads,
     finite_diff_check,
-    grad_variance,
     hessian_top_eigs,
     hessian_top_eigs_model,
     lr_performance_correlation,
@@ -164,45 +163,6 @@ def test_correlation_examples():
         lr_performance_correlation([1.0, 2.0], [1.0, 2.0])
     with pytest.raises(ValueError, match="mismatch"):
         lr_performance_correlation([1.0, 2.0, 3.0], [1.0, 2.0])
-
-
-def brute_variance_trace(grads, weights):
-    contrib = weights[:, None] * grads
-    cov = np.cov(contrib, rowvar=False, ddof=1)
-    return float(np.atleast_2d(cov).trace())
-
-
-def test_identical_rows_have_zero_variance():
-    grads = np.tile([1.0, -2.0, 0.5], (4, 1))
-    assert grad_variance(grads, np.ones(4)) == 0.0
-
-
-def test_zeroing_the_outlier_reduces_variance():
-    rng = np.random.default_rng(8)
-    grads = rng.normal(0, 0.1, size=(5, 6))
-    grads[2] = rng.normal(0, 4.0, size=6)
-    all_on = np.ones(5)
-    muted = all_on.copy()
-    muted[2] = 0.0
-    v_all = grad_variance(grads, all_on)
-    v_muted = grad_variance(grads, muted)
-    assert v_muted < v_all
-    assert v_all == pytest.approx(brute_variance_trace(grads, all_on), rel=1e-12)
-    assert v_muted == pytest.approx(brute_variance_trace(grads, muted), rel=1e-12)
-
-
-def test_variance_is_quadratic_in_weights():
-    rng = np.random.default_rng(9)
-    grads = rng.standard_normal((6, 4))
-    w = rng.uniform(0.2, 1.5, size=6)
-    assert grad_variance(grads, 3.0 * w) == pytest.approx(9.0 * grad_variance(grads, w), rel=1e-12)
-
-
-def test_variance_validation():
-    with pytest.raises(ValueError, match="2 samples"):
-        grad_variance(np.ones((1, 3)), np.ones(1))
-    with pytest.raises(ValueError, match="one weight"):
-        grad_variance(np.ones((3, 2)), np.ones(2))
 
 
 def test_known_diagonal_spectrum():

@@ -86,6 +86,24 @@ def test_bad_override_is_validation_error(capsys):
     assert "positive" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "second_index, message",
+    [("0", "duplicate instance index 0"), ("99999", "instance index 99999 outside")],
+)
+def test_bad_dataset_index_is_validation_error(tmp_path, capsys, second_index, message):
+    data = tmp_path / "data.csv"
+    assert main([
+        "generate-data", "--classes", "3", "--per-class", "30", "--dim", "4",
+        "--spread", "0.8", "--seed", "5", "--out", str(data),
+    ]) == 0
+    lines = data.read_text().splitlines()
+    lines[2] = second_index + lines[2][lines[2].index(","):]
+    data.write_text("\n".join(lines) + "\n")
+    code = main(["train", "--override", f"data.path={data}", *DATA_OVERRIDES])
+    assert code == 1
+    assert f"line 3: {message}" in capsys.readouterr().err
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_divergence_returns_numeric_exit(capsys):
     code = main(["train", "--override", "train.lr=1e150", *DATA_OVERRIDES])

@@ -241,6 +241,23 @@ def test_dataset_loader_rejects_bad_header(tmp_path):
         load_dataset(path)
 
 
+def test_dataset_loader_rejects_duplicate_index(tmp_path):
+    path = tmp_path / "data.csv"
+    path.write_text("index,label,true_label,f0\n0,0,0,1.0\n1,1,1,2.0\n0,1,1,3.0\n")
+    with pytest.raises(ConfigError, match=r"data\.csv line 4: duplicate instance index 0"):
+        load_dataset(path)
+
+
+def test_dataset_loader_rejects_out_of_range_index(tmp_path):
+    path = tmp_path / "data.csv"
+    path.write_text("index,label,true_label,f0\n0,0,0,1.0\n99999,1,1,2.0\n")
+    with pytest.raises(ConfigError, match=r"data\.csv line 3: instance index 99999 outside"):
+        load_dataset(path)
+    path.write_text("index,label,true_label,f0\n-1,0,0,1.0\n1,1,1,2.0\n")
+    with pytest.raises(ConfigError, match="line 2: instance index -1"):
+        load_dataset(path)
+
+
 def test_manifest_file_round_trip(tmp_path):
     ds = make_blobs(3, 40, 5, 0.8, seed=6)
     _, manifest = corrupt_labels(ds, 0.35, seed=8)

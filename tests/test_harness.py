@@ -9,6 +9,7 @@ import pytest
 from metasched.config import RunConfig, with_seeds
 from metasched.errors import ConfigError, NumericError
 from metasched.harness import (
+    _update_sigma_tables,
     kfold_collect,
     load_model,
     prepare_data,
@@ -17,7 +18,7 @@ from metasched.harness import (
     run_multi_seed,
     run_training,
 )
-from metasched import datagen, losses, nn
+from metasched import datagen, losses, meta, nn
 
 
 def tiny_cfg(**kw):
@@ -236,10 +237,64 @@ def test_personalization_bundle_filters_train():
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_divergence_aborts_with_partial_outputs(tmp_path):
+@pytest.mark.parametrize("entry", ["run_training", "replay_train"])
+def test_divergence_aborts_with_partial_outputs(tmp_path, entry):
     cfg = tiny_cfg(lr=1e150, epochs=4)
     with pytest.raises(NumericError) as exc_info:
-        run_training(cfg, out_dir=str(tmp_path))
+        if entry == "run_training":
+            run_training(cfg, out_dir=str(tmp_path))
+        else:
+            schedule = run_training(tiny_cfg(epochs=4)).trajectory
+            replay_train(cfg, schedule, out_dir=str(tmp_path))
     assert "epoch" in exc_info.value.context
     info = json.loads((tmp_path / "run_info.json").read_text())
     assert "last_good_epoch" in info
+
+
+def loop_update_sigma_tables(mode, dps, batch, dsigma, data_lr):
+    """Per-row reference for _update_sigma_tables: returns the clamp count."""
+    scale = data_lr / batch.size
+    clamps = 0
+    if mode in ("class", "joint"):
+        for c in np.unique(batch.labels):
+            new = dps.sigma_class[c] - scale * float(dsigma[batch.labels == c].sum())
+            if mode == "class" and new < losses.SIGMA_MIN:
+                new = losses.SIGMA_MIN
+                clamps += 1
+            dps.sigma_class[c] = new
+    if mode in ("instance", "joint"):
+        for pos, idx in enumerate(batch.indices):
+            new = dps.sigma_inst[idx] - scale * float(dsigma[pos])
+            if mode == "instance" and new < losses.SIGMA_MIN:
+                new = losses.SIGMA_MIN
+                clamps += 1
+            dps.sigma_inst[idx] = new
+    return clamps
+
+
+@pytest.mark.parametrize("mode", ["class", "instance", "joint"])
+def test_update_sigma_tables_matches_per_row_loop(mode):
+    cfg = tiny_cfg(formulation="temperature", temperature_mode=mode)
+    rng = np.random.default_rng(17)
+    n, k = 200, 4
+    clamps = 0
+    for _ in range(40):
+        dps = meta.DataParamState.initial(n, k, temperature_mode=mode)
+        if dps.sigma_class is not None:
+            dps.sigma_class[:] = rng.uniform(0.04, 0.3, size=k)
+        if dps.sigma_inst is not None:
+            dps.sigma_inst[:] = rng.uniform(0.04, 0.3, size=n)
+        size = int(rng.integers(1, 64))  # up to ~16 members per class
+        labels = rng.integers(0, k, size=size)
+        batch = nn.Batch(np.zeros((size, 1)), labels, rng.choice(n, size, replace=False))
+        dsigma = rng.normal(0, 0.5, size=size)
+        ref = dps.copy()
+        got = _update_sigma_tables(cfg, dps, batch, dsigma, 0.7)
+        want = loop_update_sigma_tables(mode, ref, batch, dsigma, 0.7)
+        assert got == want
+        for name in ("sigma_class", "sigma_inst"):
+            a, b = getattr(dps, name), getattr(ref, name)
+            assert (a is None and b is None) or np.array_equal(a, b)
+        clamps += got
+    if mode != "joint":
+        assert clamps > 0  # the floor is exercised

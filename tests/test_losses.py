@@ -7,7 +7,6 @@ from metasched import losses
 from metasched.errors import ShapeError
 from metasched.losses import SIGMA_MIN, LossSelector
 from metasched.meta import DataParamState
-from metasched.nn import LayerSpec, ParamVector
 
 
 def test_ce_symmetric_logits():
@@ -172,6 +171,38 @@ def test_resolve_sigma_missing_table():
         losses.resolve_sigma("bogus", 0, 0, dps)
 
 
+@pytest.mark.parametrize("mode", ["class", "instance", "joint"])
+def test_resolve_sigma_batch_matches_scalar(mode):
+    rng = np.random.default_rng(12)
+    n, k = 40, 5
+    clamps = 0
+    for _ in range(50):
+        dps = DataParamState.initial(n, k, mode="none", temperature_mode=mode)
+        if dps.sigma_class is not None:
+            dps.sigma_class[:] = rng.uniform(0.0, 2.0, size=k)
+        if dps.sigma_inst is not None:
+            # joint-mode instance entries are offsets and may go negative
+            low = -1.0 if mode == "joint" else 0.0
+            dps.sigma_inst[:] = rng.uniform(low, 2.0, size=n)
+        size = int(rng.integers(1, 20))
+        labels = rng.integers(0, k, size=size)
+        indices = rng.choice(n, size=size, replace=False)
+        sigma, clamped = losses.resolve_sigma_batch(mode, labels, indices, dps)
+        for row, (y, idx) in enumerate(zip(labels, indices)):
+            want, want_clamped = losses.resolve_sigma(mode, int(y), int(idx), dps)
+            assert sigma[row] == want
+            assert clamped[row] == want_clamped
+        clamps += int(clamped.sum())
+    assert clamps > 0  # entries below SIGMA_MIN are exercised
+
+
+def test_resolve_sigma_batch_missing_table():
+    dps = DataParamState.initial(n_instances=2, n_classes=2, mode="none")
+    for mode in ("class", "instance", "joint", "bogus"):
+        with pytest.raises(ValueError):
+            losses.resolve_sigma_batch(mode, np.array([0]), np.array([0]), dps)
+
+
 def test_batch_losses_match_scalar_calls():
     rng = np.random.default_rng(6)
     logits = rng.normal(0, 2, size=(8, 4))
@@ -188,28 +219,6 @@ def test_batch_losses_match_scalar_calls():
         assert np.isclose(tl[i], l1, rtol=1e-12, atol=1e-15)
         assert np.allclose(tdz[i], dz1, rtol=1e-12, atol=1e-15)
         assert np.isclose(tds[i], ds1, rtol=1e-12, atol=1e-15)
-
-
-def test_weighted_batch_loss_reduces_to_mean_ce():
-    rng = np.random.default_rng(7)
-    manifest = (LayerSpec(2, 2, "identity"),)
-    model = ParamVector(rng.standard_normal(6), manifest)
-    sample_losses = rng.uniform(0.1, 2.0, size=5)
-    plain = losses.weighted_batch_loss(
-        sample_losses, np.ones(5), model, 0.0
-    )
-    assert abs(plain - sample_losses.mean()) <= 1e-12
-
-
-def test_weighted_batch_loss_decay_term():
-    manifest = (LayerSpec(2, 2, "identity"),)
-    model = ParamVector(np.array([1.0, 2.0, 0.0, 0.0, 3.0, 0.0]), manifest)
-    sample_losses = np.array([1.0, 3.0])
-    weights = np.array([2.0, 0.5])
-    lam = 0.1
-    expected = (2.0 * 1.0 + 0.5 * 3.0) / 2 + 0.5 * lam * (1 + 4 + 9)
-    got = losses.weighted_batch_loss(sample_losses, weights, model, lam)
-    assert np.isclose(got, expected, rtol=1e-12, atol=0)
 
 
 def test_selector_validation():
