@@ -343,17 +343,4 @@ def with_seeds(cfg, base_seed):
     )
 
 
-def optim_hyper_dict(cfg):
-    return dict(cfg.optim_hyper)
-
-
-def describe_fields():
-    """Names/defaults table used by the CLI help epilogue."""
-    default = RunConfig()
-    rows = []
-    for key, (field_name, _) in KEY_MAP.items():
-        rows.append((key, _format_value(getattr(default, field_name))))
-    return rows
-
-
 assert set(_FIELD_TO_KEY) <= {f.name for f in fields(RunConfig)}

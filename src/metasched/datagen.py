@@ -99,17 +99,6 @@ class CorruptionManifest:
             return 0.0
         return len(self.corrupt_indices) / self.n_population
 
-    def apply(self, ds):
-        """Replay the recorded draws onto a dataset with matching indices."""
-        labels = ds.labels.copy()
-        pos_of = {int(idx): p for p, idx in enumerate(ds.indices)}
-        for idx, original, assigned in self.entries:
-            p = pos_of[int(idx)]
-            if ds.true_labels[p] != original:
-                raise ValueError(f"manifest original label mismatch at index {idx}")
-            labels[p] = assigned
-        return replace(ds, labels=labels)
-
 
 def make_blobs(n_classes, per_class, dim, spread, seed):
     """Gaussian clusters with class means on a randomly rotated regular

@@ -211,9 +211,8 @@ def _per_class_accuracy(model, ds):
 def _effective_instance_weights(cfg, dps, train):
     if cfg.formulation == "temperature":
         # report the per-instance effective temperature as the "weight"
-        selector_mode = cfg.temperature_mode
         sigma, _ = losses_mod.resolve_sigma_batch(
-            selector_mode, train.labels, train.indices, dps
+            cfg.temperature_mode, train.labels, train.indices, dps
         )
         return sigma
     if cfg.mode == "class":
@@ -284,6 +283,11 @@ def replay_train(cfg, schedule, bundle=None, out_dir=None):
     """Retrain on the full train split with frozen per-epoch weight
     tables; no meta set is consumed."""
     config_mod.validate_config(cfg)
+    if cfg.formulation == "temperature":
+        raise ConfigError(
+            "replay needs formulation = meta: a temperature run records no "
+            "rate multipliers to freeze"
+        )
     if bundle is None:
         bundle = prepare_replay_bundle(cfg)
     if schedule.epochs < cfg.epochs:
@@ -323,18 +327,13 @@ def _train(cfg, bundle, out_dir, schedule=None):
         history_reset=cfg.history_reset,
         temperature_mode=temperature_mode,
     )
-    selector = (
-        losses_mod.LossSelector("temperature_ce", cfg.temperature_mode)
-        if cfg.formulation == "temperature"
-        else losses_mod.PLAIN_CE
-    )
     opt_state = None
     if schedule is None and not cfg.meta_driven:
         opt_state = optim.make_optimizer(
             cfg.optimizer,
             cfg.lr,
             nn.param_count(manifest),
-            **config_mod.optim_hyper_dict(cfg),
+            **dict(cfg.optim_hyper),
         )
 
     rng_shuffle = np.random.default_rng(cfg.seed_shuffle)
@@ -364,12 +363,8 @@ def _train(cfg, bundle, out_dir, schedule=None):
             if opt_state is not None:
                 opt_state.lr = lr
             if schedule is not None:
-                tables = schedule.snapshot(epoch).as_tables()
                 dps = meta.DataParamState(
-                    w_inst=tables["w_inst"],
-                    w_class=tables["w_class"],
-                    lam_wd=tables["lam_wd"],
-                    mode=cfg.mode,
+                    **schedule.snapshot(epoch).as_tables(), mode=cfg.mode
                 )
             perm = rng_shuffle.permutation(n_train)
             for start in range(0, n_train, cfg.batch_size):
@@ -391,7 +386,7 @@ def _train(cfg, bundle, out_dir, schedule=None):
                     counters["clamp_events"] += report.clamp_count
                 elif cfg.formulation == "temperature":
                     _, grads, dsigma, clamped = nn.temperature_backward(
-                        theta, batch, selector, dps
+                        theta, batch, cfg.temperature_mode, dps
                     )
                     grad = grads.mean(axis=0) + dps.lam_wd * theta.values
                     theta = theta.with_values(optim.step(opt_state, theta.values, grad))

@@ -27,33 +27,7 @@ from .errors import ShapeError
 
 SIGMA_MIN = 0.05
 
-LOSS_KINDS = ("plain_ce", "temperature_ce")
 TEMPERATURE_MODES = ("class", "instance", "joint")
-
-
-@dataclass(frozen=True)
-class LossSelector:
-    """Names a loss to use for per-sample backward passes.
-
-    ``temperature_mode`` is only meaningful for ``temperature_ce`` and
-    selects which sigma table(s) feed the effective temperature.
-    """
-
-    kind: str = "plain_ce"
-    temperature_mode: str | None = None
-
-    def __post_init__(self):
-        if self.kind not in LOSS_KINDS:
-            raise ValueError(f"unknown loss kind {self.kind!r}")
-        if self.kind == "temperature_ce":
-            if self.temperature_mode not in TEMPERATURE_MODES:
-                raise ValueError(
-                    f"temperature_ce needs temperature_mode in {TEMPERATURE_MODES}, "
-                    f"got {self.temperature_mode!r}"
-                )
-
-
-PLAIN_CE = LossSelector("plain_ce")
 
 
 @dataclass(frozen=True)

@@ -110,7 +110,8 @@ class MetaStepReport:
     to ``instance_ids[r]``, the dataset index of train-batch row r, and
     ``per_class_metagrad[j]`` to class ``class_ids[j]``. The class map is
     filled only in class mode, for the classes present in the batch; in
-    every other mode both class arrays are empty.
+    every other mode both class arrays are empty. ``wd_metagrad`` is None
+    unless the decay coefficient is learnable.
     """
 
     rollout_theta: nn.ParamVector
@@ -119,7 +120,7 @@ class MetaStepReport:
     per_instance_metagrad: np.ndarray
     class_ids: np.ndarray
     per_class_metagrad: np.ndarray
-    wd_metagrad: float
+    wd_metagrad: float | None
     clamp_count: int = 0
 
 
@@ -252,7 +253,7 @@ def meta_train_step(theta, dps, train_batch, meta_batch, lr, data_lr, wd_lr):
         per_instance_metagrad=instance_metagrad(grads, meta_grad, lr),
         class_ids=class_ids,
         per_class_metagrad=class_grads,
-        wd_metagrad=wd_metagrad(theta, meta_grad, lr),
+        wd_metagrad=wd_metagrad(theta, meta_grad, lr) if dps.wd_learnable else None,
     )
     dps_next = apply_data_param_update(dps, report, data_lr, wd_lr)
     if dps.history_reset:

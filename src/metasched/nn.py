@@ -223,22 +223,15 @@ def per_sample_grads_from_dz(model, acts, preacts, dz):
     return grads
 
 
-def per_sample_backward(model, batch, selector=losses_mod.PLAIN_CE, dps=None):
-    """Per-sample losses and exact per-sample parameter gradients.
+def per_sample_backward(model, batch):
+    """Per-sample cross-entropy losses and exact per-sample parameter
+    gradients.
 
     Row i of the gradient matrix is d(loss_i)/d(theta); the mean over rows
-    equals the gradient of the unweighted mean loss. The temperature
-    selector resolves each sample's sigma from ``dps``.
+    equals the gradient of the unweighted mean loss.
     """
     acts, preacts = _forward_cache(model, batch.features)
-    logits = acts[-1]
-    if selector.kind == "plain_ce":
-        sample_losses, dz = losses_mod.cross_entropy_batch(logits, batch.labels)
-    else:
-        sigma, _ = losses_mod.resolve_sigma_batch(
-            selector.temperature_mode, batch.labels, batch.indices, dps
-        )
-        sample_losses, dz, _ = losses_mod.temperature_ce_batch(logits, batch.labels, sigma)
+    sample_losses, dz = losses_mod.cross_entropy_batch(acts[-1], batch.labels)
     grads = per_sample_grads_from_dz(model, acts, preacts, dz)
     if not np.isfinite(sample_losses).all() or not np.isfinite(grads).all():
         bad_loss = np.flatnonzero(~np.isfinite(sample_losses))
@@ -252,18 +245,18 @@ def per_sample_backward(model, batch, selector=losses_mod.PLAIN_CE, dps=None):
     return sample_losses, grads
 
 
-def temperature_backward(model, batch, selector, dps):
+def temperature_backward(model, batch, mode, dps):
     """Per-sample losses, parameter gradients, and temperature gradients.
 
-    Same contract as per_sample_backward for the first two outputs; the
-    third is each sample's d(loss)/d(sigma_eff) and the fourth marks rows
-    whose sigma hit the floor.
+    ``mode`` names the sigma table(s) in ``dps`` that give each sample's
+    effective temperature (see ``losses.resolve_sigma_batch``). Same
+    contract as per_sample_backward for the first two outputs; the third
+    is each sample's d(loss)/d(sigma_eff) and the fourth marks rows whose
+    sigma hit the floor.
     """
-    if selector.kind != "temperature_ce":
-        raise ValueError("temperature_backward requires a temperature_ce selector")
     acts, preacts = _forward_cache(model, batch.features)
     sigma, clamped = losses_mod.resolve_sigma_batch(
-        selector.temperature_mode, batch.labels, batch.indices, dps
+        mode, batch.labels, batch.indices, dps
     )
     sample_losses, dz, dsigma = losses_mod.temperature_ce_batch(
         acts[-1], batch.labels, sigma

@@ -2,9 +2,10 @@
 
 A trajectory records every data parameter at each epoch end so a learned
 schedule can be averaged across folds and replayed as fixed multipliers.
-Instance weights are stored sparsely: an absent entry means the weight
-still has its initial value 1. Class tables, the decay coefficient, and
-temperature tables are stored densely.
+In memory every table is a dense array. Only the file is sparse: it holds
+an `inst` row for each instance weight that differs from its initial
+value 1, and an absent row reads back as 1. Class tables, the decay
+coefficient, and temperature tables are written densely.
 
 Interchange format: comma-separated `epoch,kind,id,value` rows with kind
 in {inst, class, wd, sigma_inst, sigma_class}.
@@ -12,35 +13,37 @@ in {inst, class, wd, sigma_inst, sigma_class}.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-TRAJECTORY_KINDS = ("inst", "class", "wd", "sigma_inst", "sigma_class")
+from .errors import ConfigError
+
+HEADER = "epoch,kind,id,value"
+
+
+def _copy(table):
+    return None if table is None else table.copy()
 
 
 @dataclass
 class EpochSnapshot:
     epoch: int
-    n_instances: int
-    w_inst_sparse: dict
+    w_inst: np.ndarray
     w_class: np.ndarray
     lam_wd: float
     sigma_class: np.ndarray | None = None
     sigma_inst: np.ndarray | None = None
 
     def as_tables(self):
-        """Dense weight tables for this epoch, suitable for replay."""
-        w_inst = np.ones(self.n_instances)
-        if self.w_inst_sparse:
-            idx = np.fromiter(self.w_inst_sparse.keys(), dtype=np.int64)
-            w_inst[idx] = np.fromiter(self.w_inst_sparse.values(), dtype=np.float64)
+        """Copies of this epoch's weight tables, suitable for replay."""
         return {
-            "w_inst": w_inst,
+            "w_inst": self.w_inst.copy(),
             "w_class": self.w_class.copy(),
             "lam_wd": self.lam_wd,
-            "sigma_class": None if self.sigma_class is None else self.sigma_class.copy(),
-            "sigma_inst": None if self.sigma_inst is None else self.sigma_inst.copy(),
+            "sigma_class": _copy(self.sigma_class),
+            "sigma_inst": _copy(self.sigma_inst),
         }
 
 
@@ -58,15 +61,13 @@ class TrajectoryLog:
         """Append an epoch-end snapshot of the data-parameter state."""
         if dps.w_inst.size != self.n_instances or dps.w_class.size != self.n_classes:
             raise ValueError("data-parameter dimensions do not match the trajectory")
-        nonunit = np.flatnonzero(dps.w_inst != 1.0)
         snap = EpochSnapshot(
             epoch=len(self.snapshots),
-            n_instances=self.n_instances,
-            w_inst_sparse={int(i): float(dps.w_inst[i]) for i in nonunit},
+            w_inst=dps.w_inst.copy(),
             w_class=dps.w_class.copy(),
             lam_wd=float(dps.lam_wd),
-            sigma_class=None if dps.sigma_class is None else dps.sigma_class.copy(),
-            sigma_inst=None if dps.sigma_inst is None else dps.sigma_inst.copy(),
+            sigma_class=_copy(dps.sigma_class),
+            sigma_inst=_copy(dps.sigma_inst),
         )
         self.snapshots.append(snap)
         return snap
@@ -79,71 +80,115 @@ class TrajectoryLog:
         return self.snapshots[epoch]
 
     def to_csv(self, path):
-        lines = ["epoch,kind,id,value"]
+        lines = [HEADER]
         for snap in self.snapshots:
             e = snap.epoch
-            for i in sorted(snap.w_inst_sparse):
-                lines.append(f"{e},inst,{i},{snap.w_inst_sparse[i]!r}")
-            for c, v in enumerate(snap.w_class):
-                lines.append(f"{e},class,{c},{float(v)!r}")
+            nonunit = np.flatnonzero(snap.w_inst != 1.0)
+            for i, v in zip(nonunit.tolist(), snap.w_inst[nonunit].tolist()):
+                lines.append(f"{e},inst,{i},{v!r}")
+            for c, v in enumerate(snap.w_class.tolist()):
+                lines.append(f"{e},class,{c},{v!r}")
             lines.append(f"{e},wd,0,{snap.lam_wd!r}")
             if snap.sigma_class is not None:
-                for c, v in enumerate(snap.sigma_class):
-                    lines.append(f"{e},sigma_class,{c},{float(v)!r}")
+                for c, v in enumerate(snap.sigma_class.tolist()):
+                    lines.append(f"{e},sigma_class,{c},{v!r}")
             if snap.sigma_inst is not None:
-                for i, v in enumerate(snap.sigma_inst):
-                    lines.append(f"{e},sigma_inst,{i},{float(v)!r}")
+                for i, v in enumerate(snap.sigma_inst.tolist()):
+                    lines.append(f"{e},sigma_inst,{i},{v!r}")
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("\n".join(lines) + "\n")
 
     @classmethod
     def from_csv(cls, path, n_instances, n_classes):
-        rows = []
+        """Read a trajectory file into dense per-epoch tables.
+
+        Each epoch's snapshot starts at its first row, which may not come
+        before the first row of the epoch preceding it. A malformed row (wrong field count, non-numeric or non-finite
+        value, negative or skipped epoch, unknown kind, id outside its
+        table) raises ConfigError naming the file and line.
+        """
+        log = cls(n_instances=n_instances, n_classes=n_classes)
+        sizes = {
+            "inst": n_instances,
+            "class": n_classes,
+            "wd": 1,
+            "sigma_inst": n_instances,
+            "sigma_class": n_classes,
+        }
+        snapshots = log.snapshots
         with open(path, encoding="utf-8") as fh:
             header = fh.readline().strip()
-            if header != "epoch,kind,id,value":
-                raise ValueError(f"unrecognized trajectory header {header!r}")
-            for line in fh:
+            if header != HEADER:
+                raise ConfigError(f"{path} line 1: unrecognized trajectory header {header!r}")
+            for lineno, line in enumerate(fh, start=2):
                 line = line.strip()
                 if not line:
                     continue
-                e, kind, ident, value = line.split(",")
-                if kind not in TRAJECTORY_KINDS:
-                    raise ValueError(f"unknown trajectory kind {kind!r}")
-                rows.append((int(e), kind, int(ident), float(value)))
-        log = cls(n_instances=n_instances, n_classes=n_classes)
-        if not rows:
-            return log
-        n_epochs = max(r[0] for r in rows) + 1
-        for e in range(n_epochs):
-            log.snapshots.append(
-                EpochSnapshot(
-                    epoch=e,
-                    n_instances=n_instances,
-                    w_inst_sparse={},
-                    w_class=np.ones(n_classes),
-                    lam_wd=0.0,
-                    sigma_class=None,
-                    sigma_inst=None,
-                )
-            )
-        for e, kind, ident, value in rows:
-            snap = log.snapshots[e]
-            if kind == "inst":
-                snap.w_inst_sparse[ident] = value
-            elif kind == "class":
-                snap.w_class[ident] = value
-            elif kind == "wd":
-                snap.lam_wd = value
-            elif kind == "sigma_class":
-                if snap.sigma_class is None:
-                    snap.sigma_class = np.ones(n_classes)
-                snap.sigma_class[ident] = value
-            else:
-                if snap.sigma_inst is None:
-                    snap.sigma_inst = np.zeros(n_instances)
-                snap.sigma_inst[ident] = value
+                parts = line.split(",")
+                if len(parts) != 4:
+                    raise ConfigError(
+                        f"{path} line {lineno}: expected 4 fields epoch,kind,id,value, "
+                        f"got {len(parts)}"
+                    )
+                kind = parts[1]
+                if kind not in sizes:
+                    raise ConfigError(f"{path} line {lineno}: unknown trajectory kind {kind!r}")
+                try:
+                    e, ident, value = int(parts[0]), int(parts[2]), float(parts[3])
+                except ValueError:
+                    raise ConfigError(
+                        f"{path} line {lineno}: non-numeric field in {line!r}"
+                    ) from None
+                if e < 0:
+                    raise ConfigError(f"{path} line {lineno}: negative epoch {e}")
+                if not 0 <= ident < sizes[kind]:
+                    raise ConfigError(
+                        f"{path} line {lineno}: {kind} id {ident} outside [0, {sizes[kind]})"
+                    )
+                if not math.isfinite(value):
+                    raise ConfigError(f"{path} line {lineno}: non-finite value {parts[3]!r}")
+                if e > len(snapshots):
+                    raise ConfigError(
+                        f"{path} line {lineno}: epoch {e} before any row of epoch "
+                        f"{len(snapshots)}"
+                    )
+                if e == len(snapshots):
+                    snapshots.append(
+                        EpochSnapshot(
+                            epoch=e,
+                            w_inst=np.ones(n_instances),
+                            w_class=np.ones(n_classes),
+                            lam_wd=0.0,
+                        )
+                    )
+                snap = snapshots[e]
+                if kind == "inst":
+                    snap.w_inst[ident] = value
+                elif kind == "class":
+                    snap.w_class[ident] = value
+                elif kind == "wd":
+                    snap.lam_wd = value
+                elif kind == "sigma_class":
+                    if snap.sigma_class is None:
+                        snap.sigma_class = np.ones(n_classes)
+                    snap.sigma_class[ident] = value
+                else:
+                    if snap.sigma_inst is None:
+                        snap.sigma_inst = np.zeros(n_instances)
+                    snap.sigma_inst[ident] = value
         return log
+
+
+def _fold_mean(tables, masks, counts, fill):
+    """Per-instance mean over the folds whose mask covers the instance,
+    summed fold by fold; instances no fold covers read ``fill``."""
+    out = np.zeros(counts.size)
+    for table, mask in zip(tables, masks):
+        out[mask] += table[mask]
+    covered = counts > 0
+    out[covered] /= counts[covered]
+    out[~covered] = fill
+    return out
 
 
 def average_trajectories(logs, memberships=None):
@@ -181,30 +226,17 @@ def average_trajectories(logs, memberships=None):
     out = TrajectoryLog(n_instances=n_instances, n_classes=n_classes)
     for e in range(n_epochs):
         snaps = [log.snapshots[e] for log in logs]
-        tables = [s.as_tables() for s in snaps]
-        w_inst = np.zeros(n_instances)
-        for t, mask in zip(tables, masks):
-            w_inst[mask] += t["w_inst"][mask]
-        covered = counts > 0
-        w_inst[covered] /= counts[covered]
-        w_inst[~covered] = 1.0
-        sigma_class = None
-        if tables[0]["sigma_class"] is not None:
-            sigma_class = np.mean([t["sigma_class"] for t in tables], axis=0)
-        sigma_inst = None
-        if tables[0]["sigma_inst"] is not None:
-            sigma_inst = np.zeros(n_instances)
-            for t, mask in zip(tables, masks):
-                sigma_inst[mask] += t["sigma_inst"][mask]
-            sigma_inst[covered] /= counts[covered]
-        nonunit = np.flatnonzero(w_inst != 1.0)
+        sigma_class = sigma_inst = None
+        if snaps[0].sigma_class is not None:
+            sigma_class = np.mean([s.sigma_class for s in snaps], axis=0)
+        if snaps[0].sigma_inst is not None:
+            sigma_inst = _fold_mean([s.sigma_inst for s in snaps], masks, counts, 0.0)
         out.snapshots.append(
             EpochSnapshot(
                 epoch=e,
-                n_instances=n_instances,
-                w_inst_sparse={int(i): float(w_inst[i]) for i in nonunit},
-                w_class=np.mean([t["w_class"] for t in tables], axis=0),
-                lam_wd=float(np.mean([t["lam_wd"] for t in tables])),
+                w_inst=_fold_mean([s.w_inst for s in snaps], masks, counts, 1.0),
+                w_class=np.mean([s.w_class for s in snaps], axis=0),
+                lam_wd=float(np.mean([s.lam_wd for s in snaps])),
                 sigma_class=sigma_class,
                 sigma_inst=sigma_inst,
             )

@@ -155,6 +155,42 @@ def test_replay_subcommand_consumes_no_meta(tmp_path):
     assert info["counters"]["meta_grad_evals"] == 0
 
 
+def test_replay_of_temperature_run_is_validation_error(tmp_path, capsys):
+    run_dir = tmp_path / "base"
+    temperature = ["--override", "formulation=temperature", "--override", "temperature.mode=class"]
+    assert main(["train", *temperature, *DATA_OVERRIDES, "--out", str(run_dir)]) == 0
+    capsys.readouterr()
+    code = main([
+        "replay", *temperature, *DATA_OVERRIDES,
+        "--trajectory", str(run_dir / "trajectory.csv"),
+    ])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert "replay needs formulation = meta" in err
+
+
+@pytest.mark.parametrize("command", ["replay", "analyze"])
+def test_bad_trajectory_row_is_validation_error(tmp_path, capsys, command):
+    run_dir = tmp_path / "base"
+    assert main([
+        "train", "--override", "meta.mode=instance", *DATA_OVERRIDES, "--out", str(run_dir),
+    ]) == 0
+    trajectory = run_dir / "trajectory.csv"
+    lines = trajectory.read_text().splitlines()
+    lines.insert(2, "0,inst,99999,0.5")
+    trajectory.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    if command == "replay":
+        argv = ["replay", *DATA_OVERRIDES, "--trajectory", str(trajectory)]
+    else:
+        argv = ["analyze", "--run", str(run_dir)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert f"{trajectory} line 3: inst id 99999 outside" in err
+
+
 def test_kfold_subcommand_with_candidates(tmp_path):
     out_dir = tmp_path / "kf"
     assert main([

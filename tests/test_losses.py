@@ -5,7 +5,7 @@ import pytest
 
 from metasched import losses
 from metasched.errors import ShapeError
-from metasched.losses import SIGMA_MIN, LossSelector
+from metasched.losses import SIGMA_MIN
 from metasched.meta import DataParamState
 
 
@@ -219,15 +219,6 @@ def test_batch_losses_match_scalar_calls():
         assert np.isclose(tl[i], l1, rtol=1e-12, atol=1e-15)
         assert np.allclose(tdz[i], dz1, rtol=1e-12, atol=1e-15)
         assert np.isclose(tds[i], ds1, rtol=1e-12, atol=1e-15)
-
-
-def test_selector_validation():
-    sel = LossSelector("temperature_ce", "class")
-    assert sel.temperature_mode == "class"
-    with pytest.raises(ValueError):
-        LossSelector("focal")
-    with pytest.raises(ValueError):
-        LossSelector("temperature_ce", "both")
 
 
 def test_bad_logit_shape():

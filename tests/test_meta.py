@@ -228,6 +228,21 @@ def test_meta_step_repeated_index_last_row_wins():
     assert dps_next.w_inst[1] == 1.0 - 2.0 * report.per_instance_metagrad[1]
 
 
+@pytest.mark.parametrize("wd_learnable", [False, True])
+def test_meta_step_computes_decay_metagrad_only_when_learnable(wd_learnable):
+    model, train, meta_batch, n = toy_problem(29)
+    dps = DataParamState.initial(n, 2, mode="instance", wd_learnable=wd_learnable)
+    theta_next, dps_next, report = meta.meta_train_step(
+        model, dps, train, meta_batch, 0.2, 2.0, 1e-3
+    )
+    if not wd_learnable:
+        assert report.wd_metagrad is None
+        assert dps_next.lam_wd == dps.lam_wd
+        return
+    _, meta_grads = nn.per_sample_backward(theta_next, meta_batch)
+    assert report.wd_metagrad == meta.wd_metagrad(model, meta_grads.mean(axis=0), 0.2)
+
+
 def test_meta_step_requires_equal_batch_sizes():
     model, train, meta_batch, n = toy_problem(5)
     short = Batch(meta_batch.features[:2], meta_batch.labels[:2], meta_batch.indices[:2])

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from metasched.errors import ConfigError
 from metasched.meta import DataParamState
 from metasched.trajectory import TrajectoryLog, average_trajectories
 
@@ -30,14 +31,23 @@ def test_record_and_snapshot_round_trip():
     assert np.allclose(tables["w_class"], [1.0, 0.9, 1.3], rtol=0, atol=0)
     assert tables["lam_wd"] == 2e-4
     assert log.snapshot(1).as_tables()["w_inst"][2] == 0.2
+    # the tables are copies: writing to them leaves the snapshot as recorded
+    tables["w_inst"][0] = 5.0
+    assert snap.w_inst[0] == 1.0
 
 
-def test_sparse_storage_keeps_only_non_unit_entries():
+def test_to_csv_writes_only_non_unit_instance_rows(tmp_path):
     log = TrajectoryLog(n_instances=5, n_classes=2)
     dps = make_dps(5, 2)
     dps.w_inst[3] = 0.77
-    snap = log.record(dps)
-    assert set(snap.w_inst_sparse) == {3}
+    dps.w_inst[1] = 0.0
+    log.record(dps)
+    dps.w_inst[:] = 1.0
+    log.record(dps)
+    path = tmp_path / "traj.csv"
+    log.to_csv(path)
+    inst_rows = [row for row in path.read_text().splitlines() if ",inst," in row]
+    assert inst_rows == ["0,inst,1,0.0", "0,inst,3,0.77"]
 
 
 def test_record_dimension_check():
@@ -87,15 +97,62 @@ def test_csv_round_trip_exact(tmp_path):
 def test_from_csv_rejects_bad_header(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("epoch,type,id,value\n")
-    with pytest.raises(ValueError, match="header"):
+    with pytest.raises(ConfigError, match="header"):
         TrajectoryLog.from_csv(path, 2, 2)
 
 
 def test_from_csv_rejects_unknown_kind(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("epoch,kind,id,value\n0,momentum,0,1.0\n")
-    with pytest.raises(ValueError, match="kind"):
+    with pytest.raises(ConfigError, match="kind"):
         TrajectoryLog.from_csv(path, 2, 2)
+
+
+def read_bad_row(tmp_path, row):
+    """from_csv on a file whose third line is ``row``; returns the error."""
+    path = tmp_path / "bad.csv"
+    path.write_text(f"epoch,kind,id,value\n0,class,0,1.0\n{row}\n0,wd,0,0.0\n")
+    with pytest.raises(ConfigError) as err:
+        TrajectoryLog.from_csv(path, 4, 2)
+    assert f"{path} line 3:" in str(err.value)
+    return str(err.value)
+
+
+def test_from_csv_rejects_short_row(tmp_path):
+    assert "expected 4 fields" in read_bad_row(tmp_path, "0,inst,1")
+
+
+def test_from_csv_rejects_non_numeric_value(tmp_path):
+    assert "non-numeric" in read_bad_row(tmp_path, "0,inst,1,heavy")
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e999"])
+def test_from_csv_rejects_non_finite_value(tmp_path, value):
+    assert "non-finite" in read_bad_row(tmp_path, f"0,inst,1,{value}")
+
+
+def test_from_csv_rejects_negative_epoch(tmp_path):
+    assert "negative epoch -1" in read_bad_row(tmp_path, "-1,inst,1,0.5")
+
+
+def test_from_csv_rejects_skipped_epoch(tmp_path):
+    assert "epoch 2 before any row of epoch 1" in read_bad_row(tmp_path, "2,inst,1,0.5")
+
+
+@pytest.mark.parametrize(
+    "row",
+    [
+        "0,inst,99999,0.5",
+        "0,inst,-1,0.5",
+        "0,sigma_inst,4,0.5",
+        "0,class,2,0.5",
+        "0,sigma_class,2,0.5",
+        "0,wd,1,0.5",
+    ],
+)
+def test_from_csv_rejects_id_outside_its_table(tmp_path, row):
+    kind, ident = row.split(",")[1:3]
+    assert f"{kind} id {ident} outside" in read_bad_row(tmp_path, row)
 
 
 def test_average_two_folds_means_weights():
@@ -118,19 +175,25 @@ def test_average_respects_memberships():
     logs = []
     for fold, value in enumerate((0.3, 0.6)):
         log = TrajectoryLog(n_instances=4, n_classes=2)
-        dps = make_dps(4, 2)
+        dps = make_dps(4, 2, temperature_mode="joint")
         dps.w_inst[2] = value
         dps.w_class[:] = [1.0 + fold, 2.0 + fold]
+        dps.sigma_inst[:] = value
+        dps.sigma_class[:] = [1.0 + fold, 2.0 + fold]
         log.record(dps)
         logs.append(log)
     members = [np.array([0, 1]), np.array([1, 2])]
     avg = average_trajectories(logs, members)
     tables = avg.snapshot(0).as_tables()
     assert tables["w_inst"][2] == 0.6
+    assert tables["sigma_inst"][0] == 0.3
+    assert tables["sigma_inst"][2] == 0.6
     # class and decay tables average over every fold
     assert np.allclose(tables["w_class"], [1.5, 2.5], rtol=1e-12)
-    # instance 3 belongs to no fold: neutral weight
+    assert np.allclose(tables["sigma_class"], [1.5, 2.5], rtol=1e-12)
+    # instance 3 belongs to no fold: neutral weight, joint offset still 0
     assert tables["w_inst"][3] == 1.0
+    assert tables["sigma_inst"][3] == 0.0
 
 
 def test_average_all_ones_stays_ones():
