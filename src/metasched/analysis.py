@@ -2,9 +2,12 @@
 
 The central-difference gradient checker is the ground truth for every
 analytic gradient in the package: per-sample parameter gradients,
-temperature gradients, and the three one-step meta-gradients. The other
-probes quantify qualitative claims: clean/corrupt weight separation,
-rate/performance correlation, and the top of the loss Hessian spectrum.
+temperature gradients, and the three one-step meta-gradients. The
+meta-gradient checks take their analytic side from ``meta_train_step``
+itself and difference a rollout written out over the per-sample gradient
+matrix of ``nn.per_sample_backward``. The other probes quantify
+qualitative claims: clean/corrupt weight separation, rate/performance
+correlation, and the top of the loss Hessian spectrum.
 """
 
 from __future__ import annotations
@@ -96,9 +99,19 @@ def _sample_loss(model, features_row, label):
 
 
 def _meta_objective(theta, grads, train_batch, dps, lr, meta_batch):
-    rolled = meta.rollout_one_step(theta, grads, train_batch, dps, lr)
-    losses, _ = nn.per_sample_backward(rolled, meta_batch)
+    """Meta loss after the rollout, written out over the per-sample
+    gradient matrix: the reference side of the meta-gradient checks."""
+    w_eff = meta.effective_weights(dps, train_batch)
+    rolled = theta.values - (lr / train_batch.size) * (w_eff @ grads)
+    rolled = rolled - lr * dps.lam_wd * theta.values
+    losses, _ = nn.per_sample_backward(theta.with_values(rolled), meta_batch)
     return float(losses.mean())
+
+
+def _shipped_report(model, train_batch, meta_batch, dps, lr):
+    """The meta-gradients exactly as a training step computes them."""
+    _, _, report = meta.meta_train_step(model, dps, train_batch, meta_batch, lr, 0.0, 0.0)
+    return report
 
 
 def _check_quadratic(rng, step):
@@ -166,7 +179,7 @@ def _random_meta_problem(rng, mode):
     n_pool = 12
     train_batch = _random_batch(rng, d, k, b, np.arange(n_pool))
     meta_batch = _random_batch(rng, d, k, b, np.arange(n_pool))
-    dps = meta.DataParamState.initial(n_pool, k, mode=mode)
+    dps = meta.DataParamState.initial(n_pool, k, mode=mode, wd_learnable=True)
     dps.w_inst[:] = rng.uniform(0.3, 1.7, size=n_pool)
     dps.w_class[:] = rng.uniform(0.3, 1.7, size=k)
     dps.lam_wd = float(rng.choice([0.0, 0.01]))
@@ -176,10 +189,8 @@ def _random_meta_problem(rng, mode):
 
 def _check_instance_metagrad(rng, step):
     model, train_batch, meta_batch, dps, lr = _random_meta_problem(rng, "instance")
+    analytic = _shipped_report(model, train_batch, meta_batch, dps, lr).per_instance_metagrad
     _, grads = nn.per_sample_backward(model, train_batch)
-    rolled = meta.rollout_one_step(model, grads, train_batch, dps, lr)
-    _, meta_grads = nn.per_sample_backward(rolled, meta_batch)
-    analytic = meta.instance_metagrad(grads, meta_grads.mean(axis=0), lr)
     numeric = np.empty(train_batch.size)
     for pos, idx in enumerate(train_batch.indices):
         plus = dps.copy()
@@ -194,12 +205,9 @@ def _check_instance_metagrad(rng, step):
 
 def _check_class_metagrad(rng, step):
     model, train_batch, meta_batch, dps, lr = _random_meta_problem(rng, "class")
+    report = _shipped_report(model, train_batch, meta_batch, dps, lr)
+    present, analytic = report.class_ids, report.per_class_metagrad
     _, grads = nn.per_sample_backward(model, train_batch)
-    rolled = meta.rollout_one_step(model, grads, train_batch, dps, lr)
-    _, meta_grads = nn.per_sample_backward(rolled, meta_batch)
-    present, analytic = meta.class_metagrad(
-        grads, train_batch.labels, meta_grads.mean(axis=0), lr, dps.w_class.size
-    )
     numeric = np.empty(len(present))
     for pos, c in enumerate(present):
         plus = dps.copy()
@@ -215,10 +223,8 @@ def _check_class_metagrad(rng, step):
 def _check_wd_metagrad(rng, step):
     mode = str(rng.choice(["instance", "class", "none"]))
     model, train_batch, meta_batch, dps, lr = _random_meta_problem(rng, mode)
+    analytic = _shipped_report(model, train_batch, meta_batch, dps, lr).wd_metagrad
     _, grads = nn.per_sample_backward(model, train_batch)
-    rolled = meta.rollout_one_step(model, grads, train_batch, dps, lr)
-    _, meta_grads = nn.per_sample_backward(rolled, meta_batch)
-    analytic = meta.wd_metagrad(model, meta_grads.mean(axis=0), lr)
     plus = dps.copy()
     plus.lam_wd += step
     minus = dps.copy()

@@ -243,12 +243,22 @@ def _cmd_analyze(args):
             header = fh.readline().strip()
             if header != "epoch,class,acc":
                 raise ConfigError(f"unrecognized header in {acc_path}")
-            for line in fh:
+            for lineno, line in enumerate(fh, start=2):
                 line = line.strip()
                 if not line:
                     continue
-                e, c, acc = line.split(",")
-                per_epoch.setdefault(int(e), {})[int(c)] = float(acc)
+                try:
+                    e, c, acc = line.split(",")
+                    e, c, acc = int(e), int(c), float(acc)
+                except ValueError:
+                    raise ConfigError(
+                        f"{acc_path} line {lineno}: expected epoch,class,acc, got {line!r}"
+                    ) from None
+                if not 0 <= c < info["n_classes"]:
+                    raise ConfigError(
+                        f"{acc_path} line {lineno}: class {c} outside [0, {info['n_classes']})"
+                    )
+                per_epoch.setdefault(e, {})[c] = acc
         series = []
         for e in range(trajectory.epochs):
             accs = per_epoch.get(e)

@@ -13,6 +13,7 @@ corruption manifest rows `index,original,assigned`, superclass map rows
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -327,8 +328,25 @@ def load_dataset(path):
                 continue
             parts = line.split(",")
             if len(parts) != d + 3:
-                raise ConfigError(f"malformed dataset row in {path}: {line[:60]}")
-            idx = int(parts[0])
+                raise ConfigError(
+                    f"{path} line {lineno}: expected {d + 3} fields, got {len(parts)}"
+                )
+            try:
+                idx, label, true_label = (int(v) for v in parts[:3])
+            except ValueError:
+                raise ConfigError(
+                    f"{path} line {lineno}: non-integer index or label in {line[:60]!r}"
+                ) from None
+            try:
+                row = [float(v) for v in parts[3:]]
+            except ValueError:
+                raise ConfigError(
+                    f"{path} line {lineno}: non-numeric feature in {line[:60]!r}"
+                ) from None
+            if not all(math.isfinite(v) for v in row):
+                raise ConfigError(f"{path} line {lineno}: non-finite feature in {line[:60]!r}")
+            if label < 0 or true_label < 0:
+                raise ConfigError(f"{path} line {lineno}: negative label in {line[:60]!r}")
             if idx in line_of:
                 raise ConfigError(
                     f"{path} line {lineno}: duplicate instance index {idx} "
@@ -336,9 +354,9 @@ def load_dataset(path):
                 )
             line_of[idx] = lineno
             indices.append(idx)
-            labels.append(int(parts[1]))
-            true_labels.append(int(parts[2]))
-            rows.append([float(v) for v in parts[3:]])
+            labels.append(label)
+            true_labels.append(true_label)
+            rows.append(row)
     # learned tables are sized by the row count and indexed by instance id
     for idx, lineno in line_of.items():
         if not 0 <= idx < len(indices):
@@ -347,6 +365,12 @@ def load_dataset(path):
             )
     true_arr = np.array(true_labels, dtype=np.int64)
     n_classes = int(true_arr.max()) + 1 if true_arr.size else 0
+    # the class count comes from the true labels; a noisy label names one of them
+    for idx, label in zip(indices, labels):
+        if label >= n_classes:
+            raise ConfigError(
+                f"{path} line {line_of[idx]}: label {label} outside [0, {n_classes})"
+            )
     return LabeledDataset(
         features=np.array(rows, dtype=np.float64),
         labels=np.array(labels, dtype=np.int64),

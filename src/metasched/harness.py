@@ -371,8 +371,8 @@ def _train(cfg, bundle, out_dir, schedule=None):
                 positions = perm[start : start + cfg.batch_size]
                 batch = _make_batch(bundle.train, positions)
                 if schedule is not None:
-                    _, grads = nn.per_sample_backward(theta, batch)
-                    theta = meta.rollout_one_step(theta, grads, batch, dps, lr)
+                    backward = nn.batch_backward(theta, batch)
+                    theta = meta.rollout_one_step(theta, backward, batch, dps, lr)
                 elif cfg.meta_driven:
                     meta_positions = rng_meta.integers(
                         0, bundle.meta.n, size=batch.size
@@ -385,18 +385,19 @@ def _train(cfg, bundle, out_dir, schedule=None):
                     counters["meta_samples_consumed"] += batch.size
                     counters["clamp_events"] += report.clamp_count
                 elif cfg.formulation == "temperature":
-                    _, grads, dsigma, clamped = nn.temperature_backward(
-                        theta, batch, cfg.temperature_mode, dps
+                    sigma, clamped = losses_mod.resolve_sigma_batch(
+                        cfg.temperature_mode, batch.labels, batch.indices, dps
                     )
-                    grad = grads.mean(axis=0) + dps.lam_wd * theta.values
+                    backward = nn.batch_backward(theta, batch, sigma)
+                    grad = backward.grad_sum() / batch.size + dps.lam_wd * theta.values
                     theta = theta.with_values(optim.step(opt_state, theta.values, grad))
                     counters["clamp_events"] += int(clamped.sum())
                     counters["clamp_events"] += _update_sigma_tables(
-                        cfg, dps, batch, dsigma, cfg.temperature_lr
+                        cfg, dps, batch, backward.dsigma, cfg.temperature_lr
                     )
                 else:
-                    _, grads = nn.per_sample_backward(theta, batch)
-                    grad = grads.mean(axis=0) + dps.lam_wd * theta.values
+                    backward = nn.batch_backward(theta, batch)
+                    grad = backward.grad_sum() / batch.size + dps.lam_wd * theta.values
                     theta = theta.with_values(optim.step(opt_state, theta.values, grad))
                 counters["train_grad_evals"] += batch.size
                 counters["steps"] += 1

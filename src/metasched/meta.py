@@ -19,6 +19,12 @@ coefficient enters the rollout linearly, so
 
     d L_meta / d lam_wd = -lr * <dL_meta/dtheta', theta>.
 
+A step runs one backward pass over the train batch and one over the meta
+batch (``nn.batch_backward``). The meta pass gives only the mean gradient
+dL_meta/dtheta'. The train pass gives the weighted gradient sum for the
+rollout and, from the same cached factors, each row's dot product with
+that meta gradient. No per-sample gradient matrix is built.
+
 Data parameters are updated by plain SGD on these meta-gradients and
 clamped at zero.
 """
@@ -29,7 +35,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import losses as losses_mod
 from . import nn
 from .errors import ShapeError
 
@@ -108,10 +113,11 @@ class MetaStepReport:
 
     The meta-gradient maps are arrays: ``per_instance_metagrad[r]`` belongs
     to ``instance_ids[r]``, the dataset index of train-batch row r, and
-    ``per_class_metagrad[j]`` to class ``class_ids[j]``. The class map is
-    filled only in class mode, for the classes present in the batch; in
-    every other mode both class arrays are empty. ``wd_metagrad`` is None
-    unless the decay coefficient is learnable.
+    ``per_class_metagrad[j]`` to class ``class_ids[j]``. The instance map
+    is filled in instance and class mode, the class map only in class
+    mode for the classes present in the batch; a map the mode does not
+    compute holds empty arrays. ``wd_metagrad`` is None unless the decay
+    coefficient is learnable.
     """
 
     rollout_theta: nn.ParamVector
@@ -133,49 +139,37 @@ def effective_weights(dps, batch):
     return np.ones(batch.size)
 
 
-def rollout_one_step(theta, grads, batch, dps, lr):
+def rollout_one_step(theta, backward, batch, dps, lr):
     """theta' as an explicit function of the data parameters.
 
-    ``grads`` are the per-sample gradients of the batch at ``theta``.
+    ``backward`` is ``nn.batch_backward`` of the batch at ``theta``. The
+    meta step and a replay both step through this one expression.
     """
-    if grads.shape != (batch.size, theta.values.size):
+    if backward.losses.shape != (batch.size,):
         raise ShapeError(
-            f"per-sample grads {grads.shape} do not match batch {batch.size} "
-            f"and parameter count {theta.values.size}"
+            f"backward pass over {backward.losses.size} rows does not match "
+            f"batch {batch.size}"
         )
-    w_eff = effective_weights(dps, batch)
-    new = theta.values - (lr / batch.size) * (w_eff @ grads) - lr * dps.lam_wd * theta.values
+    grad_sum = backward.grad_sum(effective_weights(dps, batch))
+    new = theta.values - (lr / batch.size) * grad_sum - lr * dps.lam_wd * theta.values
     return theta.with_values(new)
 
 
-def _metagrad_dots(grads, meta_grad):
-    if grads.shape[1] != meta_grad.shape[0]:
-        raise ShapeError(
-            f"per-sample grads have {grads.shape[1]} columns, meta gradient has "
-            f"{meta_grad.shape[0]}"
-        )
-    return grads @ meta_grad
+def instance_metagrad(dots, lr):
+    """Meta-gradient per train-batch row from ``dots[i] = <g_i,
+    meta_grad>``: -(lr/B) dots[i]."""
+    return -(lr / dots.size) * dots
 
 
-def instance_metagrad(grads, meta_grad, lr):
-    """Meta-gradient per train-batch row: -(lr/B) <meta_grad, g_i>."""
-    return -(lr / grads.shape[0]) * _metagrad_dots(grads, meta_grad)
-
-
-def class_metagrad(grads, labels, meta_grad, lr, n_classes=None):
-    """Meta-gradient per class present in the batch, as (classes, values).
-
-    Equals -(lr * n_c / B) <meta_grad, mean of member gradients>, which is
-    the sum of the members' instance meta-gradients.
-    """
-    dots = _metagrad_dots(grads, meta_grad)
+def class_metagrad(instance_grads, labels, n_classes):
+    """Meta-gradient per class present in the batch, as (classes, values):
+    the sum of the members' instance meta-gradients."""
     labels = np.asarray(labels)
-    if n_classes is not None and labels.size and (labels.min() < 0 or labels.max() >= n_classes):
+    if labels.size and (labels.min() < 0 or labels.max() >= n_classes):
         raise ValueError(f"label out of range [0, {n_classes})")
-    b = grads.shape[0]
+    sums = np.bincount(labels, weights=instance_grads, minlength=n_classes)
     classes = np.unique(labels)
-    members = [dots[labels == c] for c in classes]
-    return classes, np.array([-(lr * m.size / b) * m.mean() for m in members])
+    return classes, sums[classes]
 
 
 def wd_metagrad(theta, meta_grad, lr):
@@ -235,22 +229,27 @@ def meta_train_step(theta, dps, train_batch, meta_batch, lr, data_lr, wd_lr):
             f"train batch ({train_batch.size}) and meta batch ({meta_batch.size}) "
             "must have equal size"
         )
-    _, grads = nn.per_sample_backward(theta, train_batch)
-    theta_next = rollout_one_step(theta, grads, train_batch, dps, lr)
+    train_pass = nn.batch_backward(theta, train_batch)
+    theta_next = rollout_one_step(theta, train_pass, train_batch, dps, lr)
 
-    meta_losses, meta_grads = nn.per_sample_backward(theta_next, meta_batch)
-    meta_grad = meta_grads.mean(axis=0)
+    meta_pass = nn.batch_backward(theta_next, meta_batch)
+    meta_grad = meta_pass.grad_sum() / meta_batch.size
 
-    class_ids, class_grads = np.empty(0, dtype=np.int64), np.empty(0)
+    empty_ids, empty = np.empty(0, dtype=np.int64), np.empty(0)
+    instance_ids, instance_grads = empty_ids, empty
+    class_ids, class_grads = empty_ids, empty
+    if dps.mode != "none":
+        instance_ids = train_batch.indices
+        instance_grads = instance_metagrad(train_pass.dots(meta_grad), lr)
     if dps.mode == "class":
         class_ids, class_grads = class_metagrad(
-            grads, train_batch.labels, meta_grad, lr, n_classes=dps.w_class.size
+            instance_grads, train_batch.labels, dps.w_class.size
         )
     report = MetaStepReport(
         rollout_theta=theta_next,
-        meta_loss=float(meta_losses.mean()),
-        instance_ids=train_batch.indices,
-        per_instance_metagrad=instance_metagrad(grads, meta_grad, lr),
+        meta_loss=float(meta_pass.losses.mean()),
+        instance_ids=instance_ids,
+        per_instance_metagrad=instance_grads,
         class_ids=class_ids,
         per_class_metagrad=class_grads,
         wd_metagrad=wd_metagrad(theta, meta_grad, lr) if dps.wd_learnable else None,
@@ -260,4 +259,3 @@ def meta_train_step(theta, dps, train_batch, meta_batch, lr, data_lr, wd_lr):
         dps_next.w_inst[:] = 1.0
         dps_next.w_class[:] = 1.0
     return theta_next, dps_next, report
-

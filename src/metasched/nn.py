@@ -1,11 +1,18 @@
 """Dense feedforward networks over a flat parameter vector.
 
 Parameters live in one float64 array ordered layer by layer, row-major
-weight matrix then bias. The per-sample backward pass is vectorized:
-activations are cached on the forward pass and each layer's per-sample
-weight gradient is the outer product of that sample's output delta with
-its input activation. A naive one-sample-at-a-time loop is kept in the
-test suite as an oracle for this path.
+weight matrix then bias. Training reads a batch through one backward
+pass, ``batch_backward``, that keeps each layer's input activations
+``a_l`` and output deltas ``d_l`` instead of per-sample gradient rows:
+sample i's gradient is ``outer(d_l[i], a_l[i])`` for a weight matrix and
+``d_l[i]`` for a bias. From those factors ``BatchBackward`` forms a
+weighted gradient sum and the per-sample dot products ``<g_i, v>``
+without materialising the B x P gradient matrix (Goodfellow, "Efficient
+Per-Example Gradient Computations", arXiv 1510.01799).
+
+``per_sample_backward`` does materialise that matrix. It is the oracle
+for the gradient checker, the Hessian probe and the differential tests,
+and no training path calls it.
 """
 
 from __future__ import annotations
@@ -103,18 +110,23 @@ def init_params(manifest, seed):
     return ParamVector(np.concatenate(chunks), manifest)
 
 
-def unflatten(model):
-    """Per-layer (W, b) views into the flat vector. Round-trips exactly."""
+def _layer_blocks(manifest, values):
+    """Per-layer (W, b) views into a flat vector laid out by ``manifest``."""
     out = []
     pos = 0
-    for spec in model.manifest:
+    for spec in manifest:
         n_w = spec.out_dim * spec.in_dim
-        w = model.values[pos : pos + n_w].reshape(spec.out_dim, spec.in_dim)
+        w = values[pos : pos + n_w].reshape(spec.out_dim, spec.in_dim)
         pos += n_w
-        b = model.values[pos : pos + spec.out_dim]
+        b = values[pos : pos + spec.out_dim]
         pos += spec.out_dim
         out.append((w, b))
     return out
+
+
+def unflatten(model):
+    """Per-layer (W, b) views into the flat vector. Round-trips exactly."""
+    return _layer_blocks(model.manifest, model.values)
 
 
 def flatten(layers, manifest):
@@ -199,78 +211,124 @@ def forward(model, features):
     return acts[-1]
 
 
+def _deltas(model, acts, preacts, dz):
+    """Per-layer output deltas: row i of ``deltas[l]`` is d(loss_i)/d(s_l)
+    for layer l's pre-activation s_l, given the logit gradients ``dz``."""
+    layers = unflatten(model)
+    deltas = [dz]
+    for li in range(len(layers) - 1, 0, -1):
+        w, _ = layers[li]
+        prev_spec = model.manifest[li - 1]
+        deltas.append(
+            (deltas[-1] @ w)
+            * _activation_grad(prev_spec.activation, preacts[li - 1], acts[li])
+        )
+    return deltas[::-1]
+
+
+def _raise_at_row(bad, indices):
+    row = int(np.flatnonzero(bad).min())
+    raise NumericError(
+        f"non-finite loss or gradient for sample index {int(indices[row])}",
+        sample_index=int(indices[row]),
+    )
+
+
+@dataclass(frozen=True)
+class BatchBackward:
+    """One batch's backward pass, kept per layer rather than per sample.
+
+    ``acts[l]`` is the input of layer l (B x in_dim) and ``deltas[l]`` the
+    derivative of each row's loss with respect to that layer's
+    pre-activation (B x out_dim). ``dsigma`` holds each row's temperature
+    derivative when the pass used a temperature-scaled loss.
+    """
+
+    manifest: tuple
+    losses: np.ndarray
+    acts: tuple
+    deltas: tuple
+    dsigma: np.ndarray | None = None
+
+    def grad_sum(self, weights=None):
+        """Flat ``sum_i weights[i] * g_i``; unit weights when None.
+
+        Per layer this is ``(d_l * w)^T a_l`` for the weights and the
+        column sums of ``d_l * w`` for the bias.
+        """
+        chunks = []
+        for a, d in zip(self.acts, self.deltas):
+            if weights is not None:
+                d = d * weights[:, None]
+            chunks += [(d.T @ a).ravel(), d.sum(axis=0)]
+        return np.concatenate(chunks)
+
+    def dots(self, v):
+        """``<g_i, v>`` for every row i, as a length-B array.
+
+        Per layer, with V_l and v_b the weight and bias blocks of v, this
+        is ``((d_l @ V_l) * a_l).sum(1) + d_l @ v_b``.
+        """
+        expected = param_count(self.manifest)
+        if v.shape != (expected,):
+            raise ShapeError(f"vector has shape {v.shape}, parameter count is {expected}")
+        out = np.zeros(self.losses.size)
+        for (v_w, v_b), a, d in zip(_layer_blocks(self.manifest, v), self.acts, self.deltas):
+            out += ((d @ v_w) * a).sum(axis=1) + d @ v_b
+        return out
+
+
+def batch_backward(model, batch, sigma=None):
+    """Per-sample losses and the per-layer factors of their gradients.
+
+    With ``sigma``, one effective temperature per row, the loss is the
+    temperature-scaled cross-entropy and the result carries each row's
+    d(loss)/d(sigma). A row whose loss, temperature derivative or
+    parameter gradient is not finite raises NumericError naming its
+    sample index, as ``per_sample_backward`` does.
+    """
+    acts, preacts = _forward_cache(model, batch.features)
+    dsigma = None
+    if sigma is None:
+        sample_losses, dz = losses_mod.cross_entropy_batch(acts[-1], batch.labels)
+    else:
+        sample_losses, dz, dsigma = losses_mod.temperature_ce_batch(
+            acts[-1], batch.labels, sigma
+        )
+    deltas = _deltas(model, acts, preacts, dz)
+    ok = np.isfinite(sample_losses)
+    if dsigma is not None:
+        ok &= np.isfinite(dsigma)
+    for a, d in zip(acts, deltas):
+        # outer(d[i], a[i]) is all finite exactly when max|d[i]| * max|a[i]| is
+        ok &= np.isfinite(np.abs(d).max(axis=1) * np.abs(a).max(axis=1))
+    if not ok.all():
+        _raise_at_row(~ok, batch.indices)
+    return BatchBackward(model.manifest, sample_losses, tuple(acts[:-1]), tuple(deltas), dsigma)
+
+
 def per_sample_grads_from_dz(model, acts, preacts, dz):
     """Backpropagate per-row output gradients to per-sample parameter rows."""
     b = dz.shape[0]
-    layers = unflatten(model)
-    grads = np.empty((b, param_count(model.manifest)), dtype=np.float64)
-    delta = dz
-    pos = grads.shape[1]
-    for li in range(len(layers) - 1, -1, -1):
-        w, _ = layers[li]
-        spec = model.manifest[li]
-        n_w = spec.out_dim * spec.in_dim
-        pos_b = pos - spec.out_dim
-        pos_w = pos_b - n_w
-        grads[:, pos_b:pos] = delta
-        grads[:, pos_w:pos_b] = np.einsum("bo,bi->boi", delta, acts[li]).reshape(b, n_w)
-        pos = pos_w
-        if li > 0:
-            prev_spec = model.manifest[li - 1]
-            delta = (delta @ w) * _activation_grad(
-                prev_spec.activation, preacts[li - 1], acts[li]
-            )
-    return grads
+    rows = []
+    for a, d in zip(acts, _deltas(model, acts, preacts, dz)):
+        rows.append(np.einsum("bo,bi->boi", d, a).reshape(b, -1))
+        rows.append(d)
+    return np.concatenate(rows, axis=1)
 
 
 def per_sample_backward(model, batch):
     """Per-sample cross-entropy losses and exact per-sample parameter
-    gradients.
+    gradients, as a B x P matrix.
 
     Row i of the gradient matrix is d(loss_i)/d(theta); the mean over rows
-    equals the gradient of the unweighted mean loss.
+    equals the gradient of the unweighted mean loss. This is the oracle
+    for ``batch_backward``; training never builds the matrix.
     """
     acts, preacts = _forward_cache(model, batch.features)
     sample_losses, dz = losses_mod.cross_entropy_batch(acts[-1], batch.labels)
     grads = per_sample_grads_from_dz(model, acts, preacts, dz)
-    if not np.isfinite(sample_losses).all() or not np.isfinite(grads).all():
-        bad_loss = np.flatnonzero(~np.isfinite(sample_losses))
-        bad_grad = np.flatnonzero(~np.isfinite(grads).all(axis=1))
-        bad = np.concatenate([bad_loss, bad_grad])
-        row = int(bad.min())
-        raise NumericError(
-            f"non-finite loss or gradient for sample index {int(batch.indices[row])}",
-            sample_index=int(batch.indices[row]),
-        )
-    return sample_losses, grads
-
-
-def temperature_backward(model, batch, mode, dps):
-    """Per-sample losses, parameter gradients, and temperature gradients.
-
-    ``mode`` names the sigma table(s) in ``dps`` that give each sample's
-    effective temperature (see ``losses.resolve_sigma_batch``). Same
-    contract as per_sample_backward for the first two outputs; the third
-    is each sample's d(loss)/d(sigma_eff) and the fourth marks rows whose
-    sigma hit the floor.
-    """
-    acts, preacts = _forward_cache(model, batch.features)
-    sigma, clamped = losses_mod.resolve_sigma_batch(
-        mode, batch.labels, batch.indices, dps
-    )
-    sample_losses, dz, dsigma = losses_mod.temperature_ce_batch(
-        acts[-1], batch.labels, sigma
-    )
-    grads = per_sample_grads_from_dz(model, acts, preacts, dz)
-    bad = ~(
-        np.isfinite(sample_losses)
-        & np.isfinite(dsigma)
-        & np.isfinite(grads).all(axis=1)
-    )
+    bad = ~(np.isfinite(sample_losses) & np.isfinite(grads).all(axis=1))
     if bad.any():
-        row = int(np.flatnonzero(bad).min())
-        raise NumericError(
-            f"non-finite loss or gradient for sample index {int(batch.indices[row])}",
-            sample_index=int(batch.indices[row]),
-        )
-    return sample_losses, grads, dsigma, clamped
+        _raise_at_row(bad, batch.indices)
+    return sample_losses, grads

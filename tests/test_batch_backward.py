@@ -1,0 +1,259 @@
+"""Differential tests of the fused backward pass that every training step
+runs (``nn.batch_backward`` and the meta step built on it) against the
+per-sample gradient matrix of ``nn.per_sample_backward``, plus a
+forward-mode tangent oracle for the per-row dot products.
+
+Errors are measured against the magnitude of the terms being summed:
+for ``sum_i w_i g_i`` the scale of a component is ``sum_i |w_i g_ij|``,
+and for ``<g_i, v>`` it is ``||g_i|| ||v||``. That keeps the 1e-12 bound
+meaningful when a sum cancels to nearly zero.
+"""
+
+import itertools
+
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from metasched import analysis, losses, meta, nn
+from metasched.errors import NumericError, ShapeError
+from metasched.meta import DataParamState
+from metasched.nn import Batch, LayerSpec
+
+REL = 1e-12
+# a fixed example sequence keeps the suite reproducible from run to run
+FIXED = {"deadline": None, "derandomize": True, "max_examples": 8}
+N_POOL = 160
+# every batch size and activation is run; hypothesis draws the rest
+NETS = pytest.mark.parametrize(
+    "b, activation", list(itertools.product((1, 7, 32, 128), nn.ACTIVATIONS))
+)
+
+
+@st.composite
+def problems(draw, b, activation):
+    """A random net (1 to 3 hidden layers) with a train and a meta batch
+    of size b, no ReLU pre-activation within 1e-6 of its kink."""
+    in_dim = draw(st.integers(1, 6))
+    hidden = draw(st.lists(st.integers(1, 12), min_size=1, max_size=3))
+    k = draw(st.integers(2, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    model = nn.init_params(
+        nn.build_manifest(in_dim, hidden, k, activation), seed=int(rng.integers(2**31))
+    )
+    # non-zero biases so hidden units are not all centred on the kink
+    model = model.with_values(model.values + 0.1 * rng.standard_normal(model.values.size))
+    batches = []
+    for _ in range(2):
+        feats = rng.standard_normal((b, in_dim))
+        assume(analysis._relu_safe(model, feats, margin=1e-6))
+        batches.append(
+            Batch(feats, rng.integers(0, k, size=b), rng.choice(N_POOL, b, replace=False))
+        )
+    return model, batches[0], batches[1], rng
+
+
+def assert_sum_close(got, weights, grads):
+    want = weights @ grads
+    scale = np.abs(weights) @ np.abs(grads)
+    assert np.all(np.abs(got - want) <= REL * scale + 1e-300)
+
+
+def assert_dots_close(got, grads, v):
+    want = grads @ v
+    scale = np.linalg.norm(grads, axis=1) * np.linalg.norm(v)
+    assert np.all(np.abs(got - want) <= REL * scale + 1e-300)
+
+
+def temperature_oracle(model, batch, sigma):
+    """Per-sample gradient rows of the temperature loss, from one scalar
+    ``temperature_ce`` call per row."""
+    acts, preacts = nn._forward_cache(model, batch.features)
+    dz = np.array([
+        losses.temperature_ce(z, int(y), s)[1]
+        for z, y, s in zip(acts[-1], batch.labels, sigma)
+    ])
+    return nn.per_sample_grads_from_dz(model, acts, preacts, dz)
+
+
+def tangent_dots(model, batch, v, sigma=None):
+    """<g_i, v> as d/de loss_i(theta + e v), by one forward pass carrying
+    tangents (the R-operator); no backward pass is involved."""
+    a = batch.features
+    da = np.zeros_like(a)
+    blocks = nn._layer_blocks(model.manifest, v)
+    for spec, (w, b), (v_w, v_b) in zip(model.manifest, nn.unflatten(model), blocks):
+        s = a @ w.T + b
+        ds = da @ w.T + a @ v_w.T + v_b
+        if spec.activation == "relu":
+            a, da = np.maximum(s, 0.0), (s > 0.0) * ds
+        elif spec.activation == "tanh":
+            a = np.tanh(s)
+            da = (1.0 - a * a) * ds
+        else:
+            a, da = s, ds
+    if sigma is None:
+        _, dz = losses.cross_entropy_batch(a, batch.labels)
+    else:
+        _, dz, _ = losses.temperature_ce_batch(a, batch.labels, sigma)
+    return (dz * da).sum(axis=1)
+
+
+@NETS
+@settings(**FIXED)
+@given(data=st.data())
+def test_grad_sum_and_dots_match_per_sample_rows(b, activation, data):
+    model, batch, _, rng = data.draw(problems(b, activation))
+    backward = nn.batch_backward(model, batch)
+    sample_losses, grads = nn.per_sample_backward(model, batch)
+    assert np.array_equal(backward.losses, sample_losses)
+    # replay schedules hold clamped zeros; meta steps hold any non-negative rate
+    weights = rng.uniform(0.0, 2.0, size=batch.size)
+    weights[rng.random(batch.size) < 0.2] = 0.0
+    assert_sum_close(backward.grad_sum(weights), weights, grads)
+    assert_sum_close(backward.grad_sum(), np.ones(batch.size), grads)
+    v = rng.standard_normal(model.values.size)
+    assert_dots_close(backward.dots(v), grads, v)
+
+
+@NETS
+@settings(**FIXED)
+@given(data=st.data())
+def test_meta_step_matches_per_sample_oracle(b, activation, data):
+    model, train, meta_batch, rng = data.draw(problems(b, activation))
+    for mode, wd_learnable in itertools.product(meta.META_MODES, (False, True)):
+        check_meta_step(model, train, meta_batch, rng, mode, wd_learnable)
+
+
+def check_meta_step(model, train, meta_batch, rng, mode, wd_learnable):
+    k = model.manifest[-1].out_dim
+    dps = DataParamState.initial(N_POOL, k, mode=mode, wd_learnable=wd_learnable)
+    dps.w_inst[:] = rng.uniform(0.0, 2.0, size=N_POOL)
+    dps.w_class[:] = rng.uniform(0.0, 2.0, size=k)
+    dps.lam_wd = float(rng.choice([0.0, 1e-3]))
+    lr = float(rng.uniform(0.05, 0.5))
+    theta_next, _, report = meta.meta_train_step(model, dps, train, meta_batch, lr, 0.0, 0.0)
+
+    _, grads = nn.per_sample_backward(model, train)
+    w_eff = meta.effective_weights(dps, train)
+    want = model.values - (lr / train.size) * (w_eff @ grads) - lr * dps.lam_wd * model.values
+    scale = (lr / train.size) * (np.abs(w_eff) @ np.abs(grads)) + np.abs(model.values)
+    assert np.all(np.abs(theta_next.values - want) <= REL * scale)
+
+    meta_losses, meta_grads = nn.per_sample_backward(theta_next, meta_batch)
+    assert report.meta_loss == pytest.approx(meta_losses.mean(), rel=REL, abs=0)
+    meta_grad = meta_grads.mean(axis=0)
+    ones = np.full(meta_batch.size, 1.0 / meta_batch.size)
+    meta_pass = nn.batch_backward(theta_next, meta_batch)
+    assert_sum_close(meta_pass.grad_sum() / meta_batch.size, ones, meta_grads)
+
+    # per-component magnitude of the summed meta gradient terms
+    meta_scale = np.abs(meta_grads).mean(axis=0)
+    if wd_learnable:
+        want_wd = meta.wd_metagrad(model, meta_grad, lr)
+        wd_scale = lr * meta_scale @ np.abs(model.values)
+        assert abs(report.wd_metagrad - want_wd) <= REL * wd_scale
+    else:
+        assert report.wd_metagrad is None
+    if mode == "none":
+        assert report.per_instance_metagrad.size == 0 and report.class_ids.size == 0
+        return
+    inst_scale = (lr / train.size) * np.linalg.norm(grads, axis=1) * np.linalg.norm(meta_scale)
+    want_inst = -(lr / train.size) * (grads @ meta_grad)
+    assert np.array_equal(report.instance_ids, train.indices)
+    assert np.all(np.abs(report.per_instance_metagrad - want_inst) <= REL * inst_scale)
+    if mode == "class":
+        assert np.array_equal(report.class_ids, np.unique(train.labels))
+        for c, got in zip(report.class_ids, report.per_class_metagrad):
+            members = train.labels == c
+            assert abs(got - want_inst[members].sum()) <= REL * inst_scale[members].sum()
+    else:
+        assert report.class_ids.size == 0
+
+
+@NETS
+@settings(**FIXED)
+@given(data=st.data())
+def test_temperature_pass_matches_scalar_rows(b, activation, data):
+    model, batch, _, rng = data.draw(problems(b, activation))
+    k = model.manifest[-1].out_dim
+    logits = nn.forward(model, batch.features)
+    for mode in losses.TEMPERATURE_MODES:
+        dps = DataParamState.initial(N_POOL, k, temperature_mode=mode)
+        if dps.sigma_class is not None:
+            dps.sigma_class[:] = rng.uniform(0.02, 3.0, size=k)
+        if dps.sigma_inst is not None:
+            low = -0.5 if mode == "joint" else 0.02
+            dps.sigma_inst[:] = rng.uniform(low, 3.0, size=N_POOL)
+        sigma, _ = losses.resolve_sigma_batch(mode, batch.labels, batch.indices, dps)
+        backward = nn.batch_backward(model, batch, sigma)
+        want_losses, _, want_dsigma = losses.temperature_ce_batch(logits, batch.labels, sigma)
+        assert np.array_equal(backward.losses, want_losses)
+        assert np.array_equal(backward.dsigma, want_dsigma)
+        grads = temperature_oracle(model, batch, sigma)
+        assert_sum_close(backward.grad_sum(), np.ones(batch.size), grads)
+
+
+@NETS
+@settings(**FIXED)
+@given(data=st.data())
+def test_dots_match_forward_mode_tangents(b, activation, data):
+    model, batch, _, rng = data.draw(problems(b, activation))
+    v = rng.standard_normal(model.values.size)
+    for sigma in (None, rng.uniform(0.1, 3.0, size=batch.size)):
+        got = nn.batch_backward(model, batch, sigma).dots(v)
+        want = tangent_dots(model, batch, v, sigma)
+        # the per-sample rows give the scale of each row's terms
+        if sigma is None:
+            _, grads = nn.per_sample_backward(model, batch)
+        else:
+            grads = temperature_oracle(model, batch, sigma)
+        scale = np.linalg.norm(grads, axis=1) * np.linalg.norm(v)
+        assert np.all(np.abs(got - want) <= REL * scale + 1e-300)
+
+
+def test_dots_rejects_wrong_length():
+    model = nn.init_params(nn.build_manifest(2, (3,), 2, "tanh"), seed=0)
+    batch = Batch(np.ones((2, 2)), np.array([0, 1]), np.array([0, 1]))
+    with pytest.raises(ShapeError):
+        nn.batch_backward(model, batch).dots(np.ones(model.values.size + 1))
+
+
+def bad_feature_batch():
+    manifest = (LayerSpec(2, 4, "tanh"), LayerSpec(4, 2, "identity"))
+    model = nn.init_params(manifest, seed=1)
+    feats = np.array([[1.0, 1.0], [np.inf, 0.0], [np.nan, 0.0]])
+    return model, Batch(feats, np.array([0, 1, 0]), np.array([4, 17, 9]))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("tempered", [False, True])
+def test_non_finite_feature_row_names_its_sample(tempered):
+    model, batch = bad_feature_batch()
+    sigma = np.full(batch.size, 0.5) if tempered else None
+    with pytest.raises(NumericError) as err:
+        nn.batch_backward(model, batch, sigma)
+    assert err.value.context["sample_index"] == 17
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_meta_step_names_the_non_finite_train_row():
+    model, batch = bad_feature_batch()
+    clean = Batch(np.ones((3, 2)), np.array([0, 1, 0]), np.array([0, 1, 2]))
+    dps = DataParamState.initial(20, 2, mode="instance")
+    with pytest.raises(NumericError) as err:
+        meta.meta_train_step(model, dps, batch, clean, 0.1, 1.0, 0.0)
+    assert err.value.context["sample_index"] == 17
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_gradient_overflow_from_finite_factors_is_caught():
+    # loss, activations and deltas are finite, but delta * input is not
+    manifest = (LayerSpec(1, 1, "identity"), LayerSpec(1, 2, "identity"))
+    model = nn.ParamVector(np.array([1e-300, 0.0, 1e150, 0.0, 0.0, 0.0]), manifest)
+    batch = Batch(np.array([[1.0], [1e200]]), np.array([0, 1]), np.array([4, 17]))
+    for backward in (nn.per_sample_backward, nn.batch_backward):
+        with pytest.raises(NumericError) as err:
+            backward(model, batch)
+        assert err.value.context["sample_index"] == 17

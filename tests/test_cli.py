@@ -104,6 +104,64 @@ def test_bad_dataset_index_is_validation_error(tmp_path, capsys, second_index, m
     assert f"line 3: {message}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        (0, "7.5", "non-integer index or label"),
+        (1, "cat", "non-integer index or label"),
+        (2, "", "non-integer index or label"),
+        (1, "-1", "negative label"),
+        (1, "7", "label 7 outside [0, 3)"),
+        (3, "abc", "non-numeric feature"),
+        (4, "nan", "non-finite feature"),
+        (6, "-inf", "non-finite feature"),
+    ],
+)
+def test_bad_dataset_field_is_validation_error(tmp_path, capsys, field, value, message):
+    data = tmp_path / "data.csv"
+    assert main([
+        "generate-data", "--classes", "3", "--per-class", "200", "--dim", "4",
+        "--spread", "0.8", "--seed", "5", "--out", str(data),
+    ]) == 0
+    lines = data.read_text().splitlines()
+    # row 300 of 600: a bad feature here used to land in the test split and train
+    parts = lines[300].split(",")
+    parts[field] = value
+    lines[300] = ",".join(parts)
+    data.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    code = main(["train", "--override", f"data.path={data}", *DATA_OVERRIDES])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert f"{data} line 301: {message}" in err
+
+
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ("0,1", "expected epoch,class,acc, got '0,1'"),
+        ("0,1,high", "expected epoch,class,acc"),
+        ("x,1,0.5", "expected epoch,class,acc"),
+        ("0,1,0.5,2", "expected epoch,class,acc"),
+        ("0,99,0.5", "class 99 outside [0, 3)"),
+    ],
+)
+def test_bad_class_meta_acc_row_is_validation_error(tmp_path, capsys, row, message):
+    run_dir = tmp_path / "run"
+    assert main([
+        "train", "--override", "meta.mode=class", *DATA_OVERRIDES, "--out", str(run_dir),
+    ]) == 0
+    acc_path = run_dir / "class_meta_acc.csv"
+    lines = acc_path.read_text().splitlines()
+    acc_path.write_text("\n".join(lines + [row]) + "\n")
+    capsys.readouterr()
+    assert main(["analyze", "--run", str(run_dir)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert f"{acc_path} line {len(lines) + 1}: {message}" in err
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_divergence_returns_numeric_exit(capsys):
     code = main(["train", "--override", "train.lr=1e150", *DATA_OVERRIDES])

@@ -5,7 +5,6 @@ import pytest
 
 from metasched import losses, nn
 from metasched.errors import NumericError, ShapeError
-from metasched.meta import DataParamState
 from metasched.nn import Batch, LayerSpec, ParamVector
 
 
@@ -212,11 +211,3 @@ def test_overflow_carries_sample_index():
         nn.per_sample_backward(model, batch)
     assert err.value.context["sample_index"] == 17
 
-
-def test_temperature_backward_rejects_unknown_mode():
-    rng = np.random.default_rng(2)
-    model = random_model(rng)
-    batch = random_batch(rng, model)
-    dps = DataParamState.initial(batch.size, 4, temperature_mode="joint")
-    with pytest.raises(ValueError, match="unknown temperature mode"):
-        nn.temperature_backward(model, batch, "both", dps)
