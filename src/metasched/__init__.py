@@ -6,7 +6,7 @@ experiment harness."""
 from .config import RunConfig, load_config
 from .datagen import LabeledDataset, corrupt_labels, make_blobs
 from .errors import ConfigError, MetaschedError, NumericError, ShapeError
-from .harness import kfold_collect, replay_train, run_multi_seed, run_training
+from .harness import kfold_collect, replay_train, run_training
 from .meta import DataParamState, MetaStepReport, meta_train_step
 from .nn import Batch, ParamVector, build_manifest, init_params
 from .trajectory import TrajectoryLog
@@ -34,6 +34,5 @@ __all__ = [
     "make_blobs",
     "meta_train_step",
     "replay_train",
-    "run_multi_seed",
     "run_training",
 ]

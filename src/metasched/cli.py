@@ -18,6 +18,7 @@ import sys
 import numpy as np
 
 from . import analysis, config as config_mod, datagen, harness
+from .csvrows import read_rows
 from .errors import ConfigError, NumericError
 from .trajectory import TrajectoryLog
 
@@ -239,26 +240,19 @@ def _cmd_analyze(args):
     acc_path = os.path.join(run_dir, "class_meta_acc.csv")
     if os.path.exists(acc_path) and trajectory.epochs:
         per_epoch = {}
-        with open(acc_path, encoding="utf-8") as fh:
-            header = fh.readline().strip()
-            if header != "epoch,class,acc":
-                raise ConfigError(f"unrecognized header in {acc_path}")
-            for lineno, line in enumerate(fh, start=2):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    e, c, acc = line.split(",")
-                    e, c, acc = int(e), int(c), float(acc)
-                except ValueError:
-                    raise ConfigError(
-                        f"{acc_path} line {lineno}: expected epoch,class,acc, got {line!r}"
-                    ) from None
-                if not 0 <= c < info["n_classes"]:
-                    raise ConfigError(
-                        f"{acc_path} line {lineno}: class {c} outside [0, {info['n_classes']})"
-                    )
-                per_epoch.setdefault(e, {})[c] = acc
+        for lineno, fields in read_rows(acc_path, ("epoch", "class", "acc")):
+            try:
+                e, c, acc = int(fields[0]), int(fields[1]), float(fields[2])
+            except ValueError:
+                raise ConfigError(
+                    f"{acc_path} line {lineno}: expected epoch,class,acc, "
+                    f"got {','.join(fields)!r}"
+                ) from None
+            if not 0 <= c < info["n_classes"]:
+                raise ConfigError(
+                    f"{acc_path} line {lineno}: class {c} outside [0, {info['n_classes']})"
+                )
+            per_epoch.setdefault(e, {})[c] = acc
         series = []
         for e in range(trajectory.epochs):
             accs = per_epoch.get(e)

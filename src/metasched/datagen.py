@@ -6,8 +6,11 @@ clean/corrupt diagnostics all key off the same ids. Label corruption is
 recorded in a manifest; meta and test views always carry true labels.
 
 File formats: dataset rows `index,label,true_label,f0..f{d-1}`,
-corruption manifest rows `index,original,assigned`, superclass map rows
-`class,superclass`, all with a header line.
+corruption manifest rows `index,original,assigned` after a
+`# noise_fraction=... seed=... n_population=...` line, superclass map
+rows `class,superclass`, all with a header line. The loaders read them
+through `csvrows.read_rows`, so a missing file or a malformed row raises
+ConfigError naming the file and line.
 """
 
 from __future__ import annotations
@@ -18,7 +21,12 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .csvrows import read_rows
 from .errors import ConfigError
+
+DATASET_COLUMNS = ("index", "label", "true_label")  # then f0..f{d-1}
+MANIFEST_COLUMNS = ("index", "original", "assigned")
+SUPERCLASS_COLUMNS = ("class", "superclass")
 
 
 @dataclass(frozen=True)
@@ -305,9 +313,7 @@ def personalization_split(ds, target, meta_per_class, test_per_class, seed):
 
 
 def save_dataset(ds, path):
-    d = ds.dim
-    header = "index,label,true_label," + ",".join(f"f{j}" for j in range(d))
-    lines = [header]
+    lines = [",".join(DATASET_COLUMNS + tuple(f"f{j}" for j in range(ds.dim)))]
     for p in range(ds.n):
         feats = ",".join(repr(float(v)) for v in ds.features[p])
         lines.append(f"{ds.indices[p]},{ds.labels[p]},{ds.true_labels[p]},{feats}")
@@ -316,47 +322,30 @@ def save_dataset(ds, path):
 
 
 def load_dataset(path):
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().strip().split(",")
-        if header[:3] != ["index", "label", "true_label"]:
-            raise ConfigError(f"unrecognized dataset header in {path}")
-        d = len(header) - 3
-        indices, labels, true_labels, rows, line_of = [], [], [], [], {}
-        for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != d + 3:
-                raise ConfigError(
-                    f"{path} line {lineno}: expected {d + 3} fields, got {len(parts)}"
-                )
-            try:
-                idx, label, true_label = (int(v) for v in parts[:3])
-            except ValueError:
-                raise ConfigError(
-                    f"{path} line {lineno}: non-integer index or label in {line[:60]!r}"
-                ) from None
-            try:
-                row = [float(v) for v in parts[3:]]
-            except ValueError:
-                raise ConfigError(
-                    f"{path} line {lineno}: non-numeric feature in {line[:60]!r}"
-                ) from None
-            if not all(math.isfinite(v) for v in row):
-                raise ConfigError(f"{path} line {lineno}: non-finite feature in {line[:60]!r}")
-            if label < 0 or true_label < 0:
-                raise ConfigError(f"{path} line {lineno}: negative label in {line[:60]!r}")
-            if idx in line_of:
-                raise ConfigError(
-                    f"{path} line {lineno}: duplicate instance index {idx} "
-                    f"(first on line {line_of[idx]})"
-                )
-            line_of[idx] = lineno
-            indices.append(idx)
-            labels.append(label)
-            true_labels.append(true_label)
-            rows.append(row)
+    indices, labels, true_labels, rows, line_of = [], [], [], [], {}
+    for lineno, parts in read_rows(path, DATASET_COLUMNS, extra_columns=True):
+        try:
+            idx, label, true_label = (int(v) for v in parts[:3])
+        except ValueError:
+            raise ConfigError(f"{path} line {lineno}: non-integer index or label") from None
+        try:
+            row = [float(v) for v in parts[3:]]
+        except ValueError:
+            raise ConfigError(f"{path} line {lineno}: non-numeric feature") from None
+        if not all(math.isfinite(v) for v in row):
+            raise ConfigError(f"{path} line {lineno}: non-finite feature")
+        if label < 0 or true_label < 0:
+            raise ConfigError(f"{path} line {lineno}: negative label")
+        if idx in line_of:
+            raise ConfigError(
+                f"{path} line {lineno}: duplicate instance index {idx} "
+                f"(first on line {line_of[idx]})"
+            )
+        line_of[idx] = lineno
+        indices.append(idx)
+        labels.append(label)
+        true_labels.append(true_label)
+        rows.append(row)
     # learned tables are sized by the row count and indexed by instance id
     for idx, lineno in line_of.items():
         if not 0 <= idx < len(indices):
@@ -384,7 +373,7 @@ def save_manifest(manifest, path):
     lines = [
         f"# noise_fraction={manifest.noise_fraction!r} seed={manifest.seed} "
         f"n_population={manifest.n_population}",
-        "index,original,assigned",
+        ",".join(MANIFEST_COLUMNS),
     ]
     for idx, original, assigned in manifest.entries:
         lines.append(f"{idx},{original},{assigned}")
@@ -392,28 +381,52 @@ def save_manifest(manifest, path):
         fh.write("\n".join(lines) + "\n")
 
 
+def _int_row(path, lineno, fields):
+    try:
+        values = tuple(int(v) for v in fields)
+    except ValueError:
+        values = None
+    if values is None or min(values) < 0:
+        raise ConfigError(
+            f"{path} line {lineno}: expected non-negative integers, got {','.join(fields)!r}"
+        )
+    return values
+
+
+def _manifest_metadata(path, lineno, text):
+    """(noise_fraction, seed, n_population) from the line save_manifest writes."""
+    fields = dict(token.partition("=")[::2] for token in text[1:].split())
+    try:
+        out = (
+            float(fields.pop("noise_fraction")),
+            int(fields.pop("seed")),
+            int(fields.pop("n_population")),
+        )
+    except (KeyError, ValueError):
+        out = None
+    if out is None or fields or not 0.0 <= out[0] <= 1.0 or out[2] < 0:
+        raise ConfigError(
+            f"{path} line {lineno}: malformed manifest metadata {text!r}, expected "
+            "'# noise_fraction=<p in [0, 1]> seed=<int> n_population=<int >= 0>'"
+        )
+    return out
+
+
 def load_manifest(path):
     noise_fraction, seed, n_population = float("nan"), 0, 0
-    entries = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                for token in line[1:].split():
-                    key, _, value = token.partition("=")
-                    if key == "noise_fraction":
-                        noise_fraction = float(value)
-                    elif key == "seed":
-                        seed = int(value)
-                    elif key == "n_population":
-                        n_population = int(value)
-                continue
-            if line == "index,original,assigned":
-                continue
-            idx, original, assigned = line.split(",")
-            entries.append((int(idx), int(original), int(assigned)))
+    entries, line_of = [], {}
+    for lineno, fields in read_rows(path, MANIFEST_COLUMNS, comments=True):
+        if fields[0].startswith("#"):
+            noise_fraction, seed, n_population = _manifest_metadata(path, lineno, fields[0])
+            continue
+        entry = _int_row(path, lineno, fields)
+        if entry[0] in line_of:
+            raise ConfigError(
+                f"{path} line {lineno}: duplicate instance index {entry[0]} "
+                f"(first on line {line_of[entry[0]]})"
+            )
+        line_of[entry[0]] = lineno
+        entries.append(entry)
     return CorruptionManifest(
         entries=tuple(entries),
         noise_fraction=noise_fraction,
@@ -423,23 +436,24 @@ def load_manifest(path):
 
 
 def save_superclass_map(mapping, path):
-    lines = ["class,superclass"]
+    lines = [",".join(SUPERCLASS_COLUMNS)]
     for c in sorted(mapping):
         lines.append(f"{c},{mapping[c]}")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
-def load_superclass_map(path):
-    mapping = {}
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if header != "class,superclass":
-            raise ConfigError(f"unrecognized superclass header in {path}")
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            c, s = line.split(",")
-            mapping[int(c)] = int(s)
+def load_superclass_map(path, n_classes):
+    """class -> superclass for a dataset of ``n_classes`` classes."""
+    mapping, line_of = {}, {}
+    for lineno, fields in read_rows(path, SUPERCLASS_COLUMNS):
+        c, superclass = _int_row(path, lineno, fields)
+        if c >= n_classes:
+            raise ConfigError(f"{path} line {lineno}: class {c} outside [0, {n_classes})")
+        if c in line_of:
+            raise ConfigError(
+                f"{path} line {lineno}: duplicate class {c} (first on line {line_of[c]})"
+            )
+        line_of[c] = lineno
+        mapping[c] = superclass
     return mapping

@@ -1,6 +1,6 @@
 """Experiment orchestration: data preparation, the training loop shared by
-training and replay retraining, k-fold trajectory collection, metrics
-logging, and multi-seed aggregation.
+training and replay retraining, k-fold trajectory collection, and metrics
+logging.
 
 Every run is fully determined by (config digest, seed.data, seed.init,
 seed.shuffle); wall-clock fields are the only nondeterministic outputs.
@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import os
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -42,22 +42,6 @@ class MetricsRecord:
     lam_wd: float
     wall_ms: float
 
-    def to_dict(self):
-        return {
-            "epoch": self.epoch,
-            "train_loss": self.train_loss,
-            "train_acc": self.train_acc,
-            "meta_loss": self.meta_loss,
-            "meta_acc": self.meta_acc,
-            "test_acc": self.test_acc,
-            "w_clean_mean": self.w_clean_mean,
-            "w_clean_std": self.w_clean_std,
-            "w_corrupt_mean": self.w_corrupt_mean,
-            "w_corrupt_std": self.w_corrupt_std,
-            "lam_wd": self.lam_wd,
-            "wall_ms": self.wall_ms,
-        }
-
 
 @dataclass
 class DataBundle:
@@ -68,6 +52,11 @@ class DataBundle:
     n_instances: int
     n_classes: int
     dataset_digest: str
+
+    @classmethod
+    def over(cls, ds, train, meta, test, manifest):
+        """A bundle of splits of ``ds``; the learned tables span all of it."""
+        return cls(train, meta, test, manifest, ds.n, ds.n_classes, ds.digest)
 
 
 @dataclass
@@ -90,7 +79,8 @@ def _load_base_dataset(cfg):
     if cfg.data_path is not None:
         ds = datagen.load_dataset(cfg.data_path)
         if cfg.superclass_path is not None:
-            ds = replace(ds, superclass_map=datagen.load_superclass_map(cfg.superclass_path))
+            mapping = datagen.load_superclass_map(cfg.superclass_path, ds.n_classes)
+            ds = replace(ds, superclass_map=mapping)
     else:
         ds = datagen.make_blobs(
             cfg.n_classes, cfg.per_class, cfg.dim, cfg.spread, cfg.seed_data
@@ -100,11 +90,14 @@ def _load_base_dataset(cfg):
     return ds
 
 
-def _existing_manifest(cfg):
-    """Manifest describing corruption already baked into a dataset file."""
+def _corrupt(cfg, train):
+    """(train, manifest): label noise injected at load, or the manifest of
+    corruption already baked into a dataset file (None for neither)."""
+    if cfg.noise_p > 0:
+        return datagen.corrupt_labels(train, cfg.noise_p, cfg.noise_seed_effective)
     if cfg.manifest_path is None:
-        return None
-    return datagen.load_manifest(cfg.manifest_path)
+        return train, None
+    return train, datagen.load_manifest(cfg.manifest_path)
 
 
 def prepare_data(cfg):
@@ -125,43 +118,18 @@ def prepare_data(cfg):
             cfg.split_seed_effective,
         )
         train = splits.full_train if cfg.train_subset == "full" else splits.biased_train
-        meta_ds, test = splits.meta, splits.test
-        manifest = _existing_manifest(cfg)
-        if cfg.noise_p > 0:
-            train, manifest = datagen.corrupt_labels(
-                train, cfg.noise_p, cfg.noise_seed_effective
-            )
-        return DataBundle(
-            train=train,
-            meta=meta_ds if cfg.meta_per_class > 0 else None,
-            test=test,
-            manifest=manifest,
-            n_instances=ds.n,
-            n_classes=ds.n_classes,
-            dataset_digest=ds.digest,
+    else:
+        spec = datagen.SplitSpec(
+            kind="holdout",
+            meta_per_class=cfg.meta_per_class,
+            test_per_class=cfg.test_per_class,
+            seed=cfg.split_seed_effective,
         )
-    spec = datagen.SplitSpec(
-        kind="holdout",
-        meta_per_class=cfg.meta_per_class,
-        test_per_class=cfg.test_per_class,
-        seed=cfg.split_seed_effective,
-    )
-    splits = datagen.split(ds, spec)
-    train, manifest = splits.train, _existing_manifest(cfg)
-    if cfg.noise_p > 0:
-        train, manifest = datagen.corrupt_labels(
-            train, cfg.noise_p, cfg.noise_seed_effective
-        )
+        splits = datagen.split(ds, spec)
+        train = splits.train
+    train, manifest = _corrupt(cfg, train)
     meta_ds = splits.meta if cfg.meta_per_class > 0 else None
-    return DataBundle(
-        train=train,
-        meta=meta_ds,
-        test=splits.test,
-        manifest=manifest,
-        n_instances=ds.n,
-        n_classes=ds.n_classes,
-        dataset_digest=ds.digest,
-    )
+    return DataBundle.over(ds, train, meta_ds, splits.test, manifest)
 
 
 def prepare_kfold(cfg):
@@ -174,11 +142,7 @@ def prepare_kfold(cfg):
         seed=cfg.split_seed_effective,
     )
     splits = datagen.split(ds, spec)
-    pool, manifest = splits.pool, _existing_manifest(cfg)
-    if cfg.noise_p > 0:
-        pool, manifest = datagen.corrupt_labels(
-            pool, cfg.noise_p, cfg.noise_seed_effective
-        )
+    pool, manifest = _corrupt(cfg, splits.pool)
     return pool, splits.test, splits.folds, manifest, ds
 
 
@@ -459,15 +423,7 @@ def prepare_replay_bundle(cfg):
     kept) or the holdout train split, with no meta set."""
     if cfg.split_kind == "kfold":
         pool, test, _, manifest, ds = prepare_kfold(cfg)
-        return DataBundle(
-            train=pool,
-            meta=None,
-            test=test,
-            manifest=manifest,
-            n_instances=ds.n,
-            n_classes=ds.n_classes,
-            dataset_digest=ds.digest,
-        )
+        return DataBundle.over(ds, pool, None, test, manifest)
     bundle = prepare_data(cfg)
     return replace(bundle, meta=None)
 
@@ -506,15 +462,7 @@ def kfold_collect(cfg, grid=None, out_dir=None):
         memberships = []
         for f in range(len(folds)):
             train, meta_ds = datagen.fold_view(pool, folds, f)
-            bundle = DataBundle(
-                train=train,
-                meta=meta_ds,
-                test=test,
-                manifest=manifest,
-                n_instances=ds.n,
-                n_classes=ds.n_classes,
-                dataset_digest=ds.digest,
-            )
+            bundle = DataBundle.over(ds, train, meta_ds, test, manifest)
             try:
                 fold_results.append(run_training(candidate, bundle))
             except NumericError as exc:
@@ -550,34 +498,11 @@ def kfold_collect(cfg, grid=None, out_dir=None):
     return best
 
 
-def run_multi_seed(cfg, base_seeds, out_dir=None):
-    """One run per base seed (deriving the three run seeds from each);
-    returns (results, aggregate dict with mean/std of final test accuracy)."""
-    results = []
-    for seed in base_seeds:
-        seeded = config_mod.with_seeds(cfg, seed)
-        seed_dir = None if out_dir is None else os.path.join(out_dir, f"seed-{seed}")
-        results.append(run_training(seeded, out_dir=seed_dir))
-    finals = np.array([r.final_test_acc for r in results])
-    aggregate = {
-        "seeds": list(base_seeds),
-        "final_test_acc": [float(v) for v in finals],
-        "mean_test_acc": float(finals.mean()),
-        "std_test_acc": float(finals.std(ddof=1)) if len(base_seeds) > 1 else 0.0,
-    }
-    if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
-        with open(os.path.join(out_dir, "aggregate.json"), "w", encoding="utf-8") as fh:
-            json.dump(aggregate, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-    return results, aggregate
-
-
 def write_run_outputs(out_dir, result, last_good_epoch=None):
     os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, "metrics.jsonl"), "w", encoding="utf-8") as fh:
         for record in result.metrics:
-            fh.write(json.dumps(record.to_dict(), sort_keys=True) + "\n")
+            fh.write(json.dumps(asdict(record), sort_keys=True) + "\n")
     result.trajectory.to_csv(os.path.join(out_dir, "trajectory.csv"))
     save_model(result.model, os.path.join(out_dir, "model.json"))
     config_mod.save_config(result.config, os.path.join(out_dir, "config.cfg"))

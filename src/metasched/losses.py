@@ -47,13 +47,6 @@ def _check_target(k, y):
         raise ValueError(f"target class {y} out of range for {k} logits")
 
 
-def softmax(z):
-    z = np.asarray(z, dtype=np.float64)
-    m = z.max(axis=-1, keepdims=True)
-    e = np.exp(z - m)
-    return e / e.sum(axis=-1, keepdims=True)
-
-
 def ce_loss(z, y):
     """Stable cross-entropy of a single logit vector.
 

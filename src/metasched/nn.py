@@ -125,27 +125,8 @@ def _layer_blocks(manifest, values):
 
 
 def unflatten(model):
-    """Per-layer (W, b) views into the flat vector. Round-trips exactly."""
+    """Per-layer (W, b) views into the flat vector."""
     return _layer_blocks(model.manifest, model.values)
-
-
-def flatten(layers, manifest):
-    """Inverse of unflatten: pack (W, b) pairs into a ParamVector."""
-    manifest = tuple(manifest)
-    if len(layers) != len(manifest):
-        raise ShapeError(f"{len(layers)} layers for a {len(manifest)}-layer manifest")
-    chunks = []
-    for (w, b), spec in zip(layers, manifest):
-        w = np.asarray(w, dtype=np.float64)
-        b = np.asarray(b, dtype=np.float64)
-        if w.shape != (spec.out_dim, spec.in_dim) or b.shape != (spec.out_dim,):
-            raise ShapeError(
-                f"layer arrays {w.shape}/{b.shape} do not match spec "
-                f"{spec.out_dim}x{spec.in_dim}"
-            )
-        chunks.append(w.ravel())
-        chunks.append(b)
-    return ParamVector(np.concatenate(chunks), manifest)
 
 
 @dataclass(frozen=True)

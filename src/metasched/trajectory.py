@@ -8,7 +8,8 @@ value 1, and an absent row reads back as 1. Class tables, the decay
 coefficient, and temperature tables are written densely.
 
 Interchange format: comma-separated `epoch,kind,id,value` rows with kind
-in {inst, class, wd, sigma_inst, sigma_class}.
+in {inst, class, wd, sigma_inst, sigma_class}, read through the shared
+`csvrows.read_rows`.
 """
 
 from __future__ import annotations
@@ -18,9 +19,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .csvrows import read_rows
 from .errors import ConfigError
 
-HEADER = "epoch,kind,id,value"
+COLUMNS = ("epoch", "kind", "id", "value")
 
 
 def _copy(table):
@@ -80,7 +82,7 @@ class TrajectoryLog:
         return self.snapshots[epoch]
 
     def to_csv(self, path):
-        lines = [HEADER]
+        lines = [",".join(COLUMNS)]
         for snap in self.snapshots:
             e = snap.epoch
             nonunit = np.flatnonzero(snap.w_inst != 1.0)
@@ -103,9 +105,11 @@ class TrajectoryLog:
         """Read a trajectory file into dense per-epoch tables.
 
         Each epoch's snapshot starts at its first row, which may not come
-        before the first row of the epoch preceding it. A malformed row (wrong field count, non-numeric or non-finite
-        value, negative or skipped epoch, unknown kind, id outside its
-        table) raises ConfigError naming the file and line.
+        before the first row of the epoch preceding it. ``csvrows.read_rows``
+        checks the file, header and field counts; a row with a non-numeric
+        or non-finite value, a negative or skipped epoch, an unknown kind,
+        or an id outside its table raises ConfigError naming the file and
+        line here.
         """
         log = cls(n_instances=n_instances, n_classes=n_classes)
         sizes = {
@@ -116,66 +120,53 @@ class TrajectoryLog:
             "sigma_class": n_classes,
         }
         snapshots = log.snapshots
-        with open(path, encoding="utf-8") as fh:
-            header = fh.readline().strip()
-            if header != HEADER:
-                raise ConfigError(f"{path} line 1: unrecognized trajectory header {header!r}")
-            for lineno, line in enumerate(fh, start=2):
-                line = line.strip()
-                if not line:
-                    continue
-                parts = line.split(",")
-                if len(parts) != 4:
-                    raise ConfigError(
-                        f"{path} line {lineno}: expected 4 fields epoch,kind,id,value, "
-                        f"got {len(parts)}"
+        for lineno, parts in read_rows(path, COLUMNS):
+            kind = parts[1]
+            if kind not in sizes:
+                raise ConfigError(f"{path} line {lineno}: unknown trajectory kind {kind!r}")
+            try:
+                e, ident, value = int(parts[0]), int(parts[2]), float(parts[3])
+            except ValueError:
+                raise ConfigError(
+                    f"{path} line {lineno}: non-numeric field in {','.join(parts)!r}"
+                ) from None
+            if e < 0:
+                raise ConfigError(f"{path} line {lineno}: negative epoch {e}")
+            if not 0 <= ident < sizes[kind]:
+                raise ConfigError(
+                    f"{path} line {lineno}: {kind} id {ident} outside [0, {sizes[kind]})"
+                )
+            if not math.isfinite(value):
+                raise ConfigError(f"{path} line {lineno}: non-finite value {parts[3]!r}")
+            if e > len(snapshots):
+                raise ConfigError(
+                    f"{path} line {lineno}: epoch {e} before any row of epoch "
+                    f"{len(snapshots)}"
+                )
+            if e == len(snapshots):
+                snapshots.append(
+                    EpochSnapshot(
+                        epoch=e,
+                        w_inst=np.ones(n_instances),
+                        w_class=np.ones(n_classes),
+                        lam_wd=0.0,
                     )
-                kind = parts[1]
-                if kind not in sizes:
-                    raise ConfigError(f"{path} line {lineno}: unknown trajectory kind {kind!r}")
-                try:
-                    e, ident, value = int(parts[0]), int(parts[2]), float(parts[3])
-                except ValueError:
-                    raise ConfigError(
-                        f"{path} line {lineno}: non-numeric field in {line!r}"
-                    ) from None
-                if e < 0:
-                    raise ConfigError(f"{path} line {lineno}: negative epoch {e}")
-                if not 0 <= ident < sizes[kind]:
-                    raise ConfigError(
-                        f"{path} line {lineno}: {kind} id {ident} outside [0, {sizes[kind]})"
-                    )
-                if not math.isfinite(value):
-                    raise ConfigError(f"{path} line {lineno}: non-finite value {parts[3]!r}")
-                if e > len(snapshots):
-                    raise ConfigError(
-                        f"{path} line {lineno}: epoch {e} before any row of epoch "
-                        f"{len(snapshots)}"
-                    )
-                if e == len(snapshots):
-                    snapshots.append(
-                        EpochSnapshot(
-                            epoch=e,
-                            w_inst=np.ones(n_instances),
-                            w_class=np.ones(n_classes),
-                            lam_wd=0.0,
-                        )
-                    )
-                snap = snapshots[e]
-                if kind == "inst":
-                    snap.w_inst[ident] = value
-                elif kind == "class":
-                    snap.w_class[ident] = value
-                elif kind == "wd":
-                    snap.lam_wd = value
-                elif kind == "sigma_class":
-                    if snap.sigma_class is None:
-                        snap.sigma_class = np.ones(n_classes)
-                    snap.sigma_class[ident] = value
-                else:
-                    if snap.sigma_inst is None:
-                        snap.sigma_inst = np.zeros(n_instances)
-                    snap.sigma_inst[ident] = value
+                )
+            snap = snapshots[e]
+            if kind == "inst":
+                snap.w_inst[ident] = value
+            elif kind == "class":
+                snap.w_class[ident] = value
+            elif kind == "wd":
+                snap.lam_wd = value
+            elif kind == "sigma_class":
+                if snap.sigma_class is None:
+                    snap.sigma_class = np.ones(n_classes)
+                snap.sigma_class[ident] = value
+            else:
+                if snap.sigma_inst is None:
+                    snap.sigma_inst = np.zeros(n_instances)
+                snap.sigma_inst[ident] = value
         return log
 
 

@@ -75,10 +75,30 @@ def test_unknown_flag_is_usage_error(capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def test_missing_config_names_the_path(capsys):
-    assert main(["train", "--config", "/nonexistent/run.cfg"]) == 1
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["train", "--config", "{missing}"],
+        ["train", "--override", "data.path={missing}"],
+        ["train", "--override", "data.path={data}", "--override", "data.manifest={missing}",
+         *DATA_OVERRIDES],
+        ["train", "--override", "data.path={data}", "--override", "data.superclass_file={missing}"],
+        ["replay", *DATA_OVERRIDES, "--trajectory", "{missing}"],
+        ["corrupt", "--data", "{missing}", "--p", "0.1", "--out", "{data}", "--manifest-out", "{data}"],
+    ],
+    ids=["config", "data.path", "data.manifest", "data.superclass_file", "trajectory", "corrupt"],
+)
+def test_missing_input_file_names_the_path(tmp_path, capsys, argv):
+    data = tmp_path / "data.csv"
+    assert main([
+        "generate-data", "--classes", "3", "--per-class", "14", "--dim", "4", "--out", str(data),
+    ]) == 0
+    missing = tmp_path / "absent" / "input.csv"
+    capsys.readouterr()
+    assert main([arg.format(missing=missing, data=data) for arg in argv]) == 1
     err = capsys.readouterr().err
-    assert "/nonexistent/run.cfg" in err
+    assert err.count("\n") == 1
+    assert "cannot read" in err and str(missing) in err
 
 
 def test_bad_override_is_validation_error(capsys):
@@ -115,26 +135,52 @@ def test_bad_dataset_index_is_validation_error(tmp_path, capsys, second_index, m
         (3, "abc", "non-numeric feature"),
         (4, "nan", "non-finite feature"),
         (6, "-inf", "non-finite feature"),
+        # a row appended to the run's corruption manifest or superclass map
+        ("manifest", "0,1", "expected index,original,assigned, got '0,1'"),
+        ("manifest", "7,x,1", "expected non-negative integers, got '7,x,1'"),
+        ("manifest", "-1,0,1", "expected non-negative integers"),
+        ("manifest", "5,1,2", "duplicate instance index 5 (first on line 3)"),
+        ("manifest", "# noise_fraction=0.3 seed=x", "malformed manifest metadata"),
+        ("superclass", "1", "expected class,superclass, got '1'"),
+        ("superclass", "1,x", "expected non-negative integers, got '1,x'"),
+        ("superclass", "9,1", "class 9 outside [0, 3)"),
+        ("superclass", "0,1", "duplicate class 0 (first on line 2)"),
     ],
 )
 def test_bad_dataset_field_is_validation_error(tmp_path, capsys, field, value, message):
     data = tmp_path / "data.csv"
+    files = {"manifest": tmp_path / "manifest.csv", "superclass": tmp_path / "super.csv"}
     assert main([
         "generate-data", "--classes", "3", "--per-class", "200", "--dim", "4",
-        "--spread", "0.8", "--seed", "5", "--out", str(data),
+        "--spread", "0.8", "--seed", "5", "--superclasses", "3",
+        "--superclass-out", str(files["superclass"]), "--out", str(data),
     ]) == 0
-    lines = data.read_text().splitlines()
-    # row 300 of 600: a bad feature here used to land in the test split and train
-    parts = lines[300].split(",")
-    parts[field] = value
-    lines[300] = ",".join(parts)
-    data.write_text("\n".join(lines) + "\n")
+    files["manifest"].write_text(
+        "# noise_fraction=0.0 seed=0 n_population=600\nindex,original,assigned\n5,1,1\n"
+    )
+    if isinstance(field, int):
+        path, lines = data, data.read_text().splitlines()
+        # row 300 of 600: a bad feature here used to land in the test split and train
+        parts = lines[300].split(",")
+        parts[field] = value
+        lines[300] = ",".join(parts)
+        lineno = 301
+    else:
+        path, lines = files[field], files[field].read_text().splitlines()
+        lines.append(value)
+        lineno = len(lines)
+    path.write_text("\n".join(lines) + "\n")
     capsys.readouterr()
-    code = main(["train", "--override", f"data.path={data}", *DATA_OVERRIDES])
+    code = main([
+        "train", "--override", f"data.path={data}",
+        "--override", f"data.manifest={files['manifest']}",
+        "--override", f"data.superclass_file={files['superclass']}",
+        *DATA_OVERRIDES,
+    ])
     assert code == 1
     err = capsys.readouterr().err
     assert err.count("\n") == 1
-    assert f"{data} line 301: {message}" in err
+    assert f"{path} line {lineno}: {message}" in err
 
 
 @pytest.mark.parametrize(

@@ -235,7 +235,13 @@ def test_dataset_file_round_trip(tmp_path):
 def test_dataset_loader_rejects_bad_header(tmp_path):
     path = tmp_path / "data.csv"
     path.write_text("idx,label,true_label,f0\n")
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="line 1: expected header index,label,true_label"):
+        load_dataset(path)
+    path.write_text("\n\n")
+    with pytest.raises(ConfigError, match="no header line"):
+        load_dataset(path)
+    path.write_bytes(b"index,label,true_label,f0\n0,0,0,\xff\n")
+    with pytest.raises(ConfigError, match="not UTF-8 text"):
         load_dataset(path)
 
 
@@ -272,10 +278,10 @@ def test_superclass_file_round_trip(tmp_path):
     mapping = {c: c // 5 for c in range(10)}
     path = tmp_path / "super.csv"
     save_superclass_map(mapping, path)
-    assert load_superclass_map(path) == mapping
+    assert load_superclass_map(path, 10) == mapping
     path.write_text("cls,super\n")
     with pytest.raises(ConfigError):
-        load_superclass_map(path)
+        load_superclass_map(path, 10)
 
 
 def test_subset_keeps_original_indices():

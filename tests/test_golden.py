@@ -19,6 +19,7 @@ import json
 import os
 import shutil
 import sys
+import tempfile
 
 import numpy as np
 import pytest
@@ -69,14 +70,14 @@ def _close(got, ref, what):
 def _compare_records(got, ref, what):
     """Lists of flat dicts: same keys and None pattern, floats per key."""
     assert len(got) == len(ref), f"{what}: {len(got)} records, reference has {len(ref)}"
+    assert all(set(a) == set(b) for a, b in zip(got, ref)), f"{what}: keys differ"
     for key in sorted(ref[0]):
-        g = [rec.get(key) for rec in got]
+        g = [rec[key] for rec in got]
         r = [rec[key] for rec in ref]
         assert [v is None for v in g] == [v is None for v in r], f"{what}: {key} None pattern"
         numeric = [(a, b) for a, b in zip(g, r) if b is not None]
         if numeric:
             _close([a for a, _ in numeric], [b for _, b in numeric], f"{what}: {key}")
-    assert all(set(a) == set(b) for a, b in zip(got, ref)), f"{what}: keys differ"
 
 
 def _metrics(path):
@@ -129,8 +130,6 @@ def test_golden_run_matches_reference(tmp_path, case):
 
 def regenerate():
     """Rewrite every reference from the current code."""
-    import tempfile
-
     for case in CASES:
         ref_dir = os.path.join(GOLDEN, "ref", case)
         with tempfile.TemporaryDirectory() as tmp:

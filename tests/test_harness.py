@@ -2,6 +2,7 @@
 
 import json
 import os
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -15,7 +16,6 @@ from metasched.harness import (
     prepare_data,
     prepare_kfold,
     replay_train,
-    run_multi_seed,
     run_training,
 )
 from metasched import datagen, losses, meta, nn
@@ -42,7 +42,7 @@ def metric_rows(result):
     """Metric dicts with the wall clock stripped."""
     rows = []
     for rec in result.metrics:
-        d = rec.to_dict()
+        d = asdict(rec)
         d.pop("wall_ms")
         rows.append(d)
     return rows
@@ -203,19 +203,6 @@ def test_kfold_grid_keeps_best_candidate(tmp_path):
     assert (tmp_path / "trajectory.csv").exists()
     info = json.loads((tmp_path / "kfold_info.json").read_text())
     assert info["candidate_scores"] == report.candidate_scores
-
-
-def test_multi_seed_aggregate(tmp_path):
-    cfg = tiny_cfg(epochs=1)
-    results, agg = run_multi_seed(cfg, [3, 11], out_dir=str(tmp_path))
-    assert [r.config.seed_data for r in results] == [3, 11]
-    assert results[0].config.seed_init == 4 and results[0].config.seed_shuffle == 5
-    finals = np.array([r.final_test_acc for r in results])
-    assert agg["mean_test_acc"] == pytest.approx(finals.mean())
-    assert agg["std_test_acc"] == pytest.approx(finals.std(ddof=1))
-    on_disk = json.loads((tmp_path / "aggregate.json").read_text())
-    assert on_disk == agg
-    assert (tmp_path / "seed-3" / "metrics.jsonl").exists()
 
 
 def test_personalization_bundle_filters_train():

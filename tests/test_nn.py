@@ -21,7 +21,7 @@ def random_batch(rng, model, b=6):
 
 def test_identity_layer_passes_input_through():
     manifest = (LayerSpec(2, 2, "identity"),)
-    model = nn.flatten([(np.eye(2), np.zeros(2))], manifest)
+    model = ParamVector(np.concatenate([np.eye(2).ravel(), np.zeros(2)]), manifest)
     logits = nn.forward(model, np.array([[1.0, 2.0]]))
     assert np.array_equal(logits, np.array([[1.0, 2.0]]))
 
@@ -76,11 +76,12 @@ def test_init_deterministic():
     assert np.array_equal(a.values, b.values)
 
 
-def test_flatten_unflatten_round_trip():
+def test_unflatten_views_cover_the_vector_in_order():
     rng = np.random.default_rng(0)
     model = random_model(rng, hidden=(5, 4))
-    rebuilt = nn.flatten(nn.unflatten(model), model.manifest)
-    assert np.array_equal(rebuilt.values, model.values)
+    blocks = [a.ravel() for layer in nn.unflatten(model) for a in layer]
+    assert np.array_equal(np.concatenate(blocks), model.values)
+    assert all(np.shares_memory(a, model.values) for a in blocks)
 
 
 def test_param_count_arithmetic():
@@ -133,14 +134,14 @@ def test_per_sample_gradient_against_manual_chain():
     manifest = (LayerSpec(3, 2, "identity"),)
     rng = np.random.default_rng(5)
     w = rng.standard_normal((2, 3))
-    model = nn.flatten([(w, np.array([0.1, -0.2]))], manifest)
+    model = ParamVector(np.concatenate([w.ravel(), [0.1, -0.2]]), manifest)
     x = rng.standard_normal((4, 3))
     y = np.array([0, 1, 1, 0])
     _, grads = nn.per_sample_backward(model, Batch(x, y, np.arange(4)))
     logits = nn.forward(model, x)
     for i in range(4):
-        p = losses.softmax(logits[i])
-        dz = p.copy()
+        dz = np.exp(logits[i] - logits[i].max())
+        dz /= dz.sum()
         dz[y[i]] -= 1.0
         expected = np.concatenate([np.outer(dz, x[i]).ravel(), dz])
         assert np.allclose(grads[i], expected, rtol=1e-12, atol=1e-15)
@@ -190,10 +191,8 @@ def test_backward_deterministic():
 def test_relu_subgradient_zero_at_kink():
     # one relu unit sitting exactly at 0 must contribute no gradient upstream
     manifest = (LayerSpec(1, 1, "relu"), LayerSpec(1, 2, "identity"))
-    model = nn.flatten(
-        [(np.array([[1.0]]), np.array([0.0])), (np.array([[1.0], [0.0]]), np.zeros(2))],
-        manifest,
-    )
+    # layer 0: W=[[1]], b=[0]; layer 1: W=[[1],[0]], b=[0,0]
+    model = ParamVector(np.array([1.0, 0.0, 1.0, 0.0, 0.0, 0.0]), manifest)
     batch = Batch(np.array([[0.0]]), np.array([0]), np.array([0]))
     _, grads = nn.per_sample_backward(model, batch)
     # first-layer weight and bias gradients are killed by the 0 subgradient
@@ -204,7 +203,7 @@ def test_relu_subgradient_zero_at_kink():
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_overflow_carries_sample_index():
     manifest = (LayerSpec(2, 2, "identity"),)
-    model = nn.flatten([(np.eye(2), np.zeros(2))], manifest)
+    model = ParamVector(np.concatenate([np.eye(2).ravel(), np.zeros(2)]), manifest)
     feats = np.array([[1.0, 1.0], [np.inf, 0.0]])
     batch = Batch(feats, np.array([0, 0]), np.array([4, 17]))
     with pytest.raises(NumericError) as err:

@@ -119,7 +119,7 @@ def read_bad_row(tmp_path, row):
 
 
 def test_from_csv_rejects_short_row(tmp_path):
-    assert "expected 4 fields" in read_bad_row(tmp_path, "0,inst,1")
+    assert "expected epoch,kind,id,value, got '0,inst,1'" in read_bad_row(tmp_path, "0,inst,1")
 
 
 def test_from_csv_rejects_non_numeric_value(tmp_path):
