@@ -85,10 +85,12 @@ def _random_batch(rng, d, k, size, index_pool):
 def _relu_safe(model, features, margin=1e-2):
     """True when no ReLU pre-activation sits near its kink, so central
     differences with step 1e-5 stay on one side."""
-    acts, preacts = nn._forward_cache(model, features)
-    for spec, s in zip(model.manifest, preacts):
+    a = np.asarray(features, dtype=np.float64)
+    for spec, (w, b) in zip(model.manifest, nn.unflatten(model)):
+        s = a @ w.T + b
         if spec.activation == "relu" and np.abs(s).min() < margin:
             return False
+        a = nn._activate(spec.activation, s)
     return True
 
 

@@ -202,14 +202,25 @@ def _cmd_gradcheck(args):
     return 0 if all_ok else 1
 
 
-def _cmd_analyze(args):
-    run_dir = args.run
-    info_path = os.path.join(run_dir, "run_info.json")
+def _load_run_info(path):
+    """run_info.json of a run directory, with its table sizes checked."""
     try:
-        with open(info_path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8") as fh:
             info = json.load(fh)
     except OSError as exc:
-        raise ConfigError(f"cannot read {info_path}: {exc}") from None
+        raise ConfigError(f"cannot read {path}: {exc}") from None
+    except ValueError as exc:
+        raise ConfigError(f"{path}: malformed JSON: {exc}") from None
+    for key in ("n_instances", "n_classes"):
+        value = info.get(key) if isinstance(info, dict) else None
+        if type(value) is not int or value < 0:
+            raise ConfigError(f"{path}: expected a non-negative integer {key}, got {value!r}")
+    return info
+
+
+def _cmd_analyze(args):
+    run_dir = args.run
+    info = _load_run_info(os.path.join(run_dir, "run_info.json"))
     trajectory = TrajectoryLog.from_csv(
         os.path.join(run_dir, "trajectory.csv"),
         info["n_instances"],

@@ -412,7 +412,15 @@ def _manifest_metadata(path, lineno, text):
     return out
 
 
-def load_manifest(path):
+def load_manifest(path, ds=None):
+    """The corruption manifest at ``path``.
+
+    ``ds`` is the dataset the manifest describes. Each row must then name
+    one of its instances, hold labels in [0, n_classes), and assign the
+    label the dataset holds for that instance. A run directory's own
+    ``manifest.csv`` is read without a dataset.
+    """
+    label_of = None if ds is None else dict(zip(ds.indices.tolist(), ds.labels.tolist()))
     noise_fraction, seed, n_population = float("nan"), 0, 0
     entries, line_of = [], {}
     for lineno, fields in read_rows(path, MANIFEST_COLUMNS, comments=True):
@@ -420,12 +428,30 @@ def load_manifest(path):
             noise_fraction, seed, n_population = _manifest_metadata(path, lineno, fields[0])
             continue
         entry = _int_row(path, lineno, fields)
-        if entry[0] in line_of:
+        index, original, assigned = entry
+        if index in line_of:
             raise ConfigError(
-                f"{path} line {lineno}: duplicate instance index {entry[0]} "
-                f"(first on line {line_of[entry[0]]})"
+                f"{path} line {lineno}: duplicate instance index {index} "
+                f"(first on line {line_of[index]})"
             )
-        line_of[entry[0]] = lineno
+        if label_of is not None:
+            if index not in label_of:
+                raise ConfigError(
+                    f"{path} line {lineno}: instance index {index} is not in the "
+                    f"dataset ({ds.n} rows)"
+                )
+            for name, label in (("original", original), ("assigned", assigned)):
+                if label >= ds.n_classes:
+                    raise ConfigError(
+                        f"{path} line {lineno}: {name} label {label} outside "
+                        f"[0, {ds.n_classes})"
+                    )
+            if assigned != label_of[index]:
+                raise ConfigError(
+                    f"{path} line {lineno}: assigned label {assigned} differs from the "
+                    f"dataset's label {label_of[index]} for instance {index}"
+                )
+        line_of[index] = lineno
         entries.append(entry)
     return CorruptionManifest(
         entries=tuple(entries),

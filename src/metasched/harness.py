@@ -21,7 +21,7 @@ from . import losses as losses_mod
 from . import meta
 from . import nn
 from . import optim
-from .errors import ConfigError, NumericError
+from .errors import ConfigError, NumericError, ShapeError
 from .trajectory import TrajectoryLog, average_trajectories
 
 PACKAGE_VERSION = "0.1.0"
@@ -90,14 +90,15 @@ def _load_base_dataset(cfg):
     return ds
 
 
-def _corrupt(cfg, train):
-    """(train, manifest): label noise injected at load, or the manifest of
-    corruption already baked into a dataset file (None for neither)."""
+def _corrupt(cfg, ds, train):
+    """(train, manifest): label noise injected at load into ``train``, a
+    split of ``ds``, or the manifest of corruption already baked into the
+    dataset file ``ds`` was read from (None for neither)."""
     if cfg.noise_p > 0:
         return datagen.corrupt_labels(train, cfg.noise_p, cfg.noise_seed_effective)
     if cfg.manifest_path is None:
         return train, None
-    return train, datagen.load_manifest(cfg.manifest_path)
+    return train, datagen.load_manifest(cfg.manifest_path, ds)
 
 
 def prepare_data(cfg):
@@ -127,7 +128,7 @@ def prepare_data(cfg):
         )
         splits = datagen.split(ds, spec)
         train = splits.train
-    train, manifest = _corrupt(cfg, train)
+    train, manifest = _corrupt(cfg, ds, train)
     meta_ds = splits.meta if cfg.meta_per_class > 0 else None
     return DataBundle.over(ds, train, meta_ds, splits.test, manifest)
 
@@ -142,7 +143,7 @@ def prepare_kfold(cfg):
         seed=cfg.split_seed_effective,
     )
     splits = datagen.split(ds, spec)
-    pool, manifest = _corrupt(cfg, splits.pool)
+    pool, manifest = _corrupt(cfg, ds, splits.pool)
     return pool, splits.test, splits.folds, manifest, ds
 
 
@@ -155,15 +156,14 @@ def _make_batch(ds, positions):
 
 
 def _evaluate(model, ds):
+    """(mean loss, accuracy, predicted classes) from one forward pass."""
     logits = nn.forward(model, ds.features)
     losses_vec, _ = losses_mod.cross_entropy_batch(logits, ds.labels)
     preds = np.argmax(logits, axis=1)
-    return float(losses_vec.mean()), float((preds == ds.labels).mean())
+    return float(losses_vec.mean()), float((preds == ds.labels).mean()), preds
 
 
-def _per_class_accuracy(model, ds):
-    logits = nn.forward(model, ds.features)
-    preds = np.argmax(logits, axis=1)
+def _per_class_accuracy(preds, ds):
     out = np.full(ds.n_classes, np.nan)
     for c in range(ds.n_classes):
         members = ds.labels == c
@@ -367,12 +367,12 @@ def _train(cfg, bundle, out_dir, schedule=None):
                 counters["steps"] += 1
             trajectory.record(dps)
             model = eval_model()
-            train_loss, train_acc = _evaluate(model, bundle.train)
+            train_loss, train_acc, _ = _evaluate(model, bundle.train)
             meta_loss = meta_acc = None
             if bundle.meta is not None and bundle.meta.n:
-                meta_loss, meta_acc = _evaluate(model, bundle.meta)
-                class_meta_acc.append(_per_class_accuracy(model, bundle.meta))
-            _, test_acc = _evaluate(model, bundle.test)
+                meta_loss, meta_acc, meta_preds = _evaluate(model, bundle.meta)
+                class_meta_acc.append(_per_class_accuracy(meta_preds, bundle.meta))
+            _, test_acc, _ = _evaluate(model, bundle.test)
             wc_mean, wc_std, wx_mean, wx_std = _weight_stats(cfg, dps, bundle)
             metrics.append(
                 MetricsRecord(
@@ -552,10 +552,21 @@ def save_model(model, path):
 
 
 def load_model(path):
-    with open(path, encoding="utf-8") as fh:
-        payload = json.load(fh)
-    manifest = tuple(
-        nn.LayerSpec(in_dim=i, out_dim=o, activation=a)
-        for i, o, a in payload["manifest"]
-    )
-    return nn.ParamVector(np.array(payload["values"], dtype=np.float64), manifest)
+    """The model ``save_model`` wrote to ``path``. A missing or unreadable
+    file, malformed JSON, or values that do not fit the manifest raise
+    ConfigError naming the path."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            payload = json.load(fh)
+    except OSError as exc:
+        raise ConfigError(f"cannot read {path}: {exc}") from None
+    except ValueError as exc:
+        raise ConfigError(f"{path}: malformed JSON: {exc}") from None
+    try:
+        specs = payload["manifest"]
+        if not all(type(i) is int and type(o) is int for i, o, _ in specs):
+            raise ValueError(f"layer dims must be integers, got {specs!r}")
+        manifest = tuple(nn.LayerSpec(in_dim=i, out_dim=o, activation=a) for i, o, a in specs)
+        return nn.ParamVector(np.array(payload["values"], dtype=np.float64), manifest)
+    except (KeyError, TypeError, ValueError, ShapeError, NumericError) as exc:
+        raise ConfigError(f"{path}: not a saved model: {exc}") from None

@@ -150,8 +150,12 @@ def rollout_one_step(theta, backward, batch, dps, lr):
             f"backward pass over {backward.losses.size} rows does not match "
             f"batch {batch.size}"
         )
-    grad_sum = backward.grad_sum(effective_weights(dps, batch))
-    new = theta.values - (lr / batch.size) * grad_sum - lr * dps.lam_wd * theta.values
+    # theta - (lr/B) grad_sum - (lr lam) theta in grad_sum's buffer, one
+    # operation at a time in that expression's order, so the bits match it
+    new = backward.grad_sum(effective_weights(dps, batch))
+    new *= lr / batch.size
+    np.subtract(theta.values, new, out=new)
+    new -= lr * dps.lam_wd * theta.values
     return theta.with_values(new)
 
 
@@ -233,7 +237,8 @@ def meta_train_step(theta, dps, train_batch, meta_batch, lr, data_lr, wd_lr):
     theta_next = rollout_one_step(theta, train_pass, train_batch, dps, lr)
 
     meta_pass = nn.batch_backward(theta_next, meta_batch)
-    meta_grad = meta_pass.grad_sum() / meta_batch.size
+    meta_grad = meta_pass.grad_sum()
+    meta_grad /= meta_batch.size
 
     empty_ids, empty = np.empty(0, dtype=np.int64), np.empty(0)
     instance_ids, instance_grads = empty_ids, empty

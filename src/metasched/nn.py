@@ -13,10 +13,17 @@ Per-Example Gradient Computations", arXiv 1510.01799).
 ``per_sample_backward`` does materialise that matrix. It is the oracle
 for the gradient checker, the Hessian probe and the differential tests,
 and no training path calls it.
+
+Each layer of a pass works in one buffer: the product ``a @ W.T`` takes
+the bias and then the activation in place, and no pre-activation is
+kept (a ReLU derivative reads its mask from the output). A pass clears
+its batch of non-finite values with one norm bound and falls back to the
+exact per-row check only when the bound is not finite.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,18 +79,26 @@ class ParamVector:
         manifest = tuple(self.manifest)
         object.__setattr__(self, "manifest", manifest)
         validate_manifest(manifest)
-        values = np.asarray(self.values, dtype=np.float64)
-        object.__setattr__(self, "values", values)
-        expected = param_count(manifest)
-        if values.shape != (expected,):
-            raise ShapeError(
-                f"parameter vector has shape {values.shape}, manifest predicts ({expected},)"
-            )
-        if not np.isfinite(values).all():
-            raise NumericError("non-finite model parameter")
+        object.__setattr__(self, "values", _checked_values(self.values, param_count(manifest)))
 
     def with_values(self, values):
-        return ParamVector(values, self.manifest)
+        """The same layout over new values. Their shape and finiteness are
+        checked; the manifest, already validated, is not."""
+        out = object.__new__(ParamVector)
+        object.__setattr__(out, "manifest", self.manifest)
+        object.__setattr__(out, "values", _checked_values(values, self.values.size))
+        return out
+
+
+def _checked_values(values, expected):
+    values = np.asarray(values, dtype=np.float64)
+    if values.shape != (expected,):
+        raise ShapeError(
+            f"parameter vector has shape {values.shape}, manifest predicts ({expected},)"
+        )
+    if not np.isfinite(values).all():
+        raise NumericError("non-finite model parameter")
+    return values
 
 
 def build_manifest(in_dim, hidden, out_dim, activation="relu"):
@@ -152,24 +167,21 @@ class Batch:
         return self.features.shape[0]
 
 
-def _apply_activation(name, s):
-    if name == "identity":
-        return s
+def _activate(name, s):
+    """Layer output from the pre-activation ``s``, computed in place."""
     if name == "relu":
-        return np.maximum(s, 0.0)
-    return np.tanh(s)
+        np.maximum(s, 0.0, out=s)
+    elif name == "tanh":
+        np.tanh(s, out=s)
+    return s
 
 
-def _activation_grad(name, s, a):
-    # derivative wrt the pre-activation; relu uses 0 at exactly 0
-    if name == "identity":
-        return np.ones_like(s)
-    if name == "relu":
-        return (s > 0.0).astype(np.float64)
-    return 1.0 - a * a
+def _forward_cache(model, layers, features):
+    """Each layer's input, then the logits: ``acts[l]`` feeds layer l.
 
-
-def _forward_cache(model, features):
+    ``layers`` is ``unflatten(model)``. A layer's output is one buffer,
+    ``a @ W.T``, that takes the bias and the activation in place.
+    """
     x = np.asarray(features, dtype=np.float64)
     if x.ndim != 2:
         raise ShapeError(f"features must be 2-D, got shape {x.shape}")
@@ -178,32 +190,36 @@ def _forward_cache(model, features):
             f"layer 0 expects in_dim {model.manifest[0].in_dim}, features have {x.shape[1]}"
         )
     acts = [x]
-    preacts = []
-    for w, b in unflatten(model):
-        s = acts[-1] @ w.T + b
-        preacts.append(s)
-        acts.append(_apply_activation(model.manifest[len(preacts) - 1].activation, s))
-    return acts, preacts
+    for spec, (w, b) in zip(model.manifest, layers):
+        s = acts[-1] @ w.T
+        s += b
+        acts.append(_activate(spec.activation, s))
+    return acts
 
 
 def forward(model, features):
     """Logits for a batch of feature rows. Pure; no mutation."""
-    acts, _ = _forward_cache(model, features)
-    return acts[-1]
+    return _forward_cache(model, unflatten(model), features)[-1]
 
 
-def _deltas(model, acts, preacts, dz):
+def _deltas(model, layers, acts, dz):
     """Per-layer output deltas: row i of ``deltas[l]`` is d(loss_i)/d(s_l)
-    for layer l's pre-activation s_l, given the logit gradients ``dz``."""
-    layers = unflatten(model)
+    for layer l's pre-activation s_l, given the logit gradients ``dz``.
+
+    Each delta is scaled in place by its activation's derivative, taken
+    from the layer output ``a``: ReLU's mask ``a > 0`` equals ``s > 0``
+    for every float, NaN included, so the derivative is 0 at the kink;
+    tanh's is ``1 - a^2``; identity layers are left as they are.
+    """
     deltas = [dz]
     for li in range(len(layers) - 1, 0, -1):
-        w, _ = layers[li]
-        prev_spec = model.manifest[li - 1]
-        deltas.append(
-            (deltas[-1] @ w)
-            * _activation_grad(prev_spec.activation, preacts[li - 1], acts[li])
-        )
+        d = deltas[-1] @ layers[li][0]
+        activation = model.manifest[li - 1].activation
+        if activation == "relu":
+            d *= acts[li] > 0.0
+        elif activation == "tanh":
+            d *= 1.0 - acts[li] * acts[li]
+        deltas.append(d)
     return deltas[::-1]
 
 
@@ -213,6 +229,35 @@ def _raise_at_row(bad, indices):
         f"non-finite loss or gradient for sample index {int(indices[row])}",
         sample_index=int(indices[row]),
     )
+
+
+def _check_finite(sample_losses, dsigma, acts, deltas, indices):
+    """Raise NumericError at the first row whose loss, temperature
+    derivative or parameter gradient is not finite.
+
+    The bound ``sum(losses) [+ sum(dsigma)] + sum_l ||d_l||^2 ||a_l||^2``
+    carries any NaN or inf in its terms, and the square of every gradient
+    entry ``d_l[i, o] * a_l[i, j]`` is at most its layer's term. So a
+    finite bound clears the batch with two dot products per layer. Only
+    when it is not finite, as it can be with every row finite, does the
+    exact per-row test run.
+    """
+    # Python floats: a bound that overflows becomes inf without a warning
+    bound = float(sample_losses.sum())
+    if dsigma is not None:
+        bound += float(dsigma.sum())
+    for a, d in zip(acts, deltas):
+        bound += float(np.vdot(d, d)) * float(np.vdot(a, a))
+    if math.isfinite(bound):
+        return
+    ok = np.isfinite(sample_losses)
+    if dsigma is not None:
+        ok &= np.isfinite(dsigma)
+    for a, d in zip(acts, deltas):
+        # outer(d[i], a[i]) is all finite exactly when max|d[i]| * max|a[i]| is
+        ok &= np.isfinite(np.abs(d).max(axis=1) * np.abs(a).max(axis=1))
+    if not ok.all():
+        _raise_at_row(~ok, indices)
 
 
 @dataclass(frozen=True)
@@ -235,14 +280,16 @@ class BatchBackward:
         """Flat ``sum_i weights[i] * g_i``; unit weights when None.
 
         Per layer this is ``(d_l * w)^T a_l`` for the weights and the
-        column sums of ``d_l * w`` for the bias.
+        column sums of ``d_l * w`` for the bias, each written straight
+        into its block of the result.
         """
-        chunks = []
-        for a, d in zip(self.acts, self.deltas):
+        out = np.empty(param_count(self.manifest))
+        for (g_w, g_b), a, d in zip(_layer_blocks(self.manifest, out), self.acts, self.deltas):
             if weights is not None:
                 d = d * weights[:, None]
-            chunks += [(d.T @ a).ravel(), d.sum(axis=0)]
-        return np.concatenate(chunks)
+            np.matmul(d.T, a, out=g_w)
+            d.sum(axis=0, out=g_b)
+        return out
 
     def dots(self, v):
         """``<g_i, v>`` for every row i, as a length-B array.
@@ -255,7 +302,9 @@ class BatchBackward:
             raise ShapeError(f"vector has shape {v.shape}, parameter count is {expected}")
         out = np.zeros(self.losses.size)
         for (v_w, v_b), a, d in zip(_layer_blocks(self.manifest, v), self.acts, self.deltas):
-            out += ((d @ v_w) * a).sum(axis=1) + d @ v_b
+            dv = d @ v_w
+            dv *= a
+            out += dv.sum(axis=1) + d @ v_b
         return out
 
 
@@ -266,9 +315,14 @@ def batch_backward(model, batch, sigma=None):
     temperature-scaled cross-entropy and the result carries each row's
     d(loss)/d(sigma). A row whose loss, temperature derivative or
     parameter gradient is not finite raises NumericError naming its
-    sample index, as ``per_sample_backward`` does.
+    sample index, as ``per_sample_backward`` does. The batch is first
+    cleared by one norm bound over all of it; the exact per-row check
+    runs only when that bound is not finite (see ``_check_finite``).
+    Each layer's forward output is a single buffer, and no pre-activation
+    is kept.
     """
-    acts, preacts = _forward_cache(model, batch.features)
+    layers = unflatten(model)
+    acts = _forward_cache(model, layers, batch.features)
     dsigma = None
     if sigma is None:
         sample_losses, dz = losses_mod.cross_entropy_batch(acts[-1], batch.labels)
@@ -276,23 +330,17 @@ def batch_backward(model, batch, sigma=None):
         sample_losses, dz, dsigma = losses_mod.temperature_ce_batch(
             acts[-1], batch.labels, sigma
         )
-    deltas = _deltas(model, acts, preacts, dz)
-    ok = np.isfinite(sample_losses)
-    if dsigma is not None:
-        ok &= np.isfinite(dsigma)
-    for a, d in zip(acts, deltas):
-        # outer(d[i], a[i]) is all finite exactly when max|d[i]| * max|a[i]| is
-        ok &= np.isfinite(np.abs(d).max(axis=1) * np.abs(a).max(axis=1))
-    if not ok.all():
-        _raise_at_row(~ok, batch.indices)
-    return BatchBackward(model.manifest, sample_losses, tuple(acts[:-1]), tuple(deltas), dsigma)
+    deltas = _deltas(model, layers, acts, dz)
+    inputs = tuple(acts[:-1])
+    _check_finite(sample_losses, dsigma, inputs, deltas, batch.indices)
+    return BatchBackward(model.manifest, sample_losses, inputs, tuple(deltas), dsigma)
 
 
-def per_sample_grads_from_dz(model, acts, preacts, dz):
+def per_sample_grads_from_dz(model, acts, dz):
     """Backpropagate per-row output gradients to per-sample parameter rows."""
     b = dz.shape[0]
     rows = []
-    for a, d in zip(acts, _deltas(model, acts, preacts, dz)):
+    for a, d in zip(acts, _deltas(model, unflatten(model), acts, dz)):
         rows.append(np.einsum("bo,bi->boi", d, a).reshape(b, -1))
         rows.append(d)
     return np.concatenate(rows, axis=1)
@@ -306,9 +354,9 @@ def per_sample_backward(model, batch):
     equals the gradient of the unweighted mean loss. This is the oracle
     for ``batch_backward``; training never builds the matrix.
     """
-    acts, preacts = _forward_cache(model, batch.features)
+    acts = _forward_cache(model, unflatten(model), batch.features)
     sample_losses, dz = losses_mod.cross_entropy_batch(acts[-1], batch.labels)
-    grads = per_sample_grads_from_dz(model, acts, preacts, dz)
+    grads = per_sample_grads_from_dz(model, acts, dz)
     bad = ~(np.isfinite(sample_losses) & np.isfinite(grads).all(axis=1))
     if bad.any():
         _raise_at_row(bad, batch.indices)

@@ -82,23 +82,25 @@ class TrajectoryLog:
         return self.snapshots[epoch]
 
     def to_csv(self, path):
-        lines = [",".join(COLUMNS)]
-        for snap in self.snapshots:
-            e = snap.epoch
-            nonunit = np.flatnonzero(snap.w_inst != 1.0)
-            for i, v in zip(nonunit.tolist(), snap.w_inst[nonunit].tolist()):
-                lines.append(f"{e},inst,{i},{v!r}")
-            for c, v in enumerate(snap.w_class.tolist()):
-                lines.append(f"{e},class,{c},{v!r}")
-            lines.append(f"{e},wd,0,{snap.lam_wd!r}")
-            if snap.sigma_class is not None:
-                for c, v in enumerate(snap.sigma_class.tolist()):
-                    lines.append(f"{e},sigma_class,{c},{v!r}")
-            if snap.sigma_inst is not None:
-                for i, v in enumerate(snap.sigma_inst.tolist()):
-                    lines.append(f"{e},sigma_inst,{i},{v!r}")
+        # one epoch's text at a time: the whole file's would be the run's peak
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")
+            fh.write(",".join(COLUMNS) + "\n")
+            for snap in self.snapshots:
+                e = snap.epoch
+                lines = []
+                nonunit = np.flatnonzero(snap.w_inst != 1.0)
+                for i, v in zip(nonunit.tolist(), snap.w_inst[nonunit].tolist()):
+                    lines.append(f"{e},inst,{i},{v!r}")
+                for c, v in enumerate(snap.w_class.tolist()):
+                    lines.append(f"{e},class,{c},{v!r}")
+                lines.append(f"{e},wd,0,{snap.lam_wd!r}")
+                if snap.sigma_class is not None:
+                    for c, v in enumerate(snap.sigma_class.tolist()):
+                        lines.append(f"{e},sigma_class,{c},{v!r}")
+                if snap.sigma_inst is not None:
+                    for i, v in enumerate(snap.sigma_inst.tolist()):
+                        lines.append(f"{e},sigma_inst,{i},{v!r}")
+                fh.write("\n".join(lines) + "\n")
 
     @classmethod
     def from_csv(cls, path, n_instances, n_classes):

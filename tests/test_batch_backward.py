@@ -69,12 +69,12 @@ def assert_dots_close(got, grads, v):
 def temperature_oracle(model, batch, sigma):
     """Per-sample gradient rows of the temperature loss, from one scalar
     ``temperature_ce`` call per row."""
-    acts, preacts = nn._forward_cache(model, batch.features)
+    acts = nn._forward_cache(model, nn.unflatten(model), batch.features)
     dz = np.array([
         losses.temperature_ce(z, int(y), s)[1]
         for z, y, s in zip(acts[-1], batch.labels, sigma)
     ])
-    return nn.per_sample_grads_from_dz(model, acts, preacts, dz)
+    return nn.per_sample_grads_from_dz(model, acts, dz)
 
 
 def tangent_dots(model, batch, v, sigma=None):
@@ -257,3 +257,135 @@ def test_gradient_overflow_from_finite_factors_is_caught():
         with pytest.raises(NumericError) as err:
             backward(model, batch)
         assert err.value.context["sample_index"] == 17
+
+
+def reference_factors(model, batch, sigma=None):
+    """Losses, temperature derivatives, layer inputs and deltas computed
+    with every pre-activation kept, the ReLU mask read from ``s > 0`` and
+    identity layers scaled by ones."""
+    layers = nn.unflatten(model)
+    acts, preacts = [batch.features], []
+    for spec, (w, b) in zip(model.manifest, layers):
+        s = acts[-1] @ w.T + b
+        preacts.append(s)
+        if spec.activation == "relu":
+            acts.append(np.maximum(s, 0.0))
+        elif spec.activation == "tanh":
+            acts.append(np.tanh(s))
+        else:
+            acts.append(s)
+    dsigma = None
+    if sigma is None:
+        sample_losses, dz = losses.cross_entropy_batch(acts[-1], batch.labels)
+    else:
+        sample_losses, dz, dsigma = losses.temperature_ce_batch(acts[-1], batch.labels, sigma)
+    deltas = [dz]
+    for li in range(len(layers) - 1, 0, -1):
+        activation, s = model.manifest[li - 1].activation, preacts[li - 1]
+        if activation == "relu":
+            slope = (s > 0.0).astype(np.float64)
+        elif activation == "tanh":
+            slope = 1.0 - acts[li] * acts[li]
+        else:
+            slope = np.ones_like(s)
+        deltas.append((deltas[-1] @ layers[li][0]) * slope)
+    return sample_losses, dsigma, acts[:-1], deltas[::-1]
+
+
+def reference_bad_rows(sample_losses, dsigma, acts, deltas):
+    """The exact per-row finiteness test: loss and temperature derivative
+    finite, and max|d_l[i]| * max|a_l[i]| finite on every layer."""
+    ok = np.isfinite(sample_losses)
+    if dsigma is not None:
+        ok &= np.isfinite(dsigma)
+    for a, d in zip(acts, deltas):
+        ok &= np.isfinite(np.abs(d).max(axis=1) * np.abs(a).max(axis=1))
+    return ~ok
+
+
+def same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    return got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def assert_same_factors(backward, reference):
+    sample_losses, dsigma, acts, deltas = reference
+    assert same_bits(backward.losses, sample_losses)
+    assert (backward.dsigma is None) == (dsigma is None)
+    if dsigma is not None:
+        assert same_bits(backward.dsigma, dsigma)
+    assert len(backward.acts) == len(acts) and len(backward.deltas) == len(deltas)
+    assert all(same_bits(g, w) for g, w in zip(backward.acts, acts))
+    assert all(same_bits(g, w) for g, w in zip(backward.deltas, deltas))
+
+
+# non-finite values fit only in features: a ParamVector rejects them
+PLANTED = (np.nan, np.inf, -np.inf, 1e200, -1e200, 3e250, 1e300, 1e-200)
+
+
+@st.composite
+def planted_problems(draw):
+    """A small net and batch with one to three extreme values written into
+    feature cells or parameters, and a temperature per row half the time."""
+    activation = draw(st.sampled_from(nn.ACTIVATIONS))
+    in_dim = draw(st.integers(1, 4))
+    hidden = draw(st.lists(st.integers(1, 6), min_size=1, max_size=2))
+    k = draw(st.integers(2, 4))
+    b = draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    manifest = nn.build_manifest(in_dim, hidden, k, activation)
+    values = nn.init_params(manifest, seed=int(rng.integers(2**31))).values
+    values = values + 0.1 * rng.standard_normal(values.size)
+    feats = rng.standard_normal((b, in_dim))
+    for _ in range(draw(st.integers(1, 3))):
+        value = draw(st.sampled_from(PLANTED))
+        if not np.isfinite(value) or draw(st.booleans()):
+            feats[draw(st.integers(0, b - 1)), draw(st.integers(0, in_dim - 1))] = value
+        else:
+            values[draw(st.integers(0, values.size - 1))] = value
+    batch = Batch(feats, rng.integers(0, k, size=b), rng.choice(N_POOL, b, replace=False))
+    sigma = rng.uniform(0.1, 3.0, size=b) if draw(st.booleans()) else None
+    return nn.ParamVector(values, manifest), batch, sigma
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(deadline=None, derandomize=True, max_examples=300)
+@given(problem=planted_problems())
+def test_norm_bound_flags_exactly_the_reference_rows(problem):
+    model, batch, sigma = problem
+    with np.errstate(all="ignore"):
+        reference = reference_factors(model, batch, sigma)
+        bad = reference_bad_rows(*reference)
+        if bad.any():
+            with pytest.raises(NumericError) as err:
+                nn.batch_backward(model, batch, sigma)
+            want = int(batch.indices[np.flatnonzero(bad)[0]])
+            assert err.value.context["sample_index"] == want
+            assert str(err.value) == f"non-finite loss or gradient for sample index {want}"
+        else:
+            assert_same_factors(nn.batch_backward(model, batch, sigma), reference)
+
+
+def test_overflowing_bound_with_finite_rows_passes_unchanged():
+    # row 0 has a large delta and a tiny input, row 1 the reverse: every
+    # row's gradient is finite, but ||d_0||^2 ||a_0||^2 is not
+    manifest = (LayerSpec(1, 1, "identity"), LayerSpec(1, 2, "identity"))
+    model = nn.ParamVector(np.array([1e-160, 0.0, 1e150, -1e150, 0.0, 0.0]), manifest)
+    batch = Batch(np.array([[1e-150], [1e150]]), np.array([0, 1]), np.array([4, 17]))
+    for sigma in (None, np.array([0.5, 2.0])):
+        reference = reference_factors(model, batch, sigma)
+        assert not reference_bad_rows(*reference).any()
+        _, _, acts, deltas = reference
+        bound = float(np.vdot(deltas[0], deltas[0])) * float(np.vdot(acts[0], acts[0]))
+        assert bound == np.inf
+        assert_same_factors(nn.batch_backward(model, batch, sigma), reference)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_relu_mask_from_output_matches_preactivation_sign():
+    tiny = np.finfo(np.float64).smallest_subnormal
+    s = np.array(
+        [0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, tiny, -tiny, 1e-310, -1e-310, 1.0, -1.0]
+    )
+    a = nn._activate("relu", s.copy())
+    assert np.array_equal(a > 0.0, s > 0.0)

@@ -141,6 +141,10 @@ def test_bad_dataset_index_is_validation_error(tmp_path, capsys, second_index, m
         ("manifest", "-1,0,1", "expected non-negative integers"),
         ("manifest", "5,1,2", "duplicate instance index 5 (first on line 3)"),
         ("manifest", "# noise_fraction=0.3 seed=x", "malformed manifest metadata"),
+        ("manifest", "99999,0,1", "instance index 99999 is not in the dataset (600 rows)"),
+        ("manifest", "7,3,0", "original label 3 outside [0, 3)"),
+        ("manifest", "7,0,5", "assigned label 5 outside [0, 3)"),
+        ("manifest", "7,0,2", "assigned label 2 differs from the dataset's label 0 for instance 7"),
         ("superclass", "1", "expected class,superclass, got '1'"),
         ("superclass", "1,x", "expected non-negative integers, got '1,x'"),
         ("superclass", "9,1", "class 9 outside [0, 3)"),
@@ -156,7 +160,7 @@ def test_bad_dataset_field_is_validation_error(tmp_path, capsys, field, value, m
         "--superclass-out", str(files["superclass"]), "--out", str(data),
     ]) == 0
     files["manifest"].write_text(
-        "# noise_fraction=0.0 seed=0 n_population=600\nindex,original,assigned\n5,1,1\n"
+        "# noise_fraction=0.0 seed=0 n_population=600\nindex,original,assigned\n5,0,0\n"
     )
     if isinstance(field, int):
         path, lines = data, data.read_text().splitlines()
@@ -206,6 +210,63 @@ def test_bad_class_meta_acc_row_is_validation_error(tmp_path, capsys, row, messa
     err = capsys.readouterr().err
     assert err.count("\n") == 1
     assert f"{acc_path} line {len(lines) + 1}: {message}" in err
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ('{"n_classes": 3', "malformed JSON"),
+        ('{"n_classes": 3}', "expected a non-negative integer n_instances, got None"),
+        ('{"n_instances": 42}', "expected a non-negative integer n_classes, got None"),
+    ],
+)
+def test_bad_run_info_is_validation_error(tmp_path, capsys, text, message):
+    run_dir = tmp_path / "run"
+    assert main(["train", *DATA_OVERRIDES, "--out", str(run_dir)]) == 0
+    info_path = run_dir / "run_info.json"
+    info_path.write_text(text)
+    capsys.readouterr()
+    assert main(["analyze", "--run", str(run_dir)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert f"error: {info_path}: {message}" in err
+
+
+@pytest.mark.parametrize(
+    "damage, message",
+    [
+        (None, None),
+        ("missing", "cannot read {path}"),
+        ("truncated", "{path}: malformed JSON"),
+        ("short", "{path}: not a saved model: parameter vector has shape (66,), "
+                  "manifest predicts (67,)"),
+    ],
+)
+def test_bad_model_file_is_validation_error(tmp_path, capsys, damage, message):
+    data = tmp_path / "data.csv"
+    run_dir = tmp_path / "run"
+    assert main([
+        "generate-data", "--classes", "3", "--per-class", "14", "--dim", "4", "--out", str(data),
+    ]) == 0
+    assert main(["train", *DATA_OVERRIDES, "--out", str(run_dir)]) == 0
+    model_path = run_dir / "model.json"
+    if damage == "missing":
+        model_path.unlink()
+    elif damage == "truncated":
+        model_path.write_text(model_path.read_text()[:40])
+    elif damage == "short":
+        payload = json.loads(model_path.read_text())
+        payload["values"].pop()
+        model_path.write_text(json.dumps(payload))
+    capsys.readouterr()
+    argv = ["analyze", "--run", str(run_dir), "--hessian-top", "2", "--data", str(data)]
+    if damage is None:
+        assert main(argv) == 0
+        return
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert "error: " + message.format(path=model_path) in err
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

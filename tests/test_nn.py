@@ -95,6 +95,11 @@ def test_corrupted_length_rejected():
     p = nn.param_count(manifest)
     with pytest.raises(ShapeError, match="manifest predicts"):
         ParamVector(np.zeros(p - 1), manifest)
+    model = ParamVector(np.zeros(p), manifest)
+    with pytest.raises(ShapeError, match="manifest predicts"):
+        model.with_values(np.zeros(p + 1))
+    with pytest.raises(ShapeError, match="manifest predicts"):
+        model.with_values(np.zeros((1, p)))
 
 
 def test_non_finite_parameters_rejected():
@@ -103,6 +108,21 @@ def test_non_finite_parameters_rejected():
     values[0] = np.inf
     with pytest.raises(NumericError):
         ParamVector(values, manifest)
+    model = ParamVector(np.zeros(values.size), manifest)
+    for bad in (np.inf, np.nan):
+        values[0] = bad
+        with pytest.raises(NumericError):
+            model.with_values(values)
+
+
+def test_with_values_keeps_the_layout():
+    manifest = nn.build_manifest(3, (5,), 2, "relu")
+    model = nn.init_params(manifest, seed=0)
+    moved = model.with_values([float(i) for i in range(model.values.size)])
+    assert moved.manifest is model.manifest
+    assert moved.values.dtype == np.float64
+    assert np.array_equal(moved.values, np.arange(model.values.size))
+    assert np.array_equal(nn.unflatten(moved)[1][0], moved.values[20:30].reshape(2, 5))
 
 
 def test_batch_shape_checks():
