@@ -233,20 +233,24 @@ def _cmd_analyze(args):
         manifest = datagen.load_manifest(manifest_path)
         tables = trajectory.snapshot(trajectory.epochs - 1).as_tables()
         population = info.get("train_indices")
-        sep = analysis.separation(
-            tables["w_inst"],
-            manifest,
-            None if population is None else np.array(population, dtype=np.int64),
-        )
-        report["separation"] = {
-            "auc": sep.auc,
-            "clean_mean": sep.clean_mean,
-            "clean_std": sep.clean_std,
-            "corrupt_mean": sep.corrupt_mean,
-            "corrupt_std": sep.corrupt_std,
-            "n_clean": sep.n_clean,
-            "n_corrupt": sep.n_corrupt,
-        }
+        try:
+            sep = analysis.separation(
+                tables["w_inst"],
+                manifest,
+                None if population is None else np.array(population, dtype=np.int64),
+            )
+        except ValueError:  # no corrupt or no clean instance: no AUC to report
+            report["separation"] = None
+        else:
+            report["separation"] = {
+                "auc": sep.auc,
+                "clean_mean": sep.clean_mean,
+                "clean_std": sep.clean_std,
+                "corrupt_mean": sep.corrupt_mean,
+                "corrupt_std": sep.corrupt_std,
+                "n_clean": sep.n_clean,
+                "n_corrupt": sep.n_corrupt,
+            }
 
     acc_path = os.path.join(run_dir, "class_meta_acc.csv")
     if os.path.exists(acc_path) and trajectory.epochs:

@@ -7,7 +7,8 @@ recorded in a manifest; meta and test views always carry true labels.
 
 File formats: dataset rows `index,label,true_label,f0..f{d-1}`,
 corruption manifest rows `index,original,assigned` after a
-`# noise_fraction=... seed=... n_population=...` line, superclass map
+`# noise_fraction=... seed=... n_population=...` line (left out when the
+noise fraction is unknown), superclass map
 rows `class,superclass`, all with a header line. The loaders read them
 through `csvrows.read_rows`, so a missing file or a malformed row raises
 ConfigError naming the file and line.
@@ -370,11 +371,14 @@ def load_dataset(path):
 
 
 def save_manifest(manifest, path):
-    lines = [
-        f"# noise_fraction={manifest.noise_fraction!r} seed={manifest.seed} "
-        f"n_population={manifest.n_population}",
-        ",".join(MANIFEST_COLUMNS),
-    ]
+    # a manifest read without a metadata line has no noise fraction to write
+    lines = []
+    if not math.isnan(manifest.noise_fraction):
+        lines.append(
+            f"# noise_fraction={manifest.noise_fraction!r} seed={manifest.seed} "
+            f"n_population={manifest.n_population}"
+        )
+    lines.append(",".join(MANIFEST_COLUMNS))
     for idx, original, assigned in manifest.entries:
         lines.append(f"{idx},{original},{assigned}")
     with open(path, "w", encoding="utf-8") as fh:

@@ -8,8 +8,10 @@ value 1, and an absent row reads back as 1. Class tables, the decay
 coefficient, and temperature tables are written densely.
 
 Interchange format: comma-separated `epoch,kind,id,value` rows with kind
-in {inst, class, wd, sigma_inst, sigma_class}, read through the shared
-`csvrows.read_rows`.
+in {inst, class, wd, sigma_inst, sigma_class}. A clean file is parsed in
+blocks of lines by `csvrows.read_blocks` and checked with array operations;
+any fault sends it back through the row reader `csvrows.read_rows`, which
+names the file and line.
 """
 
 from __future__ import annotations
@@ -19,10 +21,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .csvrows import read_rows
+from .csvrows import read_blocks, read_rows
 from .errors import ConfigError
 
 COLUMNS = ("epoch", "kind", "id", "value")
+KINDS = ("inst", "class", "wd", "sigma_inst", "sigma_class")
+# one byte wider than the longest kind, so a longer name is never cut to a valid one
+ROW_DTYPE = np.dtype([("e", "i8"), ("k", "S12"), ("i", "i8"), ("v", "f8")])
 
 
 def _copy(table):
@@ -107,11 +112,83 @@ class TrajectoryLog:
         """Read a trajectory file into dense per-epoch tables.
 
         Each epoch's snapshot starts at its first row, which may not come
-        before the first row of the epoch preceding it. ``csvrows.read_rows``
-        checks the file, header and field counts; a row with a non-numeric
-        or non-finite value, a negative or skipped epoch, an unknown kind,
-        or an id outside its table raises ConfigError naming the file and
-        line here.
+        before the first row of the epoch preceding it; the last row for an
+        entry wins. The file is parsed in blocks; when a block does not
+        parse or fails a check, what was built is dropped and the row reader
+        reads the file again and raises ConfigError naming the file and line.
+        """
+        try:
+            return cls._from_blocks(path, n_instances, n_classes)
+        except (OSError, ValueError):
+            return cls._from_rows(path, n_instances, n_classes)
+
+    @classmethod
+    def _from_blocks(cls, path, n_instances, n_classes):
+        """``from_csv`` in blocks: ValueError or OSError on any fault."""
+        log = cls(n_instances=n_instances, n_classes=n_classes)
+        snapshots = log.snapshots
+        names = np.array(KINDS, dtype=ROW_DTYPE["k"])
+        sizes = np.array([n_instances, n_classes, 1, n_instances, n_classes])
+        for rows in read_blocks(path, COLUMNS, ROW_DTYPE):
+            e, ident, value = rows["e"], rows["i"], rows["v"]
+            code = np.full(e.size, -1)
+            for c, name in enumerate(names):
+                code[rows["k"] == name] = c
+            if not (code >= 0).all():
+                raise ValueError("unknown trajectory kind")
+            # an epoch may begin one past the highest epoch of the rows before it
+            reach = np.maximum.accumulate(np.append(len(snapshots) - 1, e[:-1]))
+            if not (
+                (e >= 0).all()
+                and (e <= reach + 1).all()
+                and (ident >= 0).all()
+                and (ident < sizes[code]).all()
+                and np.isfinite(value).all()
+            ):
+                raise ValueError("trajectory row out of range")
+            for epoch in range(len(snapshots), int(e.max()) + 1):
+                snapshots.append(
+                    EpochSnapshot(
+                        epoch=epoch,
+                        w_inst=np.ones(n_instances),
+                        w_class=np.ones(n_classes),
+                        lam_wd=0.0,
+                    )
+                )
+            # grouped by (epoch, kind) with file order kept per id, so
+            # keeping the last row of each id keeps the row that wins
+            key = e * len(KINDS) + code
+            order = np.lexsort((ident, key))
+            key, ident, value = key[order], ident[order], value[order]
+            last = np.append((key[1:] != key[:-1]) | (ident[1:] != ident[:-1]), True)
+            key, ident, value = key[last], ident[last], value[last]
+            starts = np.flatnonzero(np.append(True, key[1:] != key[:-1])).tolist()
+            for lo, hi in zip(starts, starts[1:] + [key.size]):
+                epoch, c = divmod(int(key[lo]), len(KINDS))
+                snap, ids, values = snapshots[epoch], ident[lo:hi], value[lo:hi]
+                kind = KINDS[c]
+                if kind == "inst":
+                    snap.w_inst[ids] = values
+                elif kind == "class":
+                    snap.w_class[ids] = values
+                elif kind == "wd":
+                    snap.lam_wd = float(values[-1])
+                elif kind == "sigma_class":
+                    if snap.sigma_class is None:
+                        snap.sigma_class = np.ones(n_classes)
+                    snap.sigma_class[ids] = values
+                else:
+                    if snap.sigma_inst is None:
+                        snap.sigma_inst = np.zeros(n_instances)
+                    snap.sigma_inst[ids] = values
+        return log
+
+    @classmethod
+    def _from_rows(cls, path, n_instances, n_classes):
+        """``from_csv`` one row at a time: ``csvrows.read_rows`` checks the
+        file, header and field counts; a row with a non-numeric or
+        non-finite value, a negative or skipped epoch, an unknown kind, or
+        an id outside its table raises ConfigError naming the file and line.
         """
         log = cls(n_instances=n_instances, n_classes=n_classes)
         sizes = {

@@ -212,6 +212,67 @@ def test_bad_class_meta_acc_row_is_validation_error(tmp_path, capsys, row, messa
     assert f"{acc_path} line {len(lines) + 1}: {message}" in err
 
 
+def train_with_manifest(tmp_path, manifest_rows):
+    """Run dir of a 3-epoch instance run on a 42-row file whose manifest is
+    ``manifest_rows(labels)``, given each instance's label by index."""
+    data = tmp_path / "data.csv"
+    man = tmp_path / "manifest.csv"
+    run_dir = tmp_path / "run"
+    assert main([
+        "generate-data", "--classes", "3", "--per-class", "14", "--dim", "4",
+        "--spread", "0.8", "--seed", "5", "--out", str(data),
+    ]) == 0
+    ds = load_dataset(data)
+    labels = dict(zip(ds.indices.tolist(), ds.labels.tolist()))
+    man.write_text("\n".join(manifest_rows(labels)) + "\n")
+    assert main([
+        "train",
+        "--override", f"data.path={data}",
+        "--override", f"data.manifest={man}",
+        "--override", "meta.mode=instance",
+        *DATA_OVERRIDES,
+        "--out", str(run_dir),
+    ]) == 0
+    return run_dir
+
+
+def no_corrupt_row(labels):
+    return [
+        "# noise_fraction=0.0 seed=0 n_population=42",
+        "index,original,assigned",
+        f"5,{labels[5]},{labels[5]}",
+    ]
+
+
+def no_clean_row(labels):
+    return [
+        "# noise_fraction=1.0 seed=0 n_population=42",
+        "index,original,assigned",
+        *(f"{i},{(c + 1) % 3},{c}" for i, c in labels.items()),
+    ]
+
+
+# with no clean row the per-epoch clean-weight statistics average an empty set
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("manifest_rows", [no_corrupt_row, no_clean_row])
+def test_analyze_without_both_populations_reports_no_separation(tmp_path, manifest_rows):
+    run_dir = train_with_manifest(tmp_path, manifest_rows)
+    assert main(["analyze", "--run", str(run_dir)]) == 0
+    report = json.loads((run_dir / "analysis.json").read_text())
+    assert report["separation"] is None
+
+
+def test_manifest_without_metadata_survives_train_and_analyze(tmp_path):
+    run_dir = train_with_manifest(
+        tmp_path,
+        lambda labels: ["index,original,assigned", f"5,{(labels[5] + 1) % 3},{labels[5]}"],
+    )
+    assert (run_dir / "manifest.csv").read_text().startswith("index,original,assigned\n")
+    assert main(["analyze", "--run", str(run_dir)]) == 0
+    report = json.loads((run_dir / "analysis.json").read_text())
+    assert report["separation"]["n_corrupt"] == 1
+
+
 @pytest.mark.parametrize(
     "text, message",
     [

@@ -1,9 +1,17 @@
 """Synthetic blobs, label corruption, splitting, personalization."""
 
+import math
+import os
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from metasched.datagen import (
+    CorruptionManifest,
+    LabeledDataset,
     SplitSpec,
     assign_superclasses,
     corrupt_labels,
@@ -272,6 +280,81 @@ def test_manifest_file_round_trip(tmp_path):
     assert back.noise_fraction == manifest.noise_fraction
     assert back.seed == manifest.seed
     assert back.n_population == manifest.n_population
+
+
+ROUND_TRIPS = {"deadline": None, "derandomize": True, "max_examples": 100}
+
+
+@settings(**ROUND_TRIPS)
+@given(data=st.data())
+def test_dataset_save_load_is_bit_exact(data):
+    n = data.draw(st.integers(1, 12))
+    dim = data.draw(st.integers(1, 4))
+    true_labels = data.draw(st.lists(st.integers(0, 4), min_size=n, max_size=n))
+    # the loader counts classes from the true labels; a noisy label names one of them
+    labels = data.draw(
+        st.lists(st.integers(0, max(true_labels)), min_size=n, max_size=n)
+    )
+    values = st.floats(allow_nan=False, allow_infinity=False)
+    features = data.draw(st.lists(values, min_size=n * dim, max_size=n * dim))
+    ds = LabeledDataset(
+        features=np.reshape(features, (n, dim)),
+        labels=labels,
+        true_labels=true_labels,
+        indices=data.draw(st.permutations(range(n))),
+        class_names=tuple(f"c{c}" for c in range(max(true_labels) + 1)),
+    )
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "data.csv")
+        save_dataset(ds, path)
+        back = load_dataset(path)
+    for name in ("features", "labels", "true_labels", "indices"):
+        a, b = getattr(ds, name), getattr(back, name)
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+    assert back.class_names == ds.class_names
+
+
+@st.composite
+def manifests(draw):
+    """A manifest as corrupt_labels makes it, or with no metadata line."""
+    index = st.integers(0, 10**6)
+    label = st.integers(0, 9)
+    entries = draw(
+        st.lists(st.tuples(index, label, label), max_size=12, unique_by=lambda e: e[0])
+    )
+    if draw(st.booleans()):
+        return CorruptionManifest(
+            entries=tuple(entries),
+            noise_fraction=draw(st.floats(0.0, 1.0)),
+            seed=draw(st.integers(-(2**63), 2**63)),
+            n_population=draw(st.integers(0, 10**6)),
+        )
+    return CorruptionManifest(tuple(entries), float("nan"), 0, 0)
+
+
+def manifest_fields(manifest):
+    return (
+        manifest.entries,
+        repr(manifest.noise_fraction),
+        manifest.seed,
+        manifest.n_population,
+    )
+
+
+@settings(**ROUND_TRIPS)
+@given(manifest=manifests())
+def test_manifest_save_load_keeps_entries_and_metadata(manifest):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "manifest.csv")
+        if math.isnan(manifest.noise_fraction):
+            # a manifest loaded from a file that has no metadata line
+            rows = [f"{i},{o},{a}" for i, o, a in manifest.entries]
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write("\n".join(["index,original,assigned", *rows]) + "\n")
+            assert manifest_fields(load_manifest(path)) == manifest_fields(manifest)
+        save_manifest(manifest, path)
+        back = load_manifest(path)
+    assert manifest_fields(back) == manifest_fields(manifest)
 
 
 def test_superclass_file_round_trip(tmp_path):

@@ -1,11 +1,18 @@
 """Per-epoch data-parameter snapshots, CSV round trips, fold averaging."""
 
+import os
+import tempfile
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from metasched import csvrows
 from metasched.errors import ConfigError
 from metasched.meta import DataParamState
-from metasched.trajectory import TrajectoryLog, average_trajectories
+from metasched.trajectory import KINDS, EpochSnapshot, TrajectoryLog, average_trajectories
 
 
 def make_dps(n=6, k=3, mode="instance", temperature_mode=None):
@@ -153,6 +160,212 @@ def test_from_csv_rejects_skipped_epoch(tmp_path):
 def test_from_csv_rejects_id_outside_its_table(tmp_path, row):
     kind, ident = row.split(",")[1:3]
     assert f"{kind} id {ident} outside" in read_bad_row(tmp_path, row)
+
+
+def test_from_csv_rejects_a_letter_numpy_reads_as_digits(tmp_path):
+    # numpy's integer parser reads U+01FE as 462; int() refuses it
+    path = tmp_path / "bad.csv"
+    path.write_text("epoch,kind,id,value\n0,inst,\u01fe,0.5\n", encoding="utf-8")
+    with pytest.raises(ConfigError, match="line 2: non-numeric field"):
+        TrajectoryLog.from_csv(path, 500, 2)
+
+
+# block reader against the row loop: the same tables bit for bit, or the
+# same ConfigError message, on small tables so ids and epochs collide often
+N_INST, N_CLASS = 5, 3
+SIZES = dict(zip(KINDS, (N_INST, N_CLASS, 1, N_INST, N_CLASS)))
+HEADER = b"epoch,kind,id,value"
+
+
+@st.composite
+def valid_trajectories(draw):
+    """(lines, block size) of a file the row loop reads without error.
+
+    Blocks of 1, 2 or 3 lines put every block edge somewhere in the drawn
+    rows; at the real block size the drawn rows follow a filler of more
+    than one block, so they land in the last block.
+    """
+    block = draw(st.sampled_from([1, 2, 3, csvrows.BLOCK_LINES]))
+    rows = []
+    if block == csvrows.BLOCK_LINES:
+        for j in range(block + draw(st.integers(0, 8))):
+            kind = ("inst", "class")[j % 2]
+            rows.append(f"0,{kind},{j % N_CLASS},{0.25 + j / 4096!r}".encode())
+    epochs = 1 if rows else 0
+    for _ in range(draw(st.integers(0, 30))):
+        if draw(st.integers(0, 7)) == 0:
+            rows.append(b"")
+            continue
+        # any epoch up to one past the highest so far, earlier ones included
+        e = draw(st.integers(0, epochs))
+        epochs = max(epochs, e + 1)
+        kind = draw(st.sampled_from(KINDS))
+        ident = draw(st.integers(0, SIZES[kind] - 1))
+        v = draw(st.floats(allow_nan=False, allow_infinity=False))
+        epoch_text = draw(st.sampled_from([str(e), f"0{e}", f"+{e}", f" {e}"]))
+        id_text = draw(st.sampled_from([str(ident), f"0{ident}", f"{ident} "]))
+        value_text = draw(st.sampled_from([repr(v), f"{v:.17e}", f" {v!r}"]))
+        rows.append(f"{epoch_text},{kind},{id_text},{value_text}".encode())
+    leading = [b""] * draw(st.integers(0, 1))
+    return leading + [HEADER] + rows, block
+
+
+def table_bytes(log):
+    """Every table of every snapshot, bit for bit."""
+    return [
+        (
+            snap.epoch,
+            snap.w_inst.tobytes(),
+            snap.w_class.tobytes(),
+            type(snap.lam_wd),
+            np.float64(snap.lam_wd).tobytes(),
+            None if snap.sigma_class is None else snap.sigma_class.tobytes(),
+            None if snap.sigma_inst is None else snap.sigma_inst.tobytes(),
+        )
+        for snap in log.snapshots
+    ]
+
+
+def outcome(read, path):
+    """What ``read`` makes of the file: its tables as bytes, or its error."""
+    try:
+        return table_bytes(read(path, N_INST, N_CLASS))
+    except ConfigError as exc:
+        return str(exc)
+
+
+def read_all_ways(lines, newline, trailing, block):
+    """Outcomes of the row loop, the block reader (None where it gives up)
+    and from_csv on the file of ``lines``."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "trajectory.csv")
+        with open(path, "wb") as fh:
+            fh.write(newline.join(lines) + (newline if trailing else b""))
+        with mock.patch.object(csvrows, "BLOCK_LINES", block):
+            try:
+                blocks = outcome(TrajectoryLog._from_blocks, path)
+            except (OSError, ValueError):
+                blocks = None
+            return (
+                outcome(TrajectoryLog._from_rows, path),
+                blocks,
+                outcome(TrajectoryLog.from_csv, path),
+            )
+
+
+LINE_ENDS = st.sampled_from([b"\n", b"\r\n"])
+
+
+@settings(deadline=None, derandomize=True, max_examples=200)
+@given(case=valid_trajectories(), newline=LINE_ENDS, trailing=st.booleans())
+def test_block_reader_reads_valid_files_like_the_row_loop(case, newline, trailing):
+    lines, block = case
+    rows, blocks, got = read_all_ways(lines, newline, trailing, block)
+    assert not isinstance(rows, str)
+    # no fallback: the block reader itself takes every such file
+    assert blocks == rows
+    assert got == rows
+
+
+BAD_ROWS = [
+    b"0,inst,1",
+    b"0,inst,1,0.5,7",
+    b"0,inst,1,heavy",
+    b"0,inst,1,nan",
+    b"0,inst,1,inf",
+    b"0,inst,1,-inf",
+    b"0,inst,1,1e999",
+    b"-1,inst,1,0.5",
+    b"99,inst,1,0.5",
+    b"0,momentum,0,1.0",
+    b"0,inst,99999,0.5",
+    b"0,inst,-1,0.5",
+    b"0,sigma_inst,5,0.5",
+    b"0,class,3,0.5",
+    b"0,sigma_class,3,0.5",
+    b"0,wd,1,0.5",
+    b"0,sigma_classX,0,0.5",
+    b"0, inst,0,0.5",
+    b"1_0,inst,0,0.5",
+    b"0,inst,1_0,0.5",
+    b"0,inst,0,1_0.5",
+    b"+5,inst,0,0.5",
+    b"0,inst,+5,0.5",
+    b"0,inst,0,0.5 # x",
+    b"# x",
+    b"0,inst,0,0.\xff5",
+    b"0,inst\x00,0,0.5",
+    b"0\x1c,inst,0,0.5",
+    b"0,inst,0\x1f,0.5",
+    "٥,inst,0,0.5".encode(),
+    b"1.0,inst,0,0.5",
+    b"0,INST,0,0.5",
+    b"   ",
+]
+BAD_HEADERS = [
+    [b"epoch,type,id,value"],
+    [b"epoch,kind,id"],
+    [b"\xef\xbb\xbfepoch,kind,id,value"],
+    [b"epoch,kind,id,value,extra"],
+    [b"", HEADER],
+    [],
+]
+
+
+@settings(deadline=None, derandomize=True, max_examples=300)
+@given(
+    case=valid_trajectories(),
+    newline=LINE_ENDS,
+    trailing=st.booleans(),
+    damage=st.one_of(
+        st.tuples(st.just("row"), st.sampled_from(BAD_ROWS)),
+        st.tuples(st.just("header"), st.sampled_from(BAD_HEADERS)),
+    ),
+    where=st.floats(0, 1),
+)
+def test_block_reader_fails_like_the_row_loop(case, newline, trailing, damage, where):
+    lines, block = case
+    head = lines.index(HEADER) + 1
+    if damage[0] == "header":
+        lines = damage[1] + lines[head:]
+    else:
+        # inserted among the drawn rows: in the last block of a filled file
+        start = head + (block if block == csvrows.BLOCK_LINES else 0)
+        at = start + round(where * (len(lines) - start))
+        lines = lines[:at] + [damage[1]] + lines[at:]
+    rows, blocks, got = read_all_ways(lines, newline, trailing, block)
+    assert got == rows
+    # some of these rows are valid (int("+5"), float("1_0.5")): the block
+    # reader may give them up to the row loop but never reads them otherwise
+    assert blocks in (None, rows)
+
+
+@settings(deadline=None, derandomize=True, max_examples=100)
+@given(data=st.data())
+def test_csv_round_trip_is_bit_exact(data):
+    # weights of exactly 1 are the rows the file leaves out
+    value = st.one_of(st.just(1.0), st.floats(allow_nan=False, allow_infinity=False))
+
+    def table(size):
+        return np.array(data.draw(st.lists(value, min_size=size, max_size=size)))
+
+    log = TrajectoryLog(n_instances=N_INST, n_classes=N_CLASS)
+    for e in range(data.draw(st.integers(0, 3))):
+        log.snapshots.append(
+            EpochSnapshot(
+                epoch=e,
+                w_inst=table(N_INST),
+                w_class=table(N_CLASS),
+                lam_wd=data.draw(value),
+                sigma_class=table(N_CLASS) if data.draw(st.booleans()) else None,
+                sigma_inst=table(N_INST) if data.draw(st.booleans()) else None,
+            )
+        )
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "trajectory.csv")
+        log.to_csv(path)
+        back = TrajectoryLog.from_csv(path, N_INST, N_CLASS)
+    assert table_bytes(back) == table_bytes(log)
 
 
 def test_average_two_folds_means_weights():
