@@ -314,6 +314,13 @@ def personalization_split(ds, target, meta_per_class, test_per_class, seed):
 
 
 def save_dataset(ds, path):
+    """Write ``ds`` as a dataset CSV file. ``load_dataset`` reads no file
+    without rows or features, so such a dataset raises ValueError."""
+    if ds.n == 0 or ds.dim == 0:
+        raise ValueError(
+            f"cannot save a dataset of {ds.n} rows and {ds.dim} features: "
+            "the file format needs at least one of each"
+        )
     lines = [",".join(DATASET_COLUMNS + tuple(f"f{j}" for j in range(ds.dim)))]
     for p in range(ds.n):
         feats = ",".join(repr(float(v)) for v in ds.features[p])
@@ -323,6 +330,9 @@ def save_dataset(ds, path):
 
 
 def load_dataset(path):
+    """The dataset in the CSV file at ``path``. A malformed row, or a file
+    with no data rows or no feature column, raises ConfigError naming the
+    file (and the line where there is one)."""
     indices, labels, true_labels, rows, line_of = [], [], [], [], {}
     for lineno, parts in read_rows(path, DATASET_COLUMNS, extra_columns=True):
         try:
@@ -347,6 +357,12 @@ def load_dataset(path):
         labels.append(label)
         true_labels.append(true_label)
         rows.append(row)
+    if not rows:
+        raise ConfigError(f"{path}: no data rows")
+    if not rows[0]:
+        raise ConfigError(
+            f"{path}: no feature column, expected header {','.join(DATASET_COLUMNS)},f0,..."
+        )
     # learned tables are sized by the row count and indexed by instance id
     for idx, lineno in line_of.items():
         if not 0 <= idx < len(indices):
@@ -354,7 +370,7 @@ def load_dataset(path):
                 f"{path} line {lineno}: instance index {idx} outside [0, {len(indices)})"
             )
     true_arr = np.array(true_labels, dtype=np.int64)
-    n_classes = int(true_arr.max()) + 1 if true_arr.size else 0
+    n_classes = int(true_arr.max()) + 1
     # the class count comes from the true labels; a noisy label names one of them
     for idx, label in zip(indices, labels):
         if label >= n_classes:

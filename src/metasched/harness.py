@@ -35,8 +35,8 @@ class MetricsRecord:
     meta_loss: float | None
     meta_acc: float | None
     test_acc: float
-    w_clean_mean: float
-    w_clean_std: float
+    w_clean_mean: float | None
+    w_clean_std: float | None
     w_corrupt_mean: float | None
     w_corrupt_std: float | None
     lam_wd: float
@@ -155,9 +155,17 @@ def _make_batch(ds, positions):
     )
 
 
-def _evaluate(model, ds):
-    """(mean loss, accuracy, predicted classes) from one forward pass."""
-    logits = nn.forward(model, ds.features)
+def _evaluate(model, ds, buffers):
+    """(mean loss, accuracy, predicted classes) of ``ds``.
+
+    The forward pass runs through the training pass buffers in blocks of
+    one batch, so evaluation makes no matrix product larger than a
+    training step's and allocates no layer array. A full-split product
+    was the only one large enough to wake the BLAS thread pool, whose
+    threads then spun through the single-threaded steps after it, and its
+    fresh layer outputs set the run's peak memory.
+    """
+    logits = nn.forward(model, ds.features, buffers)
     losses_vec, _ = losses_mod.cross_entropy_batch(logits, ds.labels)
     preds = np.argmax(logits, axis=1)
     return float(losses_vec.mean()), float((preds == ds.labels).mean()), preds
@@ -184,20 +192,29 @@ def _effective_instance_weights(cfg, dps, train):
     return dps.w_inst[train.indices]
 
 
-def _weight_stats(cfg, dps, bundle):
-    train = bundle.train
-    w_eff = _effective_instance_weights(cfg, dps, train)
+def _corrupt_mask(bundle):
+    """Which train rows the manifest lists as corrupt; None without a
+    manifest or with no corrupt instance."""
     if bundle.manifest is None or len(bundle.manifest.corrupt_indices) == 0:
-        return float(w_eff.mean()), float(w_eff.std()), None, None
-    is_corrupt = np.isin(train.indices, bundle.manifest.corrupt_indices)
-    w_clean = w_eff[~is_corrupt]
-    w_corrupt = w_eff[is_corrupt]
-    return (
-        float(w_clean.mean()),
-        float(w_clean.std()),
-        float(w_corrupt.mean()),
-        float(w_corrupt.std()),
-    )
+        return None
+    return np.isin(bundle.train.indices, bundle.manifest.corrupt_indices)
+
+
+def _mean_std(values):
+    """(mean, std) as floats, or (None, None) for an empty population."""
+    if values.size == 0:
+        return None, None
+    return float(values.mean()), float(values.std())
+
+
+def _weight_stats(cfg, dps, train, is_corrupt):
+    """(clean mean, clean std, corrupt mean, corrupt std) of the effective
+    train weights; ``is_corrupt`` is ``_corrupt_mask``. Every row counts as
+    clean without a mask, and a population with no row reads None."""
+    w_eff = _effective_instance_weights(cfg, dps, train)
+    if is_corrupt is None:
+        return (*_mean_std(w_eff), None, None)
+    return (*_mean_std(w_eff[~is_corrupt]), *_mean_std(w_eff[is_corrupt]))
 
 
 def _epoch_lr(cfg, epoch):
@@ -312,7 +329,23 @@ def _train(cfg, bundle, out_dir, schedule=None):
     }
     metrics = []
     class_meta_acc = []
-    n_train = bundle.train.n
+    train = bundle.train
+    n_train = train.n
+    is_corrupt = _corrupt_mask(bundle)
+    # pass buffers made once per run: every step's train pass and epoch
+    # evaluation use one set, a meta step's meta pass a second, since the
+    # step reads the train pass's factors after the meta pass; no set is
+    # larger than the largest split
+    splits = [ds for ds in (train, bundle.meta, bundle.test) if ds is not None]
+    rows = max(1, min(cfg.batch_size, max(ds.n for ds in splits)))
+    train_buffers = nn.PassBuffers(manifest, rows)
+    meta_step_buffers = None
+    if schedule is None and cfg.meta_driven:
+        meta_step_buffers = (train_buffers, nn.PassBuffers(manifest, rows))
+    # each epoch's shuffled train split, gathered into arrays made once; a
+    # batch is a slice of them
+    train_arrays = (train.features, train.labels, train.indices)
+    shuffled = tuple(np.empty_like(a) for a in train_arrays)
 
     def eval_model():
         if opt_state is not None and opt_state.kind == "polyak_sgd" and opt_state.step_count:
@@ -331,11 +364,16 @@ def _train(cfg, bundle, out_dir, schedule=None):
                     **schedule.snapshot(epoch).as_tables(), mode=cfg.mode
                 )
             perm = rng_shuffle.permutation(n_train)
+            # a permutation needs no bounds check, and without one
+            # np.take writes straight into out instead of a temporary
+            for source, out in zip(train_arrays, shuffled):
+                np.take(source, perm, axis=0, out=out, mode="clip")
+            features, labels, indices = shuffled
             for start in range(0, n_train, cfg.batch_size):
-                positions = perm[start : start + cfg.batch_size]
-                batch = _make_batch(bundle.train, positions)
+                stop = start + cfg.batch_size
+                batch = nn.Batch(features[start:stop], labels[start:stop], indices[start:stop])
                 if schedule is not None:
-                    backward = nn.batch_backward(theta, batch)
+                    backward = nn.batch_backward(theta, batch, buffers=train_buffers)
                     theta = meta.rollout_one_step(theta, backward, batch, dps, lr)
                 elif cfg.meta_driven:
                     meta_positions = rng_meta.integers(
@@ -343,7 +381,8 @@ def _train(cfg, bundle, out_dir, schedule=None):
                     )
                     meta_batch = _make_batch(bundle.meta, meta_positions)
                     theta, dps, report = meta.meta_train_step(
-                        theta, dps, batch, meta_batch, lr, cfg.data_lr, cfg.wd_lr
+                        theta, dps, batch, meta_batch, lr, cfg.data_lr, cfg.wd_lr,
+                        buffers=meta_step_buffers,
                     )
                     counters["meta_grad_evals"] += batch.size
                     counters["meta_samples_consumed"] += batch.size
@@ -352,7 +391,7 @@ def _train(cfg, bundle, out_dir, schedule=None):
                     sigma, clamped = losses_mod.resolve_sigma_batch(
                         cfg.temperature_mode, batch.labels, batch.indices, dps
                     )
-                    backward = nn.batch_backward(theta, batch, sigma)
+                    backward = nn.batch_backward(theta, batch, sigma, train_buffers)
                     grad = backward.grad_sum() / batch.size + dps.lam_wd * theta.values
                     theta = theta.with_values(optim.step(opt_state, theta.values, grad))
                     counters["clamp_events"] += int(clamped.sum())
@@ -360,20 +399,20 @@ def _train(cfg, bundle, out_dir, schedule=None):
                         cfg, dps, batch, backward.dsigma, cfg.temperature_lr
                     )
                 else:
-                    backward = nn.batch_backward(theta, batch)
+                    backward = nn.batch_backward(theta, batch, buffers=train_buffers)
                     grad = backward.grad_sum() / batch.size + dps.lam_wd * theta.values
                     theta = theta.with_values(optim.step(opt_state, theta.values, grad))
                 counters["train_grad_evals"] += batch.size
                 counters["steps"] += 1
             trajectory.record(dps)
             model = eval_model()
-            train_loss, train_acc, _ = _evaluate(model, bundle.train)
+            train_loss, train_acc, _ = _evaluate(model, train, train_buffers)
             meta_loss = meta_acc = None
             if bundle.meta is not None and bundle.meta.n:
-                meta_loss, meta_acc, meta_preds = _evaluate(model, bundle.meta)
+                meta_loss, meta_acc, meta_preds = _evaluate(model, bundle.meta, train_buffers)
                 class_meta_acc.append(_per_class_accuracy(meta_preds, bundle.meta))
-            _, test_acc, _ = _evaluate(model, bundle.test)
-            wc_mean, wc_std, wx_mean, wx_std = _weight_stats(cfg, dps, bundle)
+            _, test_acc, _ = _evaluate(model, bundle.test, train_buffers)
+            wc_mean, wc_std, wx_mean, wx_std = _weight_stats(cfg, dps, train, is_corrupt)
             metrics.append(
                 MetricsRecord(
                     epoch=epoch,

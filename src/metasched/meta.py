@@ -221,10 +221,14 @@ def apply_data_param_update(dps, report, data_lr, wd_lr):
     return out
 
 
-def meta_train_step(theta, dps, train_batch, meta_batch, lr, data_lr, wd_lr):
+def meta_train_step(theta, dps, train_batch, meta_batch, lr, data_lr, wd_lr, buffers=None):
     """One full step: rollout, meta loss at theta', meta-gradients, data
     parameter update. The committed model parameters are the rollout
     itself; the data parameters seen by this step are the pre-update ones.
+
+    ``buffers`` is a (train, meta) pair of ``nn.PassBuffers`` for the two
+    passes, or None to allocate. They must be two sets: the train pass's
+    factors are read for the dot products after the meta pass has run.
 
     Returns (theta_next, dps_next, report).
     """
@@ -233,10 +237,11 @@ def meta_train_step(theta, dps, train_batch, meta_batch, lr, data_lr, wd_lr):
             f"train batch ({train_batch.size}) and meta batch ({meta_batch.size}) "
             "must have equal size"
         )
-    train_pass = nn.batch_backward(theta, train_batch)
+    train_buffers, meta_buffers = (None, None) if buffers is None else buffers
+    train_pass = nn.batch_backward(theta, train_batch, buffers=train_buffers)
     theta_next = rollout_one_step(theta, train_pass, train_batch, dps, lr)
 
-    meta_pass = nn.batch_backward(theta_next, meta_batch)
+    meta_pass = nn.batch_backward(theta_next, meta_batch, buffers=meta_buffers)
     meta_grad = meta_pass.grad_sum()
     meta_grad /= meta_batch.size
 

@@ -19,6 +19,15 @@ the bias and then the activation in place, and no pre-activation is
 kept (a ReLU derivative reads its mask from the output). A pass clears
 its batch of non-finite values with one norm bound and falls back to the
 exact per-row check only when the bound is not finite.
+
+Training passes write into ``PassBuffers``, one set of per-layer arrays
+created once per run, so a steady-state step allocates no layer array;
+``forward`` streams any number of rows through a set in blocks of its
+size. Buffer lifetime rule: the arrays of a ``BatchBackward`` made with a
+set are views into it and stay valid only until the next pass (or
+``forward``) into the same set. A caller that needs two passes alive at
+once, as the meta step does, gives each its own set. Without a set every
+pass allocates fresh arrays.
 """
 
 from __future__ import annotations
@@ -167,6 +176,37 @@ class Batch:
         return self.features.shape[0]
 
 
+class PassBuffers:
+    """Reusable per-layer arrays for passes of up to ``rows`` rows.
+
+    ``outs[l]`` holds layer l's output and ``deltas[l]`` its output delta
+    (every layer but the last, whose delta is the loss's own array), both
+    rows x out_dim. ``scratch[j]`` holds the short-lived products at
+    layer boundary j, rows x the width there (``scratch[0]`` the input
+    width, ``scratch[l + 1]`` layer l's output width): the activation
+    derivative and ``grad_sum``'s weighted deltas of layer l use
+    ``scratch[l + 1]``, ``dots``' product ``d_l @ V_l`` uses
+    ``scratch[l]``, and each is consumed before the next is made. A pass
+    of b rows uses the leading b rows of each array. See the module
+    docstring for how long a pass's views stay valid.
+    """
+
+    def __init__(self, manifest, rows):
+        if rows < 1:
+            raise ShapeError(f"buffer rows must be positive, got {rows}")
+        self.rows = rows
+        self.outs = tuple(np.empty((rows, spec.out_dim)) for spec in manifest)
+        self.deltas = tuple(np.empty((rows, spec.out_dim)) for spec in manifest[:-1])
+        widths = [manifest[0].in_dim] + [spec.out_dim for spec in manifest]
+        self.scratch = tuple(np.empty((rows, width)) for width in widths)
+
+
+def _rows_of(buffers, kind, layer, rows):
+    """The leading ``rows`` rows of one buffer, or None without a set, so
+    that an ``out=`` argument allocates as it would without one."""
+    return None if buffers is None else getattr(buffers, kind)[layer][:rows]
+
+
 def _activate(name, s):
     """Layer output from the pre-activation ``s``, computed in place."""
     if name == "relu":
@@ -176,12 +216,7 @@ def _activate(name, s):
     return s
 
 
-def _forward_cache(model, layers, features):
-    """Each layer's input, then the logits: ``acts[l]`` feeds layer l.
-
-    ``layers`` is ``unflatten(model)``. A layer's output is one buffer,
-    ``a @ W.T``, that takes the bias and the activation in place.
-    """
+def _checked_features(model, features):
     x = np.asarray(features, dtype=np.float64)
     if x.ndim != 2:
         raise ShapeError(f"features must be 2-D, got shape {x.shape}")
@@ -189,36 +224,73 @@ def _forward_cache(model, layers, features):
         raise ShapeError(
             f"layer 0 expects in_dim {model.manifest[0].in_dim}, features have {x.shape[1]}"
         )
+    return x
+
+
+def _forward_cache(model, layers, features, outs=None):
+    """Each layer's input, then the logits: ``acts[l]`` feeds layer l.
+
+    ``layers`` is ``unflatten(model)``. A layer's output is one buffer,
+    ``a @ W.T``, that takes the bias and the activation in place: a fresh
+    array, or ``outs[l]`` when ``outs`` gives one per layer with the
+    features' row count.
+    """
+    x = _checked_features(model, features)
     acts = [x]
-    for spec, (w, b) in zip(model.manifest, layers):
-        s = acts[-1] @ w.T
+    for spec, (w, b), out in zip(model.manifest, layers, outs or [None] * len(layers)):
+        s = np.matmul(acts[-1], w.T, out=out)
         s += b
         acts.append(_activate(spec.activation, s))
     return acts
 
 
-def forward(model, features):
-    """Logits for a batch of feature rows. Pure; no mutation."""
-    return _forward_cache(model, unflatten(model), features)[-1]
+def forward(model, features, buffers=None):
+    """Logits for any number of feature rows, as a fresh array. Pure; no
+    mutation of the model.
+
+    With ``buffers`` the rows go through that set in blocks of its
+    ``rows``: no matrix product is larger than a pass of that many rows,
+    no layer array is allocated, and the set's hidden layer outputs are
+    overwritten.
+    """
+    layers = unflatten(model)
+    if buffers is None:
+        return _forward_cache(model, layers, features)[-1]
+    x = _checked_features(model, features)
+    n, size = x.shape[0], buffers.rows
+    logits = np.empty((n, model.manifest[-1].out_dim))
+    hidden = list(buffers.outs[:-1])
+    for start in range(0, n, size):
+        if n - start < size:
+            hidden = [out[: n - start] for out in hidden]
+        # the last layer writes its block of the logits directly
+        outs = [*hidden, logits[start : start + size]]
+        _forward_cache(model, layers, x[start : start + size], outs)
+    return logits
 
 
-def _deltas(model, layers, acts, dz):
+def _deltas(model, layers, acts, dz, buffers=None):
     """Per-layer output deltas: row i of ``deltas[l]`` is d(loss_i)/d(s_l)
     for layer l's pre-activation s_l, given the logit gradients ``dz``.
 
     Each delta is scaled in place by its activation's derivative, taken
     from the layer output ``a``: ReLU's mask ``a > 0`` equals ``s > 0``
     for every float, NaN included, so the derivative is 0 at the kink;
-    tanh's is ``1 - a^2``; identity layers are left as they are.
+    tanh's is ``1 - a^2``; identity layers are left as they are. With
+    ``buffers`` each delta and derivative is written into that set.
     """
+    rows = dz.shape[0]
     deltas = [dz]
     for li in range(len(layers) - 1, 0, -1):
-        d = deltas[-1] @ layers[li][0]
+        d = np.matmul(deltas[-1], layers[li][0], out=_rows_of(buffers, "deltas", li - 1, rows))
         activation = model.manifest[li - 1].activation
+        a = acts[li]
+        slope = _rows_of(buffers, "scratch", li, rows)
         if activation == "relu":
-            d *= acts[li] > 0.0
+            d *= np.greater(a, 0.0, out=slope)
         elif activation == "tanh":
-            d *= 1.0 - acts[li] * acts[li]
+            slope = np.multiply(a, a, out=slope)
+            d *= np.subtract(1.0, slope, out=slope)
         deltas.append(d)
     return deltas[::-1]
 
@@ -268,6 +340,10 @@ class BatchBackward:
     derivative of each row's loss with respect to that layer's
     pre-activation (B x out_dim). ``dsigma`` holds each row's temperature
     derivative when the pass used a temperature-scaled loss.
+
+    A pass made with ``buffers`` holds views into that set, and its
+    ``grad_sum`` and ``dots`` use the set's scratch: it is valid only
+    until the next pass into the same set.
     """
 
     manifest: tuple
@@ -275,6 +351,7 @@ class BatchBackward:
     acts: tuple
     deltas: tuple
     dsigma: np.ndarray | None = None
+    buffers: PassBuffers | None = None
 
     def grad_sum(self, weights=None):
         """Flat ``sum_i weights[i] * g_i``; unit weights when None.
@@ -284,9 +361,12 @@ class BatchBackward:
         into its block of the result.
         """
         out = np.empty(param_count(self.manifest))
-        for (g_w, g_b), a, d in zip(_layer_blocks(self.manifest, out), self.acts, self.deltas):
+        rows = self.losses.size
+        blocks = _layer_blocks(self.manifest, out)
+        for li, ((g_w, g_b), a, d) in enumerate(zip(blocks, self.acts, self.deltas)):
             if weights is not None:
-                d = d * weights[:, None]
+                scratch = _rows_of(self.buffers, "scratch", li + 1, rows)
+                d = np.multiply(d, weights[:, None], out=scratch)
             np.matmul(d.T, a, out=g_w)
             d.sum(axis=0, out=g_b)
         return out
@@ -300,15 +380,17 @@ class BatchBackward:
         expected = param_count(self.manifest)
         if v.shape != (expected,):
             raise ShapeError(f"vector has shape {v.shape}, parameter count is {expected}")
-        out = np.zeros(self.losses.size)
-        for (v_w, v_b), a, d in zip(_layer_blocks(self.manifest, v), self.acts, self.deltas):
-            dv = d @ v_w
+        rows = self.losses.size
+        out = np.zeros(rows)
+        blocks = _layer_blocks(self.manifest, v)
+        for li, ((v_w, v_b), a, d) in enumerate(zip(blocks, self.acts, self.deltas)):
+            dv = np.matmul(d, v_w, out=_rows_of(self.buffers, "scratch", li, rows))
             dv *= a
             out += dv.sum(axis=1) + d @ v_b
         return out
 
 
-def batch_backward(model, batch, sigma=None):
+def batch_backward(model, batch, sigma=None, buffers=None):
     """Per-sample losses and the per-layer factors of their gradients.
 
     With ``sigma``, one effective temperature per row, the loss is the
@@ -319,10 +401,18 @@ def batch_backward(model, batch, sigma=None):
     cleared by one norm bound over all of it; the exact per-row check
     runs only when that bound is not finite (see ``_check_finite``).
     Each layer's forward output is a single buffer, and no pre-activation
-    is kept.
+    is kept. With ``buffers``, a ``PassBuffers`` set of at least the
+    batch's rows, every layer output and hidden delta is a view into that
+    set, valid until its next pass, and temporaries use its scratch.
     """
     layers = unflatten(model)
-    acts = _forward_cache(model, layers, batch.features)
+    outs = None
+    if buffers is not None:
+        rows = batch.size
+        if rows > buffers.rows:
+            raise ShapeError(f"{rows} rows do not fit pass buffers of {buffers.rows} rows")
+        outs = [out[:rows] for out in buffers.outs]
+    acts = _forward_cache(model, layers, batch.features, outs)
     dsigma = None
     if sigma is None:
         sample_losses, dz = losses_mod.cross_entropy_batch(acts[-1], batch.labels)
@@ -330,10 +420,12 @@ def batch_backward(model, batch, sigma=None):
         sample_losses, dz, dsigma = losses_mod.temperature_ce_batch(
             acts[-1], batch.labels, sigma
         )
-    deltas = _deltas(model, layers, acts, dz)
+    deltas = _deltas(model, layers, acts, dz, buffers)
     inputs = tuple(acts[:-1])
     _check_finite(sample_losses, dsigma, inputs, deltas, batch.indices)
-    return BatchBackward(model.manifest, sample_losses, inputs, tuple(deltas), dsigma)
+    return BatchBackward(
+        model.manifest, sample_losses, inputs, tuple(deltas), dsigma, buffers
+    )
 
 
 def per_sample_grads_from_dz(model, acts, dz):

@@ -7,6 +7,9 @@ Errors are measured against the magnitude of the terms being summed:
 for ``sum_i w_i g_i`` the scale of a component is ``sum_i |w_i g_ij|``,
 and for ``<g_i, v>`` it is ``||g_i|| ||v||``. That keeps the 1e-12 bound
 meaningful when a sum cancels to nearly zero.
+
+A pass into reused ``nn.PassBuffers`` must equal a fresh pass bit for
+bit, and a meta step with two buffer sets must equal one without.
 """
 
 import itertools
@@ -389,3 +392,149 @@ def test_relu_mask_from_output_matches_preactivation_sign():
     )
     a = nn._activate("relu", s.copy())
     assert np.array_equal(a > 0.0, s > 0.0)
+
+
+# ---- passes into reused buffers (nn.PassBuffers) ----
+
+
+@st.composite
+def buffered_problems(draw):
+    """A net, a buffer set of ``rows`` rows, a batch of b <= rows rows (a
+    short last batch when b < rows), an earlier full batch that dirties
+    the buffers first, and a temperature per row half the time."""
+    activation = draw(st.sampled_from(nn.ACTIVATIONS))
+    in_dim = draw(st.integers(1, 5))
+    hidden = draw(st.lists(st.integers(1, 9), min_size=1, max_size=3))
+    k = draw(st.integers(2, 5))
+    rows = draw(st.integers(1, 40))
+    b = draw(st.integers(1, rows))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    manifest = nn.build_manifest(in_dim, hidden, k, activation)
+    model = nn.init_params(manifest, seed=int(rng.integers(2**31)))
+    model = model.with_values(model.values + 0.1 * rng.standard_normal(model.values.size))
+
+    def batch(size):
+        feats = rng.standard_normal((size, in_dim))
+        return Batch(feats, rng.integers(0, k, size=size), rng.choice(N_POOL, size, replace=False))
+
+    sigma = rng.uniform(0.1, 3.0, size=b) if draw(st.booleans()) else None
+    return model, nn.PassBuffers(manifest, rows), batch(rows), batch(b), sigma, rng
+
+
+def passes_agree(got, want, rng):
+    """Bit for bit: losses, dsigma, factors, weighted and unit grad_sum, dots."""
+    assert same_bits(got.losses, want.losses)
+    assert (got.dsigma is None) == (want.dsigma is None)
+    if want.dsigma is not None:
+        assert same_bits(got.dsigma, want.dsigma)
+    assert all(same_bits(g, w) for g, w in zip(got.acts, want.acts))
+    assert all(same_bits(g, w) for g, w in zip(got.deltas, want.deltas))
+    weights = rng.uniform(0.0, 2.0, size=want.losses.size)
+    assert same_bits(got.grad_sum(weights), want.grad_sum(weights))
+    assert same_bits(got.grad_sum(), want.grad_sum())
+    v = rng.standard_normal(nn.param_count(want.manifest))
+    assert same_bits(got.dots(v), want.dots(v))
+
+
+def snapshot(backward):
+    return [np.copy(a) for a in (backward.losses, *backward.acts, *backward.deltas)]
+
+
+@settings(deadline=None, derandomize=True, max_examples=150)
+@given(problem=buffered_problems())
+def test_pass_into_reused_buffers_matches_fresh_pass(problem):
+    model, buffers, earlier, batch, sigma, rng = problem
+    earlier_sigma = None if sigma is None else rng.uniform(0.1, 3.0, size=earlier.size)
+    nn.batch_backward(model, earlier, earlier_sigma, buffers).grad_sum(np.ones(earlier.size))
+    got = nn.batch_backward(model, batch, sigma, buffers)
+    passes_agree(got, nn.batch_backward(model, batch, sigma), rng)
+    assert same_bits(nn.forward(model, batch.features, buffers), nn.forward(model, batch.features))
+    assert same_bits(nn.forward(model, earlier.features, buffers), nn.forward(model, earlier.features))
+
+
+@settings(deadline=None, derandomize=True, max_examples=60)
+@given(problem=buffered_problems())
+def test_train_factors_survive_a_meta_pass_into_the_other_set(problem):
+    model, train_buffers, _, train, _, rng = problem
+    meta_buffers = nn.PassBuffers(model.manifest, train_buffers.rows)
+    feats = rng.standard_normal((train.size, model.manifest[0].in_dim))
+    meta_batch = Batch(feats, rng.permutation(train.labels), train.indices)
+    train_pass = nn.batch_backward(model, train, buffers=train_buffers)
+    before = snapshot(train_pass)
+    nn.batch_backward(model, meta_batch, buffers=meta_buffers).grad_sum()
+    assert all(same_bits(g, w) for g, w in zip(snapshot(train_pass), before))
+
+    k = model.manifest[-1].out_dim
+    for mode, wd_learnable in itertools.product(meta.META_MODES, (False, True)):
+        runs = []
+        for buffers in (None, (train_buffers, meta_buffers)):
+            dps = DataParamState.initial(N_POOL, k, mode=mode, wd_learnable=wd_learnable)
+            dps.w_inst[:] = np.linspace(0.0, 2.0, N_POOL)
+            theta, dps_next, report = meta.meta_train_step(
+                model, dps, train, meta_batch, 0.3, 2.0, 1e-3, buffers=buffers
+            )
+            runs.append((
+                theta.values, dps_next.w_inst, dps_next.w_class, dps_next.lam_wd,
+                report.per_instance_metagrad, report.per_class_metagrad,
+                report.meta_loss, report.wd_metagrad,
+            ))
+        fresh, reused = runs
+        assert all(same_bits(g, w) for g, w in zip(reused, fresh))
+
+
+def test_second_pass_allocates_no_layer_array():
+    rng = np.random.default_rng(3)
+    for activation in nn.ACTIVATIONS:
+        manifest = nn.build_manifest(3, (6, 5), 4, activation)
+        model = nn.init_params(manifest, seed=2)
+        buffers = nn.PassBuffers(manifest, 8)
+        passes = []
+        for b in (8, 5):
+            batch = Batch(rng.standard_normal((b, 3)), rng.integers(0, 4, b), np.arange(b))
+            passes.append(nn.batch_backward(model, batch, buffers=buffers))
+        first, second = passes
+        # every layer output and hidden delta is the set's memory; the
+        # logit delta is the loss's own array
+        for li, a in enumerate(second.acts[1:]):
+            assert np.shares_memory(a, buffers.outs[li])
+            assert np.shares_memory(a, first.acts[li + 1])
+        for li, d in enumerate(second.deltas[:-1]):
+            assert np.shares_memory(d, buffers.deltas[li])
+            assert np.shares_memory(d, first.deltas[li])
+        # grad_sum and dots leave their per-layer products in the scratch
+        weights = rng.uniform(0.5, 2.0, size=5)
+        second.grad_sum(weights)
+        for li, d in enumerate(second.deltas):
+            assert same_bits(buffers.scratch[li + 1][:5], d * weights[:, None])
+        v = rng.standard_normal(model.values.size)
+        second.dots(v)
+        blocks = nn._layer_blocks(manifest, v)
+        for li, ((v_w, _), a, d) in enumerate(zip(blocks, second.acts, second.deltas)):
+            assert same_bits(buffers.scratch[li][:5], (d @ v_w) * a)
+
+
+def test_forward_streams_rows_through_the_buffers():
+    rng = np.random.default_rng(4)
+    manifest = nn.build_manifest(3, (6, 5), 4, "tanh")
+    model = nn.init_params(manifest, seed=2)
+    buffers = nn.PassBuffers(manifest, 8)
+    feats = rng.standard_normal((21, 3))
+    logits = nn.forward(model, feats, buffers)
+    assert logits.shape == (21, 4)
+    assert not np.shares_memory(logits, buffers.outs[-1])
+    # the set holds the hidden outputs of the last block, rows 16 to 20
+    last = nn._forward_cache(model, nn.unflatten(model), feats[16:])
+    assert same_bits(buffers.outs[0][:5], last[1]) and same_bits(buffers.outs[1][:5], last[2])
+    assert np.allclose(logits, nn.forward(model, feats), rtol=1e-12, atol=0)
+    assert nn.forward(model, feats[:0], buffers).shape == (0, 4)
+    with pytest.raises(ShapeError, match="layer 0"):
+        nn.forward(model, np.ones((2, 5)), buffers)
+
+
+def test_pass_larger_than_its_buffers_is_a_shape_error():
+    manifest = nn.build_manifest(2, (3,), 2, "relu")
+    model = nn.init_params(manifest, seed=0)
+    buffers = nn.PassBuffers(manifest, 4)
+    batch = Batch(np.ones((5, 2)), np.zeros(5), np.arange(5))
+    with pytest.raises(ShapeError, match="5 rows do not fit pass buffers of 4 rows"):
+        nn.batch_backward(model, batch, buffers=buffers)

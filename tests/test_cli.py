@@ -188,6 +188,23 @@ def test_bad_dataset_field_is_validation_error(tmp_path, capsys, field, value, m
 
 
 @pytest.mark.parametrize(
+    "text, message",
+    [
+        ("index,label,true_label,f0,f1,f2,f3\n", "no data rows"),
+        ("index,label,true_label\n0,0,0\n1,1,1\n", "no feature column"),
+    ],
+)
+def test_empty_or_featureless_dataset_is_validation_error(tmp_path, capsys, text, message):
+    data = tmp_path / "data.csv"
+    data.write_text(text)
+    capsys.readouterr()
+    assert main(["train", "--override", f"data.path={data}", *DATA_OVERRIDES]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert f"{data}: {message}" in err
+
+
+@pytest.mark.parametrize(
     "row, message",
     [
         ("0,1", "expected epoch,class,acc, got '0,1'"),
@@ -252,14 +269,21 @@ def no_clean_row(labels):
     ]
 
 
-# with no clean row the per-epoch clean-weight statistics average an empty set
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+# an empty population's weight statistics are null, with no warning on the way
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("manifest_rows", [no_corrupt_row, no_clean_row])
 def test_analyze_without_both_populations_reports_no_separation(tmp_path, manifest_rows):
     run_dir = train_with_manifest(tmp_path, manifest_rows)
     assert main(["analyze", "--run", str(run_dir)]) == 0
     report = json.loads((run_dir / "analysis.json").read_text())
     assert report["separation"] is None
+    with open(run_dir / "metrics.jsonl", encoding="utf-8") as fh:
+        records = [json.loads(line) for line in fh]
+    empty = "w_clean" if manifest_rows is no_clean_row else "w_corrupt"
+    kept = "w_corrupt" if manifest_rows is no_clean_row else "w_clean"
+    for record in records:
+        assert record[f"{empty}_mean"] is None and record[f"{empty}_std"] is None
+        assert isinstance(record[f"{kept}_mean"], float)
 
 
 def test_manifest_without_metadata_survives_train_and_analyze(tmp_path):

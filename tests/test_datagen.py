@@ -253,6 +253,32 @@ def test_dataset_loader_rejects_bad_header(tmp_path):
         load_dataset(path)
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("index,label,true_label,f0,f1\n", "no data rows"),
+        ("index,label,true_label,f0\n\n\n", "no data rows"),
+        ("index,label,true_label\n", "no data rows"),
+        ("index,label,true_label\n0,0,0\n1,1,1\n", "no feature column"),
+    ],
+)
+def test_dataset_loader_rejects_empty_or_featureless_file(tmp_path, text, message):
+    path = tmp_path / "data.csv"
+    path.write_text(text)
+    with pytest.raises(ConfigError, match=rf"data\.csv: {message}"):
+        load_dataset(path)
+
+
+@pytest.mark.parametrize("shape", [(0, 3), (2, 0)])
+def test_save_dataset_rejects_no_rows_or_no_features(tmp_path, shape):
+    n = shape[0]
+    ds = LabeledDataset(np.zeros(shape), np.zeros(n), np.zeros(n), np.arange(n), ("c0",))
+    path = tmp_path / "data.csv"
+    with pytest.raises(ValueError, match=f"{shape[0]} rows and {shape[1]} features"):
+        save_dataset(ds, path)
+    assert not path.exists()
+
+
 def test_dataset_loader_rejects_duplicate_index(tmp_path):
     path = tmp_path / "data.csv"
     path.write_text("index,label,true_label,f0\n0,0,0,1.0\n1,1,1,2.0\n0,1,1,3.0\n")

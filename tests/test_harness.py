@@ -9,7 +9,11 @@ import pytest
 
 from metasched.config import RunConfig, with_seeds
 from metasched.errors import ConfigError, NumericError
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from metasched.harness import (
+    _evaluate,
     _update_sigma_tables,
     kfold_collect,
     load_model,
@@ -285,3 +289,58 @@ def test_update_sigma_tables_matches_per_row_loop(mode):
         clamps += got
     if mode != "joint":
         assert clamps > 0  # the floor is exercised
+
+
+@settings(deadline=None, derandomize=True, max_examples=100)
+@given(
+    mode=st.sampled_from(losses.TEMPERATURE_MODES),
+    size=st.integers(1, 64),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_update_sigma_tables_matches_per_row_loop_on_drawn_batches(mode, size, seed):
+    cfg = tiny_cfg(formulation="temperature", temperature_mode=mode)
+    rng = np.random.default_rng(seed)
+    n, k = 80, int(rng.integers(1, 6))
+    dps = meta.DataParamState.initial(n, k, temperature_mode=mode)
+    # tables straddle the floor, and a step may cross it either way
+    if dps.sigma_class is not None:
+        dps.sigma_class[:] = rng.uniform(-0.1, 0.3, size=k)
+    if dps.sigma_inst is not None:
+        dps.sigma_inst[:] = rng.uniform(-0.1, 0.3, size=n)
+    size = min(size, n)
+    batch = nn.Batch(
+        np.zeros((size, 1)), rng.integers(0, k, size=size), rng.choice(n, size, replace=False)
+    )
+    dsigma = rng.normal(0, 1.0, size=size) * rng.choice([0.0, 1.0, 1e3], size=size)
+    ref = dps.copy()
+    got = _update_sigma_tables(cfg, dps, batch, dsigma, 0.7)
+    assert got == loop_update_sigma_tables(mode, ref, batch, dsigma, 0.7)
+    for name in ("sigma_class", "sigma_inst"):
+        a, b = getattr(dps, name), getattr(ref, name)
+        assert (a is None and b is None) or np.array_equal(a, b)
+
+
+@settings(deadline=None, derandomize=True, max_examples=60)
+@given(
+    n=st.integers(1, 90),
+    rows=st.integers(1, 40),
+    activation=st.sampled_from(nn.ACTIVATIONS),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_blocked_evaluation_matches_one_full_forward(n, rows, activation, seed):
+    rng = np.random.default_rng(seed)
+    manifest = nn.build_manifest(4, (7, 5), 3, activation)
+    model = nn.init_params(manifest, seed=int(rng.integers(2**31)))
+    model = model.with_values(model.values + 0.3 * rng.standard_normal(model.values.size))
+    labels = rng.integers(0, 3, size=n)
+    ds = datagen.LabeledDataset(
+        rng.standard_normal((n, 4)), labels, labels, np.arange(n), ("a", "b", "c")
+    )
+    loss, acc, preds = _evaluate(model, ds, nn.PassBuffers(manifest, rows))
+    logits = nn.forward(model, ds.features)
+    want_losses, _ = losses.cross_entropy_batch(logits, ds.labels)
+    want_preds = np.argmax(logits, axis=1)
+    assert np.array_equal(preds, want_preds)
+    assert acc == float((want_preds == ds.labels).mean())
+    # blocks of rows round the products differently from one full product
+    assert loss == pytest.approx(float(want_losses.mean()), rel=1e-12, abs=0)

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from metasched import datagen, meta, nn, optim
 from metasched.errors import ShapeError
@@ -187,6 +189,63 @@ def loop_data_param_update(dps, ids, grads, wd_grad, data_lr, wd_lr):
             clamps += 1
         out.lam_wd = new_wd
     return out, clamps
+
+
+def loop_sgd_at(table, ids, step, floor):
+    """Per-row reference for sgd_at: each row assigns its own update of
+    the table as it was before the call, so with repeated ids the last
+    row's value stays; every projected row counts, overwritten or not."""
+    before = table.copy()
+    clamps = 0
+    for idx, s in zip(ids, step):
+        new = before[idx] - s
+        if floor is not None and new < floor:
+            new = floor
+            clamps += 1
+        table[idx] = new
+    return clamps
+
+
+@settings(deadline=None, derandomize=True, max_examples=200)
+@given(
+    size=st.integers(0, 40),
+    n=st.integers(1, 12),
+    floor=st.sampled_from([None, 0.0, 0.05]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_sgd_at_matches_per_row_loop(size, n, floor, seed):
+    rng = np.random.default_rng(seed)
+    # few ids for many rows, so ids repeat; steps cross the floor both ways
+    ids = rng.integers(0, n, size=size)
+    step = rng.normal(0, 0.3, size=size)
+    table = rng.uniform(-0.1, 0.4, size=n)
+    ref = table.copy()
+    got = meta.sgd_at(table, ids, step, floor)
+    assert got == loop_sgd_at(ref, ids, step, floor)
+    assert np.array_equal(table, ref)
+
+
+@settings(deadline=None, derandomize=True, max_examples=200)
+@given(
+    size=st.integers(0, 40),
+    n_classes=st.integers(1, 8),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_class_metagrad_matches_per_row_loop(size, n_classes, seed):
+    rng = np.random.default_rng(seed)
+    labels = rng.integers(0, n_classes, size=size)
+    grads = rng.normal(0, 1.0, size=size) * rng.choice([1e-8, 1.0, 1e8], size=size)
+    classes, sums = meta.class_metagrad(grads, labels, n_classes)
+    want_classes = sorted(set(labels.tolist()))
+    want_sums = []
+    for c in want_classes:
+        total = 0.0
+        for label, g in zip(labels, grads):
+            if label == c:
+                total += g
+        want_sums.append(total)
+    assert classes.tolist() == want_classes
+    assert sums.tolist() == want_sums
 
 
 @pytest.mark.parametrize("mode", ["instance", "class"])
