@@ -111,8 +111,9 @@ def _meta_objective(theta, grads, train_batch, dps, lr, meta_batch):
 
 
 def _shipped_report(model, train_batch, meta_batch, dps, lr):
-    """The meta-gradients exactly as a training step computes them."""
-    _, _, report = meta.meta_train_step(model, dps, train_batch, meta_batch, lr, 0.0, 0.0)
+    """The meta-gradients exactly as a training step computes them, on a
+    copy of ``dps``: the step updates its state in place."""
+    _, _, report = meta.meta_train_step(model, dps.copy(), train_batch, meta_batch, lr, 0.0, 0.0)
     return report
 
 

@@ -261,6 +261,8 @@ def validate_config(cfg):
         raise ConfigError(f"unknown split kind {cfg.split_kind!r}")
     if cfg.split_kind == "kfold" and cfg.k < 2:
         raise ConfigError("k-fold splitting needs split.k >= 2")
+    if cfg.test_per_class < 1:
+        raise ConfigError("split.test_per_class must be >= 1: no test split, no accuracy")
     if cfg.meta_driven and cfg.split_kind == "holdout" and cfg.meta_per_class < 1:
         raise ConfigError("meta-driven runs need split.meta_per_class >= 1")
     if not 0.0 <= cfg.noise_p <= 1.0:

@@ -209,35 +209,42 @@ def _stratified_order(ds, rng):
     return by_class
 
 
-def split(ds, spec):
-    """Disjoint stratified views; meta and test always carry true labels."""
-    rng = np.random.default_rng(spec.seed)
+def _carve(ds, rng, classes, test_per_class, meta_per_class):
+    """Sorted (test, meta, rest) positions of ``ds``. Each class in
+    ``classes`` gives the first ``test_per_class`` positions of its
+    permuted order to test, the next ``meta_per_class`` to meta and the
+    rest, which must keep one, to rest; any other class goes whole to rest."""
     by_class = _stratified_order(ds, rng)
+    need = test_per_class + meta_per_class
     test_pos, meta_pos, rest_pos = [], [], []
     for c in range(ds.n_classes):
         order = by_class[c]
-        need = spec.test_per_class + (
-            spec.meta_per_class if spec.kind == "holdout" else 0
-        )
+        if c not in classes:
+            rest_pos.append(order)
+            continue
         if need >= order.size:
             raise ConfigError(
                 f"class {c} has {order.size} instances, cannot carve "
                 f"{need} for meta/test and keep any for training"
             )
-        test_pos.append(order[: spec.test_per_class])
-        if spec.kind == "holdout":
-            meta_pos.append(
-                order[spec.test_per_class : spec.test_per_class + spec.meta_per_class]
-            )
-            rest_pos.append(order[spec.test_per_class + spec.meta_per_class :])
-        else:
-            rest_pos.append(order[spec.test_per_class :])
-    test = ds.subset(np.sort(np.concatenate(test_pos))).restore_true_labels()
+        test_pos.append(order[:test_per_class])
+        meta_pos.append(order[test_per_class:need])
+        rest_pos.append(order[need:])
+    return tuple(np.sort(np.concatenate(pos)) for pos in (test_pos, meta_pos, rest_pos))
+
+
+def split(ds, spec):
+    """Disjoint stratified views; meta and test always carry true labels."""
+    rng = np.random.default_rng(spec.seed)
+    meta_per_class = spec.meta_per_class if spec.kind == "holdout" else 0
+    test_pos, meta_pos, rest_pos = _carve(
+        ds, rng, range(ds.n_classes), spec.test_per_class, meta_per_class
+    )
+    test = ds.subset(test_pos).restore_true_labels()
     if spec.kind == "holdout":
-        meta = ds.subset(np.sort(np.concatenate(meta_pos))).restore_true_labels()
-        train = ds.subset(np.sort(np.concatenate(rest_pos)))
-        return HoldoutSplits(train=train, meta=meta, test=test)
-    pool = ds.subset(np.sort(np.concatenate(rest_pos)))
+        meta = ds.subset(meta_pos).restore_true_labels()
+        return HoldoutSplits(train=ds.subset(rest_pos), meta=meta, test=test)
+    pool = ds.subset(rest_pos)
     fold_lists = [[] for _ in range(spec.k)]
     pool_by_class = _stratified_order(pool, rng)
     for c in range(pool.n_classes):
@@ -287,28 +294,16 @@ def personalization_split(ds, target, meta_per_class, test_per_class, seed):
         known = sorted(set(ds.superclass_map.values()))
         raise ConfigError(f"unknown superclass {target!r} (have {known})")
     rng = np.random.default_rng(seed)
-    by_class = _stratified_order(ds, rng)
-    test_pos, meta_pos, train_pos = [], [], []
-    for c in range(ds.n_classes):
-        order = by_class[c]
-        if c in target_classes:
-            need = test_per_class + meta_per_class
-            if need >= order.size:
-                raise ConfigError(
-                    f"target class {c} has {order.size} instances, cannot carve {need}"
-                )
-            test_pos.append(order[:test_per_class])
-            meta_pos.append(order[test_per_class : test_per_class + meta_per_class])
-            train_pos.append(order[test_per_class + meta_per_class :])
-        else:
-            train_pos.append(order)
-    full_train = ds.subset(np.sort(np.concatenate(train_pos)))
+    test_pos, meta_pos, train_pos = _carve(
+        ds, rng, target_classes, test_per_class, meta_per_class
+    )
+    full_train = ds.subset(train_pos)
     biased_pos = np.flatnonzero(np.isin(full_train.true_labels, target_classes))
     return PersonalizationSplits(
         full_train=full_train,
         biased_train=full_train.subset(biased_pos),
-        meta=ds.subset(np.sort(np.concatenate(meta_pos))).restore_true_labels(),
-        test=ds.subset(np.sort(np.concatenate(test_pos))).restore_true_labels(),
+        meta=ds.subset(meta_pos).restore_true_labels(),
+        test=ds.subset(test_pos).restore_true_labels(),
         target_classes=target_classes,
     )
 

@@ -223,28 +223,6 @@ def _epoch_lr(cfg, epoch):
     return cfg.lr
 
 
-def _update_sigma_tables(cfg, dps, batch, dsigma, data_lr):
-    """Plain SGD on the temperature tables from the mean batch loss.
-
-    Single-mode tables are projected onto [SIGMA_MIN, inf) after the
-    update; in joint mode the floor is enforced at resolve time instead
-    (the instance table starts at 0 and may go negative).
-    """
-    mode = cfg.temperature_mode
-    scale = data_lr / batch.size
-    clamps = 0
-    if mode in ("class", "joint"):
-        classes = np.unique(batch.labels)
-        # one slice sum per class: np.bincount adds in another order
-        sums = np.array([dsigma[batch.labels == c].sum() for c in classes])
-        floor = losses_mod.SIGMA_MIN if mode == "class" else None
-        clamps += meta.sgd_at(dps.sigma_class, classes, scale * sums, floor)
-    if mode in ("instance", "joint"):
-        floor = losses_mod.SIGMA_MIN if mode == "instance" else None
-        clamps += meta.sgd_at(dps.sigma_inst, batch.indices, scale * dsigma, floor)
-    return clamps
-
-
 def run_training(cfg, bundle=None, out_dir=None):
     """Execute the configured training run and return a RunResult.
 
@@ -287,7 +265,8 @@ def _train(cfg, bundle, out_dir, schedule=None):
     """The epoch loop behind run_training and replay_train.
 
     Without a schedule each step is the configured one: the lookahead meta
-    step, a temperature step, or a plain optimizer step. With a schedule
+    step, or an optimizer step, which under the temperature formulation
+    also reads and updates the temperature tables. With a schedule
     (a replay) each epoch's data parameters are that epoch's recorded
     tables, and each step is the lookahead rollout under them with no
     meta update.
@@ -387,21 +366,20 @@ def _train(cfg, bundle, out_dir, schedule=None):
                     counters["meta_grad_evals"] += batch.size
                     counters["meta_samples_consumed"] += batch.size
                     counters["clamp_events"] += report.clamp_count
-                elif cfg.formulation == "temperature":
-                    sigma, clamped = losses_mod.resolve_sigma_batch(
-                        cfg.temperature_mode, batch.labels, batch.indices, dps
-                    )
+                else:
+                    sigma = None
+                    if temperature_mode is not None:
+                        sigma, clamped = losses_mod.resolve_sigma_batch(
+                            temperature_mode, batch.labels, batch.indices, dps
+                        )
+                        counters["clamp_events"] += int(clamped.sum())
                     backward = nn.batch_backward(theta, batch, sigma, train_buffers)
                     grad = backward.grad_sum() / batch.size + dps.lam_wd * theta.values
                     theta = theta.with_values(optim.step(opt_state, theta.values, grad))
-                    counters["clamp_events"] += int(clamped.sum())
-                    counters["clamp_events"] += _update_sigma_tables(
-                        cfg, dps, batch, backward.dsigma, cfg.temperature_lr
-                    )
-                else:
-                    backward = nn.batch_backward(theta, batch, buffers=train_buffers)
-                    grad = backward.grad_sum() / batch.size + dps.lam_wd * theta.values
-                    theta = theta.with_values(optim.step(opt_state, theta.values, grad))
+                    if sigma is not None:
+                        counters["clamp_events"] += meta._update_sigma_tables(
+                            cfg, dps, batch, backward.dsigma, cfg.temperature_lr
+                        )
                 counters["train_grad_evals"] += batch.size
                 counters["steps"] += 1
             trajectory.record(dps)

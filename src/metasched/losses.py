@@ -99,40 +99,13 @@ def temperature_ce(z, y, sigma_eff):
     return float(loss), dz, float(dsigma), record
 
 
-def resolve_sigma(mode, y, index, dps):
-    """Effective temperature of one sample from the data-parameter tables.
-
-    ``class`` reads the target class entry, ``instance`` the per-sample
-    entry, ``joint`` their sum. Returns ``(sigma_eff, clamped)``; values
-    below ``SIGMA_MIN`` are clamped with the flag set.
-    """
-    if mode == "class":
-        table = dps.sigma_class
-        if table is None:
-            raise ValueError("class temperature requested but sigma_class is missing")
-        raw = float(table[y])
-    elif mode == "instance":
-        table = dps.sigma_inst
-        if table is None:
-            raise ValueError("instance temperature requested but sigma_inst is missing")
-        raw = float(table[index])
-    elif mode == "joint":
-        if dps.sigma_class is None or dps.sigma_inst is None:
-            raise ValueError("joint temperature requires both sigma tables")
-        raw = float(dps.sigma_class[y]) + float(dps.sigma_inst[index])
-    else:
-        raise ValueError(f"unknown temperature mode {mode!r}")
-    if raw < SIGMA_MIN:
-        return SIGMA_MIN, True
-    return raw, False
-
-
 def resolve_sigma_batch(mode, labels, indices, dps):
-    """Vector of effective temperatures for a batch; the array form of
-    ``resolve_sigma``.
+    """Vector of effective temperatures for a batch from the
+    data-parameter tables.
 
-    Returns (sigmas, clamped) where clamped marks the rows that hit the
-    SIGMA_MIN floor.
+    ``class`` reads each row's target class entry, ``instance`` its
+    per-sample entry, ``joint`` their sum. Returns (sigmas, clamped)
+    where clamped marks the rows below ``SIGMA_MIN``, which read the floor.
     """
     if mode == "class":
         if dps.sigma_class is None:

@@ -25,8 +25,8 @@ dL_meta/dtheta'. The train pass gives the weighted gradient sum for the
 rollout and, from the same cached factors, each row's dot product with
 that meta gradient. No per-sample gradient matrix is built.
 
-Data parameters are updated by plain SGD on these meta-gradients and
-clamped at zero.
+Data parameters are updated in place by plain SGD on these
+meta-gradients and clamped at zero.
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import losses as losses_mod
 from . import nn
 from .errors import ShapeError
 
@@ -196,41 +197,62 @@ def sgd_at(table, ids, step, floor=None):
 
 
 def apply_data_param_update(dps, report, data_lr, wd_lr):
-    """SGD on the data parameters with clamping at zero.
+    """SGD on the data parameters in place, with clamping at zero.
 
     Only entries named in the report's maps are touched; the clamp count
     is written back into the report. Plain SGD, no momentum, no decay.
     """
-    out = dps.copy()
     clamps = 0
     if dps.mode == "instance":
         clamps += sgd_at(
-            out.w_inst, report.instance_ids, data_lr * report.per_instance_metagrad, 0.0
+            dps.w_inst, report.instance_ids, data_lr * report.per_instance_metagrad, 0.0
         )
     elif dps.mode == "class":
         clamps += sgd_at(
-            out.w_class, report.class_ids, data_lr * report.per_class_metagrad, 0.0
+            dps.w_class, report.class_ids, data_lr * report.per_class_metagrad, 0.0
         )
     if dps.wd_learnable:
-        new_wd = out.lam_wd - wd_lr * report.wd_metagrad
+        new_wd = dps.lam_wd - wd_lr * report.wd_metagrad
         if new_wd < 0.0:
             new_wd = 0.0
             clamps += 1
-        out.lam_wd = new_wd
+        dps.lam_wd = new_wd
     report.clamp_count = clamps
-    return out
+
+
+def _update_sigma_tables(cfg, dps, batch, dsigma, data_lr):
+    """In-place SGD on the temperature tables from the mean batch loss.
+
+    Single-mode tables are projected onto [SIGMA_MIN, inf) after the
+    update; in joint mode the floor is enforced at resolve time instead
+    (the instance table starts at 0 and may go negative).
+    """
+    mode = cfg.temperature_mode
+    scale = data_lr / batch.size
+    clamps = 0
+    if mode in ("class", "joint"):
+        classes = np.unique(batch.labels)
+        # one slice sum per class: np.bincount adds in another order
+        sums = np.array([dsigma[batch.labels == c].sum() for c in classes])
+        floor = losses_mod.SIGMA_MIN if mode == "class" else None
+        clamps += sgd_at(dps.sigma_class, classes, scale * sums, floor)
+    if mode in ("instance", "joint"):
+        floor = losses_mod.SIGMA_MIN if mode == "instance" else None
+        clamps += sgd_at(dps.sigma_inst, batch.indices, scale * dsigma, floor)
+    return clamps
 
 
 def meta_train_step(theta, dps, train_batch, meta_batch, lr, data_lr, wd_lr, buffers=None):
     """One full step: rollout, meta loss at theta', meta-gradients, data
     parameter update. The committed model parameters are the rollout
-    itself; the data parameters seen by this step are the pre-update ones.
+    itself; the data parameters seen by this step are the pre-update ones,
+    and the update then changes ``dps`` in place.
 
     ``buffers`` is a (train, meta) pair of ``nn.PassBuffers`` for the two
-    passes, or None to allocate. They must be two sets: the train pass's
-    factors are read for the dot products after the meta pass has run.
+    passes, or None to make one per pass. They must be two sets: the train
+    pass's factors are read for the dot products after the meta pass has run.
 
-    Returns (theta_next, dps_next, report).
+    Returns (theta_next, dps, report).
     """
     if train_batch.size != meta_batch.size:
         raise ShapeError(
@@ -264,8 +286,8 @@ def meta_train_step(theta, dps, train_batch, meta_batch, lr, data_lr, wd_lr, buf
         per_class_metagrad=class_grads,
         wd_metagrad=wd_metagrad(theta, meta_grad, lr) if dps.wd_learnable else None,
     )
-    dps_next = apply_data_param_update(dps, report, data_lr, wd_lr)
+    apply_data_param_update(dps, report, data_lr, wd_lr)
     if dps.history_reset:
-        dps_next.w_inst[:] = 1.0
-        dps_next.w_class[:] = 1.0
-    return theta_next, dps_next, report
+        dps.w_inst[:] = 1.0
+        dps.w_class[:] = 1.0
+    return theta_next, dps, report

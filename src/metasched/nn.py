@@ -23,11 +23,11 @@ exact per-row check only when the bound is not finite.
 Training passes write into ``PassBuffers``, one set of per-layer arrays
 created once per run, so a steady-state step allocates no layer array;
 ``forward`` streams any number of rows through a set in blocks of its
-size. Buffer lifetime rule: the arrays of a ``BatchBackward`` made with a
-set are views into it and stay valid only until the next pass (or
+size. A ``batch_backward`` or ``forward`` called without a set makes one
+for its rows. Buffer lifetime rule: the arrays of a ``BatchBackward`` are
+views into its set and stay valid only until the next pass (or
 ``forward``) into the same set. A caller that needs two passes alive at
-once, as the meta step does, gives each its own set. Without a set every
-pass allocates fresh arrays.
+once, as the meta step does, gives each its own set.
 """
 
 from __future__ import annotations
@@ -201,12 +201,6 @@ class PassBuffers:
         self.scratch = tuple(np.empty((rows, width)) for width in widths)
 
 
-def _rows_of(buffers, kind, layer, rows):
-    """The leading ``rows`` rows of one buffer, or None without a set, so
-    that an ``out=`` argument allocates as it would without one."""
-    return None if buffers is None else getattr(buffers, kind)[layer][:rows]
-
-
 def _activate(name, s):
     """Layer output from the pre-activation ``s``, computed in place."""
     if name == "relu":
@@ -227,17 +221,16 @@ def _checked_features(model, features):
     return x
 
 
-def _forward_cache(model, layers, features, outs=None):
+def _forward_cache(model, layers, features, outs):
     """Each layer's input, then the logits: ``acts[l]`` feeds layer l.
 
-    ``layers`` is ``unflatten(model)``. A layer's output is one buffer,
-    ``a @ W.T``, that takes the bias and the activation in place: a fresh
-    array, or ``outs[l]`` when ``outs`` gives one per layer with the
-    features' row count.
+    ``layers`` is ``unflatten(model)``. Layer l's output is ``outs[l]``,
+    which has the features' row count: it takes ``a @ W.T``, then the
+    bias and the activation in place.
     """
     x = _checked_features(model, features)
     acts = [x]
-    for spec, (w, b), out in zip(model.manifest, layers, outs or [None] * len(layers)):
+    for spec, (w, b), out in zip(model.manifest, layers, outs):
         s = np.matmul(acts[-1], w.T, out=out)
         s += b
         acts.append(_activate(spec.activation, s))
@@ -248,15 +241,15 @@ def forward(model, features, buffers=None):
     """Logits for any number of feature rows, as a fresh array. Pure; no
     mutation of the model.
 
-    With ``buffers`` the rows go through that set in blocks of its
-    ``rows``: no matrix product is larger than a pass of that many rows,
-    no layer array is allocated, and the set's hidden layer outputs are
-    overwritten.
+    The rows go through ``buffers``, or a set made for all of them, in
+    blocks of its ``rows``: no matrix product is larger than a pass of
+    that many rows, no layer array is allocated, and the set's hidden
+    layer outputs are overwritten.
     """
     layers = unflatten(model)
-    if buffers is None:
-        return _forward_cache(model, layers, features)[-1]
     x = _checked_features(model, features)
+    if buffers is None:
+        buffers = PassBuffers(model.manifest, max(len(x), 1))
     n, size = x.shape[0], buffers.rows
     logits = np.empty((n, model.manifest[-1].out_dim))
     hidden = list(buffers.outs[:-1])
@@ -269,23 +262,23 @@ def forward(model, features, buffers=None):
     return logits
 
 
-def _deltas(model, layers, acts, dz, buffers=None):
+def _deltas(model, layers, acts, dz, buffers):
     """Per-layer output deltas: row i of ``deltas[l]`` is d(loss_i)/d(s_l)
     for layer l's pre-activation s_l, given the logit gradients ``dz``.
 
     Each delta is scaled in place by its activation's derivative, taken
     from the layer output ``a``: ReLU's mask ``a > 0`` equals ``s > 0``
     for every float, NaN included, so the derivative is 0 at the kink;
-    tanh's is ``1 - a^2``; identity layers are left as they are. With
-    ``buffers`` each delta and derivative is written into that set.
+    tanh's is ``1 - a^2``; identity layers are left as they are. Each
+    delta and derivative is written into ``buffers``.
     """
     rows = dz.shape[0]
     deltas = [dz]
     for li in range(len(layers) - 1, 0, -1):
-        d = np.matmul(deltas[-1], layers[li][0], out=_rows_of(buffers, "deltas", li - 1, rows))
+        d = np.matmul(deltas[-1], layers[li][0], out=buffers.deltas[li - 1][:rows])
         activation = model.manifest[li - 1].activation
         a = acts[li]
-        slope = _rows_of(buffers, "scratch", li, rows)
+        slope = buffers.scratch[li][:rows]
         if activation == "relu":
             d *= np.greater(a, 0.0, out=slope)
         elif activation == "tanh":
@@ -341,17 +334,17 @@ class BatchBackward:
     pre-activation (B x out_dim). ``dsigma`` holds each row's temperature
     derivative when the pass used a temperature-scaled loss.
 
-    A pass made with ``buffers`` holds views into that set, and its
-    ``grad_sum`` and ``dots`` use the set's scratch: it is valid only
-    until the next pass into the same set.
+    The pass holds views into ``buffers``, and its ``grad_sum`` and
+    ``dots`` use the set's scratch: it is valid only until the next pass
+    into the same set.
     """
 
     manifest: tuple
     losses: np.ndarray
     acts: tuple
     deltas: tuple
+    buffers: PassBuffers
     dsigma: np.ndarray | None = None
-    buffers: PassBuffers | None = None
 
     def grad_sum(self, weights=None):
         """Flat ``sum_i weights[i] * g_i``; unit weights when None.
@@ -365,8 +358,7 @@ class BatchBackward:
         blocks = _layer_blocks(self.manifest, out)
         for li, ((g_w, g_b), a, d) in enumerate(zip(blocks, self.acts, self.deltas)):
             if weights is not None:
-                scratch = _rows_of(self.buffers, "scratch", li + 1, rows)
-                d = np.multiply(d, weights[:, None], out=scratch)
+                d = np.multiply(d, weights[:, None], out=self.buffers.scratch[li + 1][:rows])
             np.matmul(d.T, a, out=g_w)
             d.sum(axis=0, out=g_b)
         return out
@@ -384,7 +376,7 @@ class BatchBackward:
         out = np.zeros(rows)
         blocks = _layer_blocks(self.manifest, v)
         for li, ((v_w, v_b), a, d) in enumerate(zip(blocks, self.acts, self.deltas)):
-            dv = np.matmul(d, v_w, out=_rows_of(self.buffers, "scratch", li, rows))
+            dv = np.matmul(d, v_w, out=self.buffers.scratch[li][:rows])
             dv *= a
             out += dv.sum(axis=1) + d @ v_b
         return out
@@ -401,18 +393,17 @@ def batch_backward(model, batch, sigma=None, buffers=None):
     cleared by one norm bound over all of it; the exact per-row check
     runs only when that bound is not finite (see ``_check_finite``).
     Each layer's forward output is a single buffer, and no pre-activation
-    is kept. With ``buffers``, a ``PassBuffers`` set of at least the
-    batch's rows, every layer output and hidden delta is a view into that
-    set, valid until its next pass, and temporaries use its scratch.
+    is kept. Every layer output and hidden delta is a view into
+    ``buffers``, a ``PassBuffers`` set of at least the batch's rows (one
+    is made without it), valid until its next pass; temporaries use its scratch.
     """
     layers = unflatten(model)
-    outs = None
-    if buffers is not None:
-        rows = batch.size
-        if rows > buffers.rows:
-            raise ShapeError(f"{rows} rows do not fit pass buffers of {buffers.rows} rows")
-        outs = [out[:rows] for out in buffers.outs]
-    acts = _forward_cache(model, layers, batch.features, outs)
+    rows = batch.size
+    if buffers is None:
+        buffers = PassBuffers(model.manifest, rows)
+    if rows > buffers.rows:
+        raise ShapeError(f"{rows} rows do not fit pass buffers of {buffers.rows} rows")
+    acts = _forward_cache(model, layers, batch.features, [out[:rows] for out in buffers.outs])
     dsigma = None
     if sigma is None:
         sample_losses, dz = losses_mod.cross_entropy_batch(acts[-1], batch.labels)
@@ -424,15 +415,16 @@ def batch_backward(model, batch, sigma=None, buffers=None):
     inputs = tuple(acts[:-1])
     _check_finite(sample_losses, dsigma, inputs, deltas, batch.indices)
     return BatchBackward(
-        model.manifest, sample_losses, inputs, tuple(deltas), dsigma, buffers
+        model.manifest, sample_losses, inputs, tuple(deltas), buffers, dsigma
     )
 
 
 def per_sample_grads_from_dz(model, acts, dz):
     """Backpropagate per-row output gradients to per-sample parameter rows."""
     b = dz.shape[0]
+    deltas = _deltas(model, unflatten(model), acts, dz, PassBuffers(model.manifest, b))
     rows = []
-    for a, d in zip(acts, _deltas(model, unflatten(model), acts, dz)):
+    for a, d in zip(acts, deltas):
         rows.append(np.einsum("bo,bi->boi", d, a).reshape(b, -1))
         rows.append(d)
     return np.concatenate(rows, axis=1)
@@ -446,7 +438,8 @@ def per_sample_backward(model, batch):
     equals the gradient of the unweighted mean loss. This is the oracle
     for ``batch_backward``; training never builds the matrix.
     """
-    acts = _forward_cache(model, unflatten(model), batch.features)
+    outs = PassBuffers(model.manifest, batch.size).outs
+    acts = _forward_cache(model, unflatten(model), batch.features, outs)
     sample_losses, dz = losses_mod.cross_entropy_batch(acts[-1], batch.labels)
     grads = per_sample_grads_from_dz(model, acts, dz)
     bad = ~(np.isfinite(sample_losses) & np.isfinite(grads).all(axis=1))

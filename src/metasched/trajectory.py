@@ -261,13 +261,13 @@ def _fold_mean(tables, masks, counts, fill):
     return out
 
 
-def average_trajectories(logs, memberships=None):
+def average_trajectories(logs, memberships):
     """Fold-average per-epoch trajectories into one schedule.
 
     ``memberships[f]`` lists the instance indices that were trainable in
     fold f; an instance's weight is averaged over exactly those folds.
     Class tables, the decay coefficient, and temperature tables average
-    over all folds. With memberships None every fold counts everywhere.
+    over all folds.
     """
     if not logs:
         raise ValueError("no trajectories to average")
@@ -281,18 +281,14 @@ def average_trajectories(logs, memberships=None):
             n_epochs,
         ):
             raise ValueError("trajectories differ in shape or epoch count")
-    if memberships is None:
-        counts = np.full(n_instances, len(logs), dtype=np.float64)
-        masks = [np.ones(n_instances, dtype=bool) for _ in logs]
-    else:
-        if len(memberships) != len(logs):
-            raise ValueError("one membership set per trajectory required")
-        masks = []
-        for member in memberships:
-            mask = np.zeros(n_instances, dtype=bool)
-            mask[np.asarray(member, dtype=np.int64)] = True
-            masks.append(mask)
-        counts = np.sum(masks, axis=0).astype(np.float64)
+    if len(memberships) != len(logs):
+        raise ValueError("one membership set per trajectory required")
+    masks = []
+    for member in memberships:
+        mask = np.zeros(n_instances, dtype=bool)
+        mask[np.asarray(member, dtype=np.int64)] = True
+        masks.append(mask)
+    counts = np.sum(masks, axis=0).astype(np.float64)
     out = TrajectoryLog(n_instances=n_instances, n_classes=n_classes)
     for e in range(n_epochs):
         snaps = [log.snapshots[e] for log in logs]

@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from metasched import nn
+from metasched import analysis, nn
 from metasched.analysis import (
     CHECK_TARGETS,
     compare_grads,
@@ -66,6 +66,24 @@ def test_run_all_covers_every_target():
     reports = run_all_gradchecks(trials=5, seed=1)
     assert [r.target for r in reports] == list(CHECK_TARGETS)
     assert all(r.passed for r in reports)
+
+
+@pytest.mark.parametrize("mode", ["instance", "class", "none"])
+def test_shipped_report_leaves_the_callers_tables(mode):
+    # a history-reset step would set every multiplier back to 1 and a
+    # zero-rate update still projects a negative entry onto 0, so the
+    # step must act on a copy for the finite-difference side to see dps
+    rng = np.random.default_rng(8)
+    model, train_batch, meta_batch, dps, lr = analysis._random_meta_problem(rng, mode)
+    dps.history_reset = True
+    dps.w_inst[0] = -0.25
+    dps.w_class[0] = -0.25
+    before = dps.copy()
+    report = analysis._shipped_report(model, train_batch, meta_batch, dps, lr)
+    assert np.array_equal(dps.w_inst, before.w_inst)
+    assert np.array_equal(dps.w_class, before.w_class)
+    assert dps.lam_wd == before.lam_wd
+    assert report.wd_metagrad is not None
 
 
 def test_checker_validation():

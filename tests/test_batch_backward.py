@@ -72,7 +72,8 @@ def assert_dots_close(got, grads, v):
 def temperature_oracle(model, batch, sigma):
     """Per-sample gradient rows of the temperature loss, from one scalar
     ``temperature_ce`` call per row."""
-    acts = nn._forward_cache(model, nn.unflatten(model), batch.features)
+    outs = nn.PassBuffers(model.manifest, batch.size).outs
+    acts = nn._forward_cache(model, nn.unflatten(model), batch.features, outs)
     dz = np.array([
         losses.temperature_ce(z, int(y), s)[1]
         for z, y, s in zip(acts[-1], batch.labels, sigma)
@@ -523,7 +524,8 @@ def test_forward_streams_rows_through_the_buffers():
     assert logits.shape == (21, 4)
     assert not np.shares_memory(logits, buffers.outs[-1])
     # the set holds the hidden outputs of the last block, rows 16 to 20
-    last = nn._forward_cache(model, nn.unflatten(model), feats[16:])
+    outs = nn.PassBuffers(manifest, 5).outs
+    last = nn._forward_cache(model, nn.unflatten(model), feats[16:], outs)
     assert same_bits(buffers.outs[0][:5], last[1]) and same_bits(buffers.outs[1][:5], last[2])
     assert np.allclose(logits, nn.forward(model, feats), rtol=1e-12, atol=0)
     assert nn.forward(model, feats[:0], buffers).shape == (0, 4)

@@ -107,6 +107,28 @@ def test_bad_override_is_validation_error(capsys):
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [
+        ["train"],
+        ["train", "--override", "data.n_superclasses=3",
+         "--override", "personalization.target=0"],
+        ["kfold", "--override", "split.kind=kfold"],
+    ],
+    ids=["holdout", "personalization", "kfold"],
+)
+def test_empty_test_split_is_validation_error(tmp_path, capsys, argv):
+    # overrides apply in order, so this one replaces the 2 in DATA_OVERRIDES
+    overrides = [*DATA_OVERRIDES, "--override", "split.test_per_class=0"]
+    overrides += ["--override", "train.epochs=1", "--out", str(tmp_path / "run")]
+    code = main([*argv, *overrides])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert "split.test_per_class" in err
+    assert not (tmp_path / "run" / "metrics.jsonl").exists()
+
+
+@pytest.mark.parametrize(
     "second_index, message",
     [("0", "duplicate instance index 0"), ("99999", "instance index 99999 outside")],
 )

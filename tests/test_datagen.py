@@ -221,6 +221,20 @@ def test_personalization_degenerate_target_is_full_train():
     assert parts.biased_train.digest == parts.full_train.digest
 
 
+@pytest.mark.parametrize("seed", [3, 11])
+def test_personalization_over_every_class_carves_as_holdout(seed):
+    ds = assign_superclasses(make_blobs(4, 30, 6, 0.8, seed=2), 1)
+    parts = personalization_split(ds, 0, meta_per_class=4, test_per_class=6, seed=seed)
+    holdout = split(ds, SplitSpec(kind="holdout", meta_per_class=4, test_per_class=6, seed=seed))
+    for got, want in [
+        (parts.test, holdout.test),
+        (parts.meta, holdout.meta),
+        (parts.full_train, holdout.train),
+    ]:
+        assert np.array_equal(got.indices, want.indices)
+        assert got.digest == want.digest
+
+
 def test_personalization_errors():
     plain = make_blobs(4, 30, 6, 0.8, seed=2)
     with pytest.raises(ConfigError, match="superclass map"):

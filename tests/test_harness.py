@@ -2,7 +2,7 @@
 
 import json
 import os
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 
 from metasched.harness import (
     _evaluate,
-    _update_sigma_tables,
     kfold_collect,
     load_model,
     prepare_data,
@@ -23,6 +22,7 @@ from metasched.harness import (
     run_training,
 )
 from metasched import datagen, losses, meta, nn
+from metasched.meta import _update_sigma_tables
 
 
 def tiny_cfg(**kw):
@@ -50,6 +50,22 @@ def metric_rows(result):
         d.pop("wall_ms")
         rows.append(d)
     return rows
+
+
+def test_trajectory_snapshots_do_not_alias_the_live_tables():
+    # the data parameters are updated in place, so a snapshot that kept a
+    # reference to them would follow the later epochs
+    cfg = tiny_cfg(mode="instance", wd_learnable=True, noise_p=0.3, data_lr=5.0)
+    three = run_training(with_seeds(replace(cfg, epochs=3), 7))
+    one = run_training(with_seeds(replace(cfg, epochs=1), 7))
+    first, last = three.trajectory.snapshot(0), three.trajectory.snapshot(2)
+    want = one.trajectory.snapshot(0)
+    assert np.array_equal(first.w_inst, want.w_inst)
+    assert np.array_equal(first.w_class, want.w_class)
+    assert first.lam_wd == want.lam_wd
+    # the later epochs did move the tables
+    assert not np.array_equal(first.w_inst, last.w_inst)
+    assert first.lam_wd != last.lam_wd
 
 
 def test_full_batch_single_epoch_is_one_step():

@@ -143,32 +143,61 @@ def test_argmax_invariant_under_temperature():
         assert losses.predict(z / sigma) == losses.predict(z)
 
 
+def resolve_sigma(mode, y, index, dps):
+    """Per-row reference for ``losses.resolve_sigma_batch``: the effective
+    temperature of one sample from the data-parameter tables.
+
+    ``class`` reads the target class entry, ``instance`` the per-sample
+    entry, ``joint`` their sum. Returns ``(sigma_eff, clamped)``; values
+    below ``SIGMA_MIN`` are clamped with the flag set.
+    """
+    if mode == "class":
+        table = dps.sigma_class
+        if table is None:
+            raise ValueError("class temperature requested but sigma_class is missing")
+        raw = float(table[y])
+    elif mode == "instance":
+        table = dps.sigma_inst
+        if table is None:
+            raise ValueError("instance temperature requested but sigma_inst is missing")
+        raw = float(table[index])
+    elif mode == "joint":
+        if dps.sigma_class is None or dps.sigma_inst is None:
+            raise ValueError("joint temperature requires both sigma tables")
+        raw = float(dps.sigma_class[y]) + float(dps.sigma_inst[index])
+    else:
+        raise ValueError(f"unknown temperature mode {mode!r}")
+    if raw < SIGMA_MIN:
+        return SIGMA_MIN, True
+    return raw, False
+
+
 def test_resolve_sigma_modes():
     dps = DataParamState.initial(
         n_instances=4, n_classes=3, mode="none", temperature_mode="joint"
     )
-    sigma, clamped = losses.resolve_sigma("joint", 1, 2, dps)
+    sigma, clamped = resolve_sigma("joint", 1, 2, dps)
     assert sigma == 1.0 and not clamped
 
     dps_inst = DataParamState.initial(
         n_instances=4, n_classes=3, mode="none", temperature_mode="instance"
     )
     dps_inst.sigma_inst[2] = 0.7
-    sigma, clamped = losses.resolve_sigma("instance", 0, 2, dps_inst)
+    sigma, clamped = resolve_sigma("instance", 0, 2, dps_inst)
     assert sigma == 0.7 and not clamped
 
     dps.sigma_class[1] = 0.01
     dps.sigma_inst[2] = 0.0
-    sigma, clamped = losses.resolve_sigma("joint", 1, 2, dps)
+    sigma, clamped = resolve_sigma("joint", 1, 2, dps)
     assert sigma == SIGMA_MIN and clamped
 
 
 def test_resolve_sigma_missing_table():
     dps = DataParamState.initial(n_instances=2, n_classes=2, mode="none")
     with pytest.raises(ValueError):
-        losses.resolve_sigma("class", 0, 0, dps)
+        resolve_sigma("class", 0, 0, dps)
     with pytest.raises(ValueError):
-        losses.resolve_sigma("bogus", 0, 0, dps)
+        resolve_sigma("bogus", 0, 0, dps)
 
 
 @pytest.mark.parametrize("mode", ["class", "instance", "joint"])
@@ -189,7 +218,7 @@ def test_resolve_sigma_batch_matches_scalar(mode):
         indices = rng.choice(n, size=size, replace=False)
         sigma, clamped = losses.resolve_sigma_batch(mode, labels, indices, dps)
         for row, (y, idx) in enumerate(zip(labels, indices)):
-            want, want_clamped = losses.resolve_sigma(mode, int(y), int(idx), dps)
+            want, want_clamped = resolve_sigma(mode, int(y), int(idx), dps)
             assert sigma[row] == want
             assert clamped[row] == want_clamped
         clamps += int(clamped.sum())

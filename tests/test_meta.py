@@ -31,7 +31,9 @@ def toy_problem(seed, n=24, b=4, k=2):
 
 def hand_backward(manifest, acts, deltas):
     """A backward pass with chosen per-layer factors."""
-    return nn.BatchBackward(manifest, np.zeros(len(acts[0])), tuple(acts), tuple(deltas))
+    rows = len(acts[0])
+    buffers = nn.PassBuffers(manifest, rows)
+    return nn.BatchBackward(manifest, np.zeros(rows), tuple(acts), tuple(deltas), buffers)
 
 
 def test_rollout_scalar_example():
@@ -144,11 +146,11 @@ def test_apply_update_arithmetic_and_clamp():
         wd_metagrad=0.0,
     )
     before_untouched = dps.w_inst[2]
-    out = meta.apply_data_param_update(dps, report, data_lr=0.1, wd_lr=0.0)
-    assert np.isclose(out.w_inst[0], 1.005, rtol=1e-12)
-    assert out.w_inst[1] == 0.0
+    meta.apply_data_param_update(dps, report, data_lr=0.1, wd_lr=0.0)
+    assert np.isclose(dps.w_inst[0], 1.005, rtol=1e-12)
+    assert dps.w_inst[1] == 0.0
     assert report.clamp_count == 1
-    assert out.w_inst[2] == before_untouched
+    assert dps.w_inst[2] == before_untouched
 
 
 def test_update_keeps_everything_non_negative():
@@ -166,9 +168,9 @@ def test_update_keeps_everything_non_negative():
             per_class_metagrad=np.array([rng.normal(0, 2) for c in range(4)]),
             wd_metagrad=float(rng.normal(0, 2)),
         )
-        out = meta.apply_data_param_update(dps, report, data_lr=0.5, wd_lr=0.5)
-        assert out.w_class.min() >= 0
-        assert out.lam_wd >= 0
+        meta.apply_data_param_update(dps, report, data_lr=0.5, wd_lr=0.5)
+        assert dps.w_class.min() >= 0
+        assert dps.lam_wd >= 0
 
 
 def loop_data_param_update(dps, ids, grads, wd_grad, data_lr, wd_lr):
@@ -271,11 +273,12 @@ def test_apply_update_matches_per_entry_loop(mode):
             per_class_metagrad=grads if mode == "class" else empty,
             wd_metagrad=float(rng.normal(0, 1)),
         )
-        out = meta.apply_data_param_update(dps, report, data_lr=2.0, wd_lr=0.5)
+        # the reference copies the state before the in-place update
         ref, clamps = loop_data_param_update(dps, ids, grads, report.wd_metagrad, 2.0, 0.5)
-        assert np.array_equal(out.w_inst, ref.w_inst)
-        assert np.array_equal(out.w_class, ref.w_class)
-        assert out.lam_wd == ref.lam_wd
+        meta.apply_data_param_update(dps, report, data_lr=2.0, wd_lr=0.5)
+        assert np.array_equal(dps.w_inst, ref.w_inst)
+        assert np.array_equal(dps.w_class, ref.w_class)
+        assert dps.lam_wd == ref.lam_wd
         assert report.clamp_count == clamps
         total_clamps += clamps
     assert total_clamps > 20  # the clamp branch is exercised
@@ -293,16 +296,39 @@ def test_meta_step_repeated_index_last_row_wins():
     assert dps_next.w_inst[1] == 1.0 - 2.0 * report.per_instance_metagrad[1]
 
 
+@pytest.mark.parametrize("mode", ["instance", "class"])
+def test_meta_step_updates_the_given_state_in_place(mode):
+    model, train, meta_batch, n = toy_problem(31)
+    dps = DataParamState.initial(n, 2, mode=mode, wd_learnable=True)
+    before = dps.copy()
+    _, dps_next, report = meta.meta_train_step(
+        model, dps, train, meta_batch, 0.2, 2.0, 1e-3
+    )
+    assert dps_next is dps
+    # the update is applied: the same one on a copy of the state before
+    want = before.copy()
+    meta.apply_data_param_update(want, report, 2.0, 1e-3)
+    assert np.array_equal(dps.w_inst, want.w_inst)
+    assert np.array_equal(dps.w_class, want.w_class)
+    assert dps.lam_wd == want.lam_wd
+    changed = dps.w_inst if mode == "instance" else dps.w_class
+    table = before.w_inst if mode == "instance" else before.w_class
+    assert not np.array_equal(changed, table)
+    assert dps.lam_wd != before.lam_wd
+
+
 @pytest.mark.parametrize("wd_learnable", [False, True])
 def test_meta_step_computes_decay_metagrad_only_when_learnable(wd_learnable):
     model, train, meta_batch, n = toy_problem(29)
     dps = DataParamState.initial(n, 2, mode="instance", wd_learnable=wd_learnable)
+    # the step updates dps in place: compare with the value before it
+    lam_wd = dps.lam_wd
     theta_next, dps_next, report = meta.meta_train_step(
         model, dps, train, meta_batch, 0.2, 2.0, 1e-3
     )
     if not wd_learnable:
         assert report.wd_metagrad is None
-        assert dps_next.lam_wd == dps.lam_wd
+        assert dps_next.lam_wd == lam_wd
         return
     _, meta_grads = nn.per_sample_backward(theta_next, meta_batch)
     # the step sums the meta gradient in another order than the oracle's

@@ -414,7 +414,7 @@ def test_average_all_ones_stays_ones():
     for log in logs:
         log.record(make_dps(3, 2))
         log.record(make_dps(3, 2))
-    avg = average_trajectories(logs)
+    avg = average_trajectories(logs, [np.arange(3)] * 3)
     for e in range(2):
         tables = avg.snapshot(e).as_tables()
         assert np.array_equal(tables["w_inst"], np.ones(3))
@@ -427,8 +427,8 @@ def test_average_shape_mismatch_rejected():
     a.record(make_dps(3, 2))
     b.record(make_dps(4, 2))
     with pytest.raises(ValueError):
-        average_trajectories([a, b])
+        average_trajectories([a, b], [np.arange(3), np.arange(4)])
     with pytest.raises(ValueError):
-        average_trajectories([])
+        average_trajectories([], [])
     with pytest.raises(ValueError):
         average_trajectories([a], memberships=[np.array([0]), np.array([1])])
