@@ -190,61 +190,43 @@ def _random_meta_problem(rng, mode):
     return model, train_batch, meta_batch, dps, lr
 
 
-def _check_instance_metagrad(rng, step):
-    model, train_batch, meta_batch, dps, lr = _random_meta_problem(rng, "instance")
-    analytic = _shipped_report(model, train_batch, meta_batch, dps, lr).per_instance_metagrad
-    _, grads = nn.per_sample_backward(model, train_batch)
-    numeric = np.empty(train_batch.size)
-    for pos, idx in enumerate(train_batch.indices):
-        plus = dps.copy()
-        plus.w_inst[idx] += step
-        minus = dps.copy()
-        minus.w_inst[idx] -= step
-        f_plus = _meta_objective(model, grads, train_batch, plus, lr, meta_batch)
-        f_minus = _meta_objective(model, grads, train_batch, minus, lr, meta_batch)
-        numeric[pos] = (f_plus - f_minus) / (2 * step)
-    return analytic, numeric
-
-
-def _check_class_metagrad(rng, step):
-    model, train_batch, meta_batch, dps, lr = _random_meta_problem(rng, "class")
-    report = _shipped_report(model, train_batch, meta_batch, dps, lr)
-    present, analytic = report.class_ids, report.per_class_metagrad
-    _, grads = nn.per_sample_backward(model, train_batch)
-    numeric = np.empty(len(present))
-    for pos, c in enumerate(present):
-        plus = dps.copy()
-        plus.w_class[c] += step
-        minus = dps.copy()
-        minus.w_class[c] -= step
-        f_plus = _meta_objective(model, grads, train_batch, plus, lr, meta_batch)
-        f_minus = _meta_objective(model, grads, train_batch, minus, lr, meta_batch)
-        numeric[pos] = (f_plus - f_minus) / (2 * step)
-    return analytic, numeric
-
-
-def _check_wd_metagrad(rng, step):
-    mode = str(rng.choice(["instance", "class", "none"]))
+def _check_metagrad(rng, step, mode, table):
+    """The shipped meta-gradient on one data-parameter table (``w_inst``,
+    ``w_class`` or ``lam_wd``) against central differences of the rollout
+    objective, one entry at a time, on a ``mode`` problem."""
     model, train_batch, meta_batch, dps, lr = _random_meta_problem(rng, mode)
-    analytic = _shipped_report(model, train_batch, meta_batch, dps, lr).wd_metagrad
+    report = _shipped_report(model, train_batch, meta_batch, dps, lr)
+    if table == "w_inst":
+        entries, analytic = train_batch.indices, report.per_instance_metagrad
+    elif table == "w_class":
+        entries, analytic = report.class_ids, report.per_class_metagrad
+    else:
+        entries, analytic = [None], np.array([report.wd_metagrad])
     _, grads = nn.per_sample_backward(model, train_batch)
-    plus = dps.copy()
-    plus.lam_wd += step
-    minus = dps.copy()
-    minus.lam_wd -= step
-    f_plus = _meta_objective(model, grads, train_batch, plus, lr, meta_batch)
-    f_minus = _meta_objective(model, grads, train_batch, minus, lr, meta_batch)
-    numeric = (f_plus - f_minus) / (2 * step)
-    return np.array([analytic]), np.array([numeric])
+    numeric = np.empty(len(entries))
+    for pos, entry in enumerate(entries):
+        f = []
+        for delta in (step, -step):
+            moved = dps.copy()
+            if entry is None:
+                moved.lam_wd += delta
+            else:
+                getattr(moved, table)[entry] += delta
+            f.append(_meta_objective(model, grads, train_batch, moved, lr, meta_batch))
+        numeric[pos] = (f[0] - f[1]) / (2 * step)
+    return analytic, numeric
 
 
 _CHECKS = {
     "quadratic_sanity": _check_quadratic,
     "per_sample_grad": _check_per_sample,
     "temperature_grads": _check_temperature,
-    "instance_metagrad": _check_instance_metagrad,
-    "class_metagrad": _check_class_metagrad,
-    "wd_metagrad": _check_wd_metagrad,
+    "instance_metagrad": lambda rng, step: _check_metagrad(rng, step, "instance", "w_inst"),
+    "class_metagrad": lambda rng, step: _check_metagrad(rng, step, "class", "w_class"),
+    # the mode is drawn before the problem, which fixes each seed's fixtures
+    "wd_metagrad": lambda rng, step: _check_metagrad(
+        rng, step, str(rng.choice(["instance", "class", "none"])), "lam_wd"
+    ),
 }
 
 
@@ -415,7 +397,10 @@ def hessian_top_eigs(grad_fn, theta0, m, tol=1e-6, max_iters=500, seed=0):
 def hessian_top_eigs_model(model, batch, m, **kwargs):
     """Spectrum probe for the mean cross-entropy loss of a small model."""
     if model.values.size > 5000:
-        raise ValueError("spectrum probe is limited to models with <= 5000 parameters")
+        raise ValueError(
+            "spectrum probe is limited to models with <= 5000 parameters, "
+            f"this one has {model.values.size}"
+        )
 
     def grad_fn(values):
         _, grads = nn.per_sample_backward(model.with_values(values), batch)

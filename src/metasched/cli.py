@@ -20,6 +20,7 @@ import numpy as np
 from . import analysis, config as config_mod, datagen, harness
 from .csvrows import read_rows
 from .errors import ConfigError, NumericError
+from .nn import Batch
 from .trajectory import TrajectoryLog
 
 
@@ -29,6 +30,15 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         raise ConfigError(message)
+
+
+def _count(minimum):
+    """argparse type: an integer no smaller than ``minimum``."""
+    def count(text):
+        if int(text) < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {text}")
+        return int(text)
+    return count
 
 
 def _build_parser():
@@ -84,7 +94,7 @@ def _build_parser():
     run_flags(sub.add_parser("replay", help="retrain with a frozen schedule"), True)
 
     gc = sub.add_parser("gradcheck", help="finite-difference gradient oracles")
-    gc.add_argument("--trials", type=int, default=100)
+    gc.add_argument("--trials", type=_count(1), default=100)
     gc.add_argument("--seed", type=int, default=0)
     gc.add_argument(
         "--target",
@@ -97,9 +107,9 @@ def _build_parser():
     an = sub.add_parser("analyze", help="diagnostics over a run directory")
     an.add_argument("--run", required=True, help="run directory")
     an.add_argument("--out", default=None, help="report path (default <run>/analysis.json)")
-    an.add_argument("--hessian-top", type=int, default=0, help="also probe top-m eigenvalues")
+    an.add_argument("--hessian-top", type=_count(0), default=0, help="also probe top-m eigenvalues")
     an.add_argument("--data", default=None, help="dataset CSV for the spectrum probe")
-    an.add_argument("--sample-size", type=int, default=256)
+    an.add_argument("--sample-size", type=_count(1), default=256)
     return parser
 
 
@@ -263,11 +273,18 @@ def _cmd_analyze(args):
                     f"{acc_path} line {lineno}: expected epoch,class,acc, "
                     f"got {','.join(fields)!r}"
                 ) from None
+            if not 0 <= e < trajectory.epochs:
+                raise ConfigError(
+                    f"{acc_path} line {lineno}: epoch {e} outside [0, {trajectory.epochs})"
+                )
             if not 0 <= c < info["n_classes"]:
                 raise ConfigError(
                     f"{acc_path} line {lineno}: class {c} outside [0, {info['n_classes']})"
                 )
-            per_epoch.setdefault(e, {})[c] = acc
+            accs = per_epoch.setdefault(e, {})
+            if c in accs:
+                raise ConfigError(f"{acc_path} line {lineno}: second row for epoch {e}, class {c}")
+            accs[c] = acc
         series = []
         for e in range(trajectory.epochs):
             accs = per_epoch.get(e)
@@ -298,14 +315,22 @@ def _cmd_analyze(args):
     if args.hessian_top:
         if args.data is None:
             raise ConfigError("--hessian-top needs --data for the probe sample")
-        model = harness.load_model(os.path.join(run_dir, "model.json"))
+        model_path = os.path.join(run_dir, "model.json")
+        model = harness.load_model(model_path)
         ds = datagen.load_dataset(args.data)
+        in_dim, out_dim = model.manifest[0].in_dim, model.manifest[-1].out_dim
+        if ds.dim != in_dim or ds.n_classes > out_dim:
+            raise ConfigError(
+                f"{args.data}: {ds.dim} features and {ds.n_classes} classes; the model "
+                f"in {model_path} takes {in_dim} and predicts {out_dim}"
+            )
         take = min(args.sample_size, ds.n)
         batch_ds = ds.subset(np.arange(take))
-        from .nn import Batch
-
         batch = Batch(batch_ds.features, batch_ds.labels, batch_ds.indices)
-        eigs, converged = analysis.hessian_top_eigs_model(model, batch, args.hessian_top)
+        try:
+            eigs, converged = analysis.hessian_top_eigs_model(model, batch, args.hessian_top)
+        except ValueError as exc:
+            raise ConfigError(f"--hessian-top {args.hessian_top}: {exc}") from None
         report["hessian_top_eigs"] = {
             "values": [float(v) for v in eigs],
             "converged": list(converged),

@@ -3,7 +3,8 @@ training and replay retraining, k-fold trajectory collection, and metrics
 logging.
 
 Every run is fully determined by (config digest, seed.data, seed.init,
-seed.shuffle); wall-clock fields are the only nondeterministic outputs.
+seed.shuffle); the wall clock, kept apart in timings.jsonl, is the only
+nondeterministic output.
 """
 
 from __future__ import annotations
@@ -40,7 +41,6 @@ class MetricsRecord:
     w_corrupt_mean: float | None
     w_corrupt_std: float | None
     lam_wd: float
-    wall_ms: float
 
 
 @dataclass
@@ -63,12 +63,13 @@ class DataBundle:
 class RunResult:
     config: config_mod.RunConfig
     model: nn.ParamVector
-    raw_model: nn.ParamVector
     trajectory: TrajectoryLog
     metrics: list
     counters: dict
     bundle: DataBundle
     class_meta_acc: list = field(default_factory=list)
+    # wall-clock milliseconds per epoch
+    timings: list = field(default_factory=list)
 
     @property
     def final_test_acc(self):
@@ -226,9 +227,9 @@ def _epoch_lr(cfg, epoch):
 def run_training(cfg, bundle=None, out_dir=None):
     """Execute the configured training run and return a RunResult.
 
-    With out_dir set, writes metrics.jsonl, trajectory.csv, model.json,
-    config.cfg, run_info.json, and (when applicable) manifest.csv and
-    class_meta_acc.csv into it.
+    With out_dir set, writes metrics.jsonl, timings.jsonl, trajectory.csv,
+    model.json, config.cfg, run_info.json, and (when applicable)
+    manifest.csv and class_meta_acc.csv into it.
     """
     config_mod.validate_config(cfg)
     if bundle is None:
@@ -264,20 +265,19 @@ def replay_train(cfg, schedule, bundle=None, out_dir=None):
 def _train(cfg, bundle, out_dir, schedule=None):
     """The epoch loop behind run_training and replay_train.
 
-    Without a schedule each step is the configured one: the lookahead meta
-    step, or an optimizer step, which under the temperature formulation
-    also reads and updates the temperature tables. With a schedule
-    (a replay) each epoch's data parameters are that epoch's recorded
-    tables, and each step is the lookahead rollout under them with no
-    meta update.
+    The step is chosen once, before the loop, and each batch runs
+    ``step(theta, dps, batch, lr) -> (theta, clamp events)``. A replay
+    steps by the lookahead rollout under each epoch's recorded tables,
+    swapped in per epoch, with no meta update. A meta-driven run takes the
+    lookahead meta step on a meta batch drawn from its own stream. Any
+    other run takes an optimizer step, which under the temperature
+    formulation also reads and updates the temperature tables.
     """
     manifest = nn.build_manifest(
         bundle.train.dim, list(cfg.hidden), bundle.n_classes, cfg.activation
     )
     theta = nn.init_params(manifest, cfg.seed_init)
-    temperature_mode = (
-        cfg.temperature_mode if cfg.formulation == "temperature" else None
-    )
+    temperature_mode = cfg.temperature_mode if cfg.formulation == "temperature" else None
     dps = meta.DataParamState.initial(
         bundle.n_instances,
         bundle.n_classes,
@@ -287,30 +287,8 @@ def _train(cfg, bundle, out_dir, schedule=None):
         history_reset=cfg.history_reset,
         temperature_mode=temperature_mode,
     )
-    opt_state = None
-    if schedule is None and not cfg.meta_driven:
-        opt_state = optim.make_optimizer(
-            cfg.optimizer,
-            cfg.lr,
-            nn.param_count(manifest),
-            **dict(cfg.optim_hyper),
-        )
-
-    rng_shuffle = np.random.default_rng(cfg.seed_shuffle)
-    rng_meta = np.random.default_rng([cfg.seed_shuffle, 1])
-    trajectory = TrajectoryLog(bundle.n_instances, bundle.n_classes)
-    counters = {
-        "steps": 0,
-        "train_grad_evals": 0,
-        "meta_grad_evals": 0,
-        "meta_samples_consumed": 0,
-        "clamp_events": 0,
-    }
-    metrics = []
-    class_meta_acc = []
     train = bundle.train
     n_train = train.n
-    is_corrupt = _corrupt_mask(bundle)
     # pass buffers made once per run: every step's train pass and epoch
     # evaluation use one set, a meta step's meta pass a second, since the
     # step reads the train pass's factors after the meta pass; no set is
@@ -318,9 +296,56 @@ def _train(cfg, bundle, out_dir, schedule=None):
     splits = [ds for ds in (train, bundle.meta, bundle.test) if ds is not None]
     rows = max(1, min(cfg.batch_size, max(ds.n for ds in splits)))
     train_buffers = nn.PassBuffers(manifest, rows)
-    meta_step_buffers = None
-    if schedule is None and cfg.meta_driven:
+
+    opt_state = None
+    consumes_meta = schedule is None and cfg.meta_driven
+    if schedule is not None:
+
+        def step(theta, dps, batch, lr):
+            backward = nn.batch_backward(theta, batch, buffers=train_buffers)
+            return meta.rollout_one_step(theta, backward, batch, dps, lr), 0
+
+    elif consumes_meta:
+        rng_meta = np.random.default_rng([cfg.seed_shuffle, 1])
         meta_step_buffers = (train_buffers, nn.PassBuffers(manifest, rows))
+
+        def step(theta, dps, batch, lr):
+            positions = rng_meta.integers(0, bundle.meta.n, size=batch.size)
+            theta, _, report = meta.meta_train_step(
+                theta, dps, batch, _make_batch(bundle.meta, positions), lr,
+                cfg.data_lr, cfg.wd_lr, buffers=meta_step_buffers,
+            )
+            return theta, report.clamp_count
+
+    else:
+        opt_state = optim.make_optimizer(
+            cfg.optimizer, cfg.lr, nn.param_count(manifest), **dict(cfg.optim_hyper)
+        )
+
+        def step(theta, dps, batch, lr):
+            opt_state.lr = lr
+            sigma, clamps = None, 0
+            if temperature_mode is not None:
+                sigma, clamped = losses_mod.resolve_sigma_batch(
+                    temperature_mode, batch.labels, batch.indices, dps
+                )
+                clamps = int(clamped.sum())
+            backward = nn.batch_backward(theta, batch, sigma, train_buffers)
+            grad = backward.grad_sum() / batch.size + dps.lam_wd * theta.values
+            theta = theta.with_values(optim.step(opt_state, theta.values, grad))
+            if sigma is not None:
+                clamps += meta.update_sigma_tables(
+                    temperature_mode, dps, batch, backward.dsigma, cfg.temperature_lr
+                )
+            return theta, clamps
+
+    rng_shuffle = np.random.default_rng(cfg.seed_shuffle)
+    trajectory = TrajectoryLog(bundle.n_instances, bundle.n_classes)
+    steps = samples = clamp_events = 0
+    metrics = []
+    timings = []
+    class_meta_acc = []
+    is_corrupt = _corrupt_mask(bundle)
     # each epoch's shuffled train split, gathered into arrays made once; a
     # batch is a slice of them
     train_arrays = (train.features, train.labels, train.indices)
@@ -331,13 +356,24 @@ def _train(cfg, bundle, out_dir, schedule=None):
             return theta.with_values(optim.polyak_average(opt_state))
         return theta
 
+    def result(model):
+        meta_samples = samples if consumes_meta else 0
+        counters = {
+            "steps": steps,
+            "train_grad_evals": samples,
+            "meta_grad_evals": meta_samples,
+            "meta_samples_consumed": meta_samples,
+            "clamp_events": clamp_events,
+        }
+        return RunResult(
+            cfg, model, trajectory, metrics, counters, bundle, class_meta_acc, timings
+        )
+
     epoch = 0
     try:
         for epoch in range(cfg.epochs):
             t0 = time.perf_counter()
             lr = _epoch_lr(cfg, epoch)
-            if opt_state is not None:
-                opt_state.lr = lr
             if schedule is not None:
                 dps = meta.DataParamState(
                     **schedule.snapshot(epoch).as_tables(), mode=cfg.mode
@@ -351,37 +387,10 @@ def _train(cfg, bundle, out_dir, schedule=None):
             for start in range(0, n_train, cfg.batch_size):
                 stop = start + cfg.batch_size
                 batch = nn.Batch(features[start:stop], labels[start:stop], indices[start:stop])
-                if schedule is not None:
-                    backward = nn.batch_backward(theta, batch, buffers=train_buffers)
-                    theta = meta.rollout_one_step(theta, backward, batch, dps, lr)
-                elif cfg.meta_driven:
-                    meta_positions = rng_meta.integers(
-                        0, bundle.meta.n, size=batch.size
-                    )
-                    meta_batch = _make_batch(bundle.meta, meta_positions)
-                    theta, dps, report = meta.meta_train_step(
-                        theta, dps, batch, meta_batch, lr, cfg.data_lr, cfg.wd_lr,
-                        buffers=meta_step_buffers,
-                    )
-                    counters["meta_grad_evals"] += batch.size
-                    counters["meta_samples_consumed"] += batch.size
-                    counters["clamp_events"] += report.clamp_count
-                else:
-                    sigma = None
-                    if temperature_mode is not None:
-                        sigma, clamped = losses_mod.resolve_sigma_batch(
-                            temperature_mode, batch.labels, batch.indices, dps
-                        )
-                        counters["clamp_events"] += int(clamped.sum())
-                    backward = nn.batch_backward(theta, batch, sigma, train_buffers)
-                    grad = backward.grad_sum() / batch.size + dps.lam_wd * theta.values
-                    theta = theta.with_values(optim.step(opt_state, theta.values, grad))
-                    if sigma is not None:
-                        counters["clamp_events"] += meta._update_sigma_tables(
-                            cfg, dps, batch, backward.dsigma, cfg.temperature_lr
-                        )
-                counters["train_grad_evals"] += batch.size
-                counters["steps"] += 1
+                theta, clamps = step(theta, dps, batch, lr)
+                steps += 1
+                samples += batch.size
+                clamp_events += clamps
             trajectory.record(dps)
             model = eval_model()
             train_loss, train_acc, _ = _evaluate(model, train, train_buffers)
@@ -404,35 +413,23 @@ def _train(cfg, bundle, out_dir, schedule=None):
                     w_corrupt_mean=wx_mean,
                     w_corrupt_std=wx_std,
                     lam_wd=float(dps.lam_wd),
-                    wall_ms=(time.perf_counter() - t0) * 1000.0,
                 )
             )
+            timings.append((time.perf_counter() - t0) * 1000.0)
     except NumericError as exc:
         last_good = epoch - 1
         if out_dir is not None:
-            result = RunResult(
-                cfg, theta, theta, trajectory, metrics, counters, bundle, class_meta_acc
-            )
-            write_run_outputs(out_dir, result, last_good_epoch=last_good)
+            write_run_outputs(out_dir, result(theta), last_good_epoch=last_good)
         raise NumericError(
             f"{exc} (aborted in epoch {epoch}; last complete epoch {last_good})",
             epoch=epoch,
             **exc.context,
         ) from exc
 
-    result = RunResult(
-        config=cfg,
-        model=eval_model(),
-        raw_model=theta,
-        trajectory=trajectory,
-        metrics=metrics,
-        counters=counters,
-        bundle=bundle,
-        class_meta_acc=class_meta_acc,
-    )
+    done = result(eval_model())
     if out_dir is not None:
-        write_run_outputs(out_dir, result)
-    return result
+        write_run_outputs(out_dir, done)
+    return done
 
 
 def prepare_replay_bundle(cfg):
@@ -520,6 +517,9 @@ def write_run_outputs(out_dir, result, last_good_epoch=None):
     with open(os.path.join(out_dir, "metrics.jsonl"), "w", encoding="utf-8") as fh:
         for record in result.metrics:
             fh.write(json.dumps(asdict(record), sort_keys=True) + "\n")
+    with open(os.path.join(out_dir, "timings.jsonl"), "w", encoding="utf-8") as fh:
+        for epoch, wall_ms in enumerate(result.timings):
+            fh.write(json.dumps({"epoch": epoch, "wall_ms": wall_ms}) + "\n")
     result.trajectory.to_csv(os.path.join(out_dir, "trajectory.csv"))
     save_model(result.model, os.path.join(out_dir, "model.json"))
     config_mod.save_config(result.config, os.path.join(out_dir, "config.cfg"))

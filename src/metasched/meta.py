@@ -121,7 +121,6 @@ class MetaStepReport:
     coefficient is learnable.
     """
 
-    rollout_theta: nn.ParamVector
     meta_loss: float
     instance_ids: np.ndarray
     per_instance_metagrad: np.ndarray
@@ -220,14 +219,14 @@ def apply_data_param_update(dps, report, data_lr, wd_lr):
     report.clamp_count = clamps
 
 
-def _update_sigma_tables(cfg, dps, batch, dsigma, data_lr):
-    """In-place SGD on the temperature tables from the mean batch loss.
+def update_sigma_tables(mode, dps, batch, dsigma, data_lr):
+    """In-place SGD on the temperature tables of ``mode`` from the mean
+    batch loss; returns the number of rows projected.
 
     Single-mode tables are projected onto [SIGMA_MIN, inf) after the
     update; in joint mode the floor is enforced at resolve time instead
     (the instance table starts at 0 and may go negative).
     """
-    mode = cfg.temperature_mode
     scale = data_lr / batch.size
     clamps = 0
     if mode in ("class", "joint"):
@@ -278,7 +277,6 @@ def meta_train_step(theta, dps, train_batch, meta_batch, lr, data_lr, wd_lr, buf
             instance_grads, train_batch.labels, dps.w_class.size
         )
     report = MetaStepReport(
-        rollout_theta=theta_next,
         meta_loss=float(meta_pass.losses.mean()),
         instance_ids=instance_ids,
         per_instance_metagrad=instance_grads,

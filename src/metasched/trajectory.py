@@ -54,6 +54,31 @@ class EpochSnapshot:
         }
 
 
+def _blank(epoch, n_instances, n_classes):
+    """An epoch's snapshot before any of its rows: weights at 1, no decay."""
+    return EpochSnapshot(epoch, np.ones(n_instances), np.ones(n_classes), 0.0)
+
+
+def _put(snap, kind, ids, values, n_instances, n_classes):
+    """Write rows of one kind into ``snap``. The decay takes the last
+    value; a temperature table is made at its initial values when a row
+    first names it."""
+    if kind == "inst":
+        snap.w_inst[ids] = values
+    elif kind == "class":
+        snap.w_class[ids] = values
+    elif kind == "wd":
+        snap.lam_wd = float(np.atleast_1d(values)[-1])
+    elif kind == "sigma_class":
+        if snap.sigma_class is None:
+            snap.sigma_class = np.ones(n_classes)
+        snap.sigma_class[ids] = values
+    else:
+        if snap.sigma_inst is None:
+            snap.sigma_inst = np.zeros(n_instances)
+        snap.sigma_inst[ids] = values
+
+
 @dataclass
 class TrajectoryLog:
     n_instances: int
@@ -147,14 +172,7 @@ class TrajectoryLog:
             ):
                 raise ValueError("trajectory row out of range")
             for epoch in range(len(snapshots), int(e.max()) + 1):
-                snapshots.append(
-                    EpochSnapshot(
-                        epoch=epoch,
-                        w_inst=np.ones(n_instances),
-                        w_class=np.ones(n_classes),
-                        lam_wd=0.0,
-                    )
-                )
+                snapshots.append(_blank(epoch, n_instances, n_classes))
             # grouped by (epoch, kind) with file order kept per id, so
             # keeping the last row of each id keeps the row that wins
             key = e * len(KINDS) + code
@@ -165,22 +183,10 @@ class TrajectoryLog:
             starts = np.flatnonzero(np.append(True, key[1:] != key[:-1])).tolist()
             for lo, hi in zip(starts, starts[1:] + [key.size]):
                 epoch, c = divmod(int(key[lo]), len(KINDS))
-                snap, ids, values = snapshots[epoch], ident[lo:hi], value[lo:hi]
-                kind = KINDS[c]
-                if kind == "inst":
-                    snap.w_inst[ids] = values
-                elif kind == "class":
-                    snap.w_class[ids] = values
-                elif kind == "wd":
-                    snap.lam_wd = float(values[-1])
-                elif kind == "sigma_class":
-                    if snap.sigma_class is None:
-                        snap.sigma_class = np.ones(n_classes)
-                    snap.sigma_class[ids] = values
-                else:
-                    if snap.sigma_inst is None:
-                        snap.sigma_inst = np.zeros(n_instances)
-                    snap.sigma_inst[ids] = values
+                _put(
+                    snapshots[epoch], KINDS[c], ident[lo:hi], value[lo:hi],
+                    n_instances, n_classes,
+                )
         return log
 
     @classmethod
@@ -191,13 +197,7 @@ class TrajectoryLog:
         an id outside its table raises ConfigError naming the file and line.
         """
         log = cls(n_instances=n_instances, n_classes=n_classes)
-        sizes = {
-            "inst": n_instances,
-            "class": n_classes,
-            "wd": 1,
-            "sigma_inst": n_instances,
-            "sigma_class": n_classes,
-        }
+        sizes = dict(zip(KINDS, (n_instances, n_classes, 1, n_instances, n_classes)))
         snapshots = log.snapshots
         for lineno, parts in read_rows(path, COLUMNS):
             kind = parts[1]
@@ -223,29 +223,8 @@ class TrajectoryLog:
                     f"{len(snapshots)}"
                 )
             if e == len(snapshots):
-                snapshots.append(
-                    EpochSnapshot(
-                        epoch=e,
-                        w_inst=np.ones(n_instances),
-                        w_class=np.ones(n_classes),
-                        lam_wd=0.0,
-                    )
-                )
-            snap = snapshots[e]
-            if kind == "inst":
-                snap.w_inst[ident] = value
-            elif kind == "class":
-                snap.w_class[ident] = value
-            elif kind == "wd":
-                snap.lam_wd = value
-            elif kind == "sigma_class":
-                if snap.sigma_class is None:
-                    snap.sigma_class = np.ones(n_classes)
-                snap.sigma_class[ident] = value
-            else:
-                if snap.sigma_inst is None:
-                    snap.sigma_inst = np.zeros(n_instances)
-                snap.sigma_inst[ident] = value
+                snapshots.append(_blank(e, n_instances, n_classes))
+            _put(snapshots[e], kind, ident, value, n_instances, n_classes)
         return log
 
 

@@ -234,6 +234,9 @@ def test_empty_or_featureless_dataset_is_validation_error(tmp_path, capsys, text
         ("x,1,0.5", "expected epoch,class,acc"),
         ("0,1,0.5,2", "expected epoch,class,acc"),
         ("0,99,0.5", "class 99 outside [0, 3)"),
+        ("99,0,0.5", "epoch 99 outside [0, 3)"),
+        ("-4,2,0.1", "epoch -4 outside [0, 3)"),
+        ("2,1,0.5", "second row for epoch 2, class 1"),
     ],
 )
 def test_bad_class_meta_acc_row_is_validation_error(tmp_path, capsys, row, message):
@@ -374,6 +377,64 @@ def test_bad_model_file_is_validation_error(tmp_path, capsys, damage, message):
     err = capsys.readouterr().err
     assert err.count("\n") == 1
     assert "error: " + message.format(path=model_path) in err
+
+
+@pytest.mark.parametrize("count", ["0", "-3"])
+def test_bad_gradcheck_trials_is_validation_error(capsys, count):
+    assert main(["gradcheck", "--trials", count]) == 1
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1] == f"error: argument --trials: must be at least 1, got {count}"
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--hessian-top", "-1"], "argument --hessian-top: must be at least 0, got -1"),
+        (["--hessian-top", "68"], "--hessian-top 68: m must lie in [1, 67]"),
+        (["--hessian-top", "2", "--sample-size", "0"],
+         "argument --sample-size: must be at least 1, got 0"),
+        (["--hessian-top", "2", "--data", "{wide}"],
+         "{wide}: 5 features and 3 classes; the model in {model} takes 4 and predicts 3"),
+        (["--hessian-top", "2", "--data", "{more}"],
+         "{more}: 4 features and 4 classes; the model in {model} takes 4 and predicts 3"),
+    ],
+    ids=["negative-top", "top-above-parameter-count", "zero-sample", "feature-width",
+         "more-classes"],
+)
+def test_bad_probe_flag_is_validation_error(tmp_path, capsys, flags, message):
+    files = {"data": tmp_path / "data.csv", "wide": tmp_path / "wide.csv",
+             "more": tmp_path / "more.csv"}
+    run_dir = tmp_path / "run"
+    for name, classes, dim in (("data", "3", "4"), ("wide", "3", "5"), ("more", "4", "4")):
+        assert main([
+            "generate-data", "--classes", classes, "--per-class", "14", "--dim", dim,
+            "--out", str(files[name]),
+        ]) == 0
+    assert main(["train", *DATA_OVERRIDES, "--out", str(run_dir)]) == 0  # 67 parameters
+    capsys.readouterr()
+    flags = [f.format(**files) for f in flags]
+    assert main(["analyze", "--run", str(run_dir), "--data", str(files["data"]), *flags]) == 1
+    message = message.format(**files, model=run_dir / "model.json")
+    assert capsys.readouterr().err.splitlines()[-1] == "error: " + message
+
+
+def test_probe_of_default_size_model_is_validation_error(tmp_path, capsys):
+    data, run_dir = tmp_path / "data.csv", tmp_path / "run"
+    assert main([
+        "generate-data", "--classes", "10", "--per-class", "8", "--out", str(data),
+    ]) == 0
+    assert main([
+        "train", "--override", f"data.path={data}", "--override", "train.epochs=1",
+        "--override", "split.meta_per_class=1", "--override", "split.test_per_class=1",
+        "--out", str(run_dir),
+    ]) == 0
+    capsys.readouterr()
+    argv = ["analyze", "--run", str(run_dir), "--hessian-top", "1", "--data", str(data)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == (
+        "error: --hessian-top 1: spectrum probe is limited to models with <= 5000 "
+        "parameters, this one has 5898\n"
+    )
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

@@ -2,12 +2,12 @@
 
 Each case runs one CLI command from ``tests/golden`` (config paths there
 are relative to it) and compares the deterministic outputs with
-``tests/golden/ref/<case>/``: per-epoch ``metrics.jsonl`` without
-``wall_ms``, ``trajectory.csv`` row by row, and ``model.json`` (a k-fold
-run writes ``kfold_info.json`` in place of metrics and model). Floats
-agree to 1e-9 relative to the largest magnitude in their field, so a
-change of BLAS build or summation order passes and a change of behaviour
-does not.
+``tests/golden/ref/<case>/``: per-epoch ``metrics.jsonl``,
+``trajectory.csv`` row by row, ``model.json``, and the step counters of
+``run_info.json`` (a k-fold run writes ``kfold_info.json`` in place of
+metrics, model and run info). Counters agree exactly. Floats agree to
+1e-9 relative to the largest magnitude in their field, so a change of
+BLAS build or summation order passes and a change of behaviour does not.
 
 Regenerate the references only when outputs change by design, and say
 why in CHANGES.md:
@@ -42,7 +42,7 @@ CASES = {
         "--trajectory", os.path.join("ref", "instance", "trajectory.csv"),
     ],
 }
-COMPARED = ("metrics.jsonl", "trajectory.csv", "model.json", "kfold_info.json")
+COMPARED = ("metrics.jsonl", "trajectory.csv", "model.json", "run_info.json", "kfold_info.json")
 
 
 def _run(case, out_dir):
@@ -81,13 +81,8 @@ def _compare_records(got, ref, what):
 
 
 def _metrics(path):
-    rows = []
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            row = json.loads(line)
-            row.pop("wall_ms")
-            rows.append(row)
-    return rows
+        return [json.loads(line) for line in fh]
 
 
 def _trajectory(path):
@@ -110,6 +105,10 @@ def _compare(name, got_path, ref_path):
             got, ref = json.load(fg), json.load(fr)
         assert got["manifest"] == ref["manifest"], f"{what}: manifest differs"
         _close(got["values"], ref["values"], what)
+    elif name == "run_info.json":
+        with open(got_path, encoding="utf-8") as fg, open(ref_path, encoding="utf-8") as fr:
+            got, ref = json.load(fg), json.load(fr)
+        assert got["counters"] == ref["counters"], f"{what}: counters differ"
     else:
         with open(got_path, encoding="utf-8") as fg, open(ref_path, encoding="utf-8") as fr:
             got, ref = json.load(fg), json.load(fr)

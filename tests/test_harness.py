@@ -2,7 +2,7 @@
 
 import json
 import os
-from dataclasses import asdict, replace
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -22,7 +22,7 @@ from metasched.harness import (
     run_training,
 )
 from metasched import datagen, losses, meta, nn
-from metasched.meta import _update_sigma_tables
+from metasched.meta import update_sigma_tables
 
 
 def tiny_cfg(**kw):
@@ -40,16 +40,6 @@ def tiny_cfg(**kw):
     )
     base.update(kw)
     return RunConfig(**base)
-
-
-def metric_rows(result):
-    """Metric dicts with the wall clock stripped."""
-    rows = []
-    for rec in result.metrics:
-        d = asdict(rec)
-        d.pop("wall_ms")
-        rows.append(d)
-    return rows
 
 
 def test_trajectory_snapshots_do_not_alias_the_live_tables():
@@ -78,14 +68,11 @@ def test_full_batch_single_epoch_is_one_step():
 
 def test_same_config_same_everything(tmp_path):
     cfg = tiny_cfg(mode="instance", noise_p=0.3)
-    a = run_training(cfg)
-    b = run_training(cfg)
-    assert metric_rows(a) == metric_rows(b)
-    assert np.array_equal(a.model.values, b.model.values)
-    pa, pb = tmp_path / "a.csv", tmp_path / "b.csv"
-    a.trajectory.to_csv(pa)
-    b.trajectory.to_csv(pb)
-    assert pa.read_bytes() == pb.read_bytes()
+    run_training(cfg, out_dir=str(tmp_path / "a"))
+    run_training(cfg, out_dir=str(tmp_path / "b"))
+    for name in ("metrics.jsonl", "trajectory.csv", "model.json", "run_info.json"):
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+    assert len((tmp_path / "a" / "timings.jsonl").read_text().splitlines()) == cfg.epochs
 
 
 def test_metrics_stay_in_range():
@@ -259,7 +246,7 @@ def test_divergence_aborts_with_partial_outputs(tmp_path, entry):
 
 
 def loop_update_sigma_tables(mode, dps, batch, dsigma, data_lr):
-    """Per-row reference for _update_sigma_tables: returns the clamp count."""
+    """Per-row reference for update_sigma_tables: returns the clamp count."""
     scale = data_lr / batch.size
     clamps = 0
     if mode in ("class", "joint"):
@@ -281,7 +268,6 @@ def loop_update_sigma_tables(mode, dps, batch, dsigma, data_lr):
 
 @pytest.mark.parametrize("mode", ["class", "instance", "joint"])
 def test_update_sigma_tables_matches_per_row_loop(mode):
-    cfg = tiny_cfg(formulation="temperature", temperature_mode=mode)
     rng = np.random.default_rng(17)
     n, k = 200, 4
     clamps = 0
@@ -296,7 +282,7 @@ def test_update_sigma_tables_matches_per_row_loop(mode):
         batch = nn.Batch(np.zeros((size, 1)), labels, rng.choice(n, size, replace=False))
         dsigma = rng.normal(0, 0.5, size=size)
         ref = dps.copy()
-        got = _update_sigma_tables(cfg, dps, batch, dsigma, 0.7)
+        got = update_sigma_tables(mode, dps, batch, dsigma, 0.7)
         want = loop_update_sigma_tables(mode, ref, batch, dsigma, 0.7)
         assert got == want
         for name in ("sigma_class", "sigma_inst"):
@@ -314,7 +300,6 @@ def test_update_sigma_tables_matches_per_row_loop(mode):
     seed=st.integers(0, 2**32 - 1),
 )
 def test_update_sigma_tables_matches_per_row_loop_on_drawn_batches(mode, size, seed):
-    cfg = tiny_cfg(formulation="temperature", temperature_mode=mode)
     rng = np.random.default_rng(seed)
     n, k = 80, int(rng.integers(1, 6))
     dps = meta.DataParamState.initial(n, k, temperature_mode=mode)
@@ -329,7 +314,7 @@ def test_update_sigma_tables_matches_per_row_loop_on_drawn_batches(mode, size, s
     )
     dsigma = rng.normal(0, 1.0, size=size) * rng.choice([0.0, 1.0, 1e3], size=size)
     ref = dps.copy()
-    got = _update_sigma_tables(cfg, dps, batch, dsigma, 0.7)
+    got = update_sigma_tables(mode, dps, batch, dsigma, 0.7)
     assert got == loop_update_sigma_tables(mode, ref, batch, dsigma, 0.7)
     for name in ("sigma_class", "sigma_inst"):
         a, b = getattr(dps, name), getattr(ref, name)

@@ -137,7 +137,6 @@ def test_apply_update_arithmetic_and_clamp():
     dps = DataParamState.initial(3, 2, mode="instance")
     dps.w_inst[1] = 0.02
     report = MetaStepReport(
-        rollout_theta=None,
         meta_loss=0.0,
         instance_ids=np.array([0, 1]),
         per_instance_metagrad=np.array([-0.05, 0.5]),
@@ -160,7 +159,6 @@ def test_update_keeps_everything_non_negative():
         dps.w_class[:] = rng.uniform(0, 0.2, size=4)
         dps.lam_wd = float(rng.uniform(0, 1e-3))
         report = MetaStepReport(
-            rollout_theta=None,
             meta_loss=0.0,
             instance_ids=np.empty(0, dtype=np.int64),
             per_instance_metagrad=np.empty(0),
@@ -265,7 +263,6 @@ def test_apply_update_matches_per_entry_loop(mode):
         grads = rng.normal(0, 0.1, size=size)
         empty_ids, empty = np.empty(0, dtype=np.int64), np.empty(0)
         report = MetaStepReport(
-            rollout_theta=None,
             meta_loss=0.0,
             instance_ids=ids if mode == "instance" else empty_ids,
             per_instance_metagrad=grads if mode == "instance" else empty,
@@ -363,11 +360,8 @@ def test_meta_step_commit_is_rollout_bit_exact():
     model, train, meta_batch, n = toy_problem(9)
     dps = DataParamState.initial(n, 2, mode="instance")
     rolled = meta.rollout_one_step(model, nn.batch_backward(model, train), train, dps, lr=0.3)
-    theta_next, _, report = meta.meta_train_step(
-        model, dps, train, meta_batch, 0.3, 1.0, 1e-3
-    )
+    theta_next, _, _ = meta.meta_train_step(model, dps, train, meta_batch, 0.3, 1.0, 1e-3)
     assert np.array_equal(theta_next.values, rolled.values)
-    assert report.rollout_theta is theta_next
 
 
 def test_meta_step_deterministic():
