@@ -9,6 +9,7 @@ identifies the run in its outputs.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, fields, replace
 
 from .errors import ConfigError
@@ -107,9 +108,12 @@ def _parse_int(text):
 
 def _parse_float(text):
     try:
-        return float(text.strip())
+        value = float(text.strip())
     except ValueError:
         raise ConfigError(f"expected a number, got {text!r}") from None
+    if not math.isfinite(value):
+        raise ConfigError(f"expected a finite number, got {text!r}")
+    return value
 
 
 def _parse_opt_int(text):
@@ -201,18 +205,32 @@ def apply_overrides(raw, overrides):
     return out
 
 
-def build_config(raw):
-    """RunConfig from raw key/value strings; unknown keys are errors."""
+def _parse_value(key, parser, text, origins):
+    """``parser(text)``; a bad value's error names its key, and the file
+    it came from when ``origins`` maps the key to one."""
+    try:
+        return parser(text)
+    except ConfigError as exc:
+        where = f"{origins[key]}: " if key in origins else ""
+        raise ConfigError(f"{where}{key}: {exc}") from None
+
+
+def build_config(raw, origins=None):
+    """RunConfig from raw key/value strings; unknown keys are errors.
+
+    ``origins`` maps a key to the config file its value was read from.
+    """
+    origins = origins or {}
     values = {}
     hyper = {}
     for key, text in raw.items():
         if key.startswith("optim."):
-            hyper[key[len("optim.") :]] = _parse_float(text)
+            hyper[key[len("optim.") :]] = _parse_value(key, _parse_float, text, origins)
             continue
         if key not in KEY_MAP:
             raise ConfigError(f"unknown config key {key!r}")
         field_name, parser = KEY_MAP[key]
-        values[field_name] = parser(text)
+        values[field_name] = _parse_value(key, parser, text, origins)
     if hyper:
         values["optim_hyper"] = tuple(sorted(hyper.items()))
     cfg = RunConfig(**values)
@@ -221,6 +239,11 @@ def build_config(raw):
 
 
 def validate_config(cfg):
+    floats = [(k, getattr(cfg, f)) for k, (f, parse) in KEY_MAP.items() if parse is _parse_float]
+    floats += [(f"optim.{name}", value) for name, value in cfg.optim_hyper]
+    for key, value in floats:
+        if not math.isfinite(value):
+            raise ConfigError(f"{key}: expected a finite number, got {value!r}")
     if cfg.activation not in ACTIVATIONS:
         raise ConfigError(f"unknown activation {cfg.activation!r}")
     if any(w < 1 for w in cfg.hidden):
@@ -326,8 +349,10 @@ def load_config(path, overrides=None):
             text = fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
-    raw = apply_overrides(parse_config_text(text), overrides)
-    return build_config(raw)
+    from_file = parse_config_text(text)
+    overridden = apply_overrides({}, overrides)
+    origins = {key: path for key in from_file if key not in overridden}
+    return build_config({**from_file, **overridden}, origins)
 
 
 def config_from_overrides(overrides):

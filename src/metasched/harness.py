@@ -331,7 +331,10 @@ def _train(cfg, bundle, out_dir, schedule=None):
                 )
                 clamps = int(clamped.sum())
             backward = nn.batch_backward(theta, batch, sigma, train_buffers)
-            grad = backward.grad_sum() / batch.size + dps.lam_wd * theta.values
+            # grad_sum / B + lam theta in grad_sum's own buffer, in that order
+            grad = backward.grad_sum()
+            grad /= batch.size
+            grad += dps.lam_wd * theta.values
             theta = theta.with_values(optim.step(opt_state, theta.values, grad))
             if sigma is not None:
                 clamps += meta.update_sigma_tables(

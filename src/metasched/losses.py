@@ -140,21 +140,27 @@ def cross_entropy_batch(logits, labels):
 
 
 def temperature_ce_batch(logits, labels, sigma_eff):
-    """Row-wise temperature cross-entropy. Returns (losses, dz, dsigma)."""
+    """Row-wise temperature cross-entropy. Returns (losses, dz, dsigma).
+
+    ``logits`` is left as it is; ``dz`` is the softmax array, turned into
+    the logit gradient in place once ``dsigma`` has read it.
+    """
     logits = np.asarray(logits, dtype=np.float64)
     labels = np.asarray(labels)
     sigma = np.asarray(sigma_eff, dtype=np.float64)
-    b = logits.shape[0]
-    rows = np.arange(b)
+    b, k = logits.shape
+    # flat position of each row's target entry
+    target = np.arange(b) * k + labels
     zs = logits / sigma[:, None]
     m = zs.max(axis=1, keepdims=True)
-    lse = m + np.log(np.exp(zs - m).sum(axis=1, keepdims=True))
-    losses = lse[:, 0] - zs[rows, labels]
-    p = np.exp(zs - lse)
-    dz = p.copy()
-    dz[rows, labels] -= 1.0
+    e = zs - m
+    lse = m + np.log(np.exp(e, out=e).sum(axis=1, keepdims=True))
+    losses = lse[:, 0] - zs.take(target)
+    p = np.exp(np.subtract(zs, lse, out=e), out=e)
+    dsigma = (logits.take(target) - (p * logits).sum(axis=1)) / sigma**2
+    dz = p
+    dz.ravel()[target] -= 1.0
     dz /= sigma[:, None]
-    dsigma = (logits[rows, labels] - (p * logits).sum(axis=1)) / sigma**2
     return losses, dz, dsigma
 
 

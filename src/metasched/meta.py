@@ -226,15 +226,27 @@ def update_sigma_tables(mode, dps, batch, dsigma, data_lr):
     Single-mode tables are projected onto [SIGMA_MIN, inf) after the
     update; in joint mode the floor is enforced at resolve time instead
     (the instance table starts at 0 and may go negative).
+
+    A class steps by the sum of its rows' dsigma as the slice ``.sum()``
+    gives it. ``np.bincount(labels, weights=dsigma)`` adds each class's
+    rows one at a time in row order, starting from 0.0. numpy's pairwise
+    sum adds a run of fewer than 8 elements the same way and switches to
+    8 accumulators from 8 on, so the bincount entry equals the slice sum
+    bit for bit for a class with fewer than 8 rows in the batch, and only
+    a class with 8 or more takes its slice sum.
     """
     scale = data_lr / batch.size
     clamps = 0
     if mode in ("class", "joint"):
-        classes = np.unique(batch.labels)
-        # one slice sum per class: np.bincount adds in another order
-        sums = np.array([dsigma[batch.labels == c].sum() for c in classes])
+        labels = batch.labels
+        counts = np.bincount(labels)
+        sums = np.bincount(labels, weights=dsigma)
+        # from 8 rows on the slice sum adds in another order
+        for c in np.flatnonzero(counts >= 8):
+            sums[c] = dsigma[labels == c].sum()
+        classes = np.flatnonzero(counts)
         floor = losses_mod.SIGMA_MIN if mode == "class" else None
-        clamps += sgd_at(dps.sigma_class, classes, scale * sums, floor)
+        clamps += sgd_at(dps.sigma_class, classes, scale * sums[classes], floor)
     if mode in ("instance", "joint"):
         floor = losses_mod.SIGMA_MIN if mode == "instance" else None
         clamps += sgd_at(dps.sigma_inst, batch.indices, scale * dsigma, floor)

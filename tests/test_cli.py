@@ -5,7 +5,7 @@ import json
 import pytest
 
 from metasched.cli import main
-from metasched.config import load_config
+from metasched.config import KEY_MAP, RunConfig, load_config
 from metasched.datagen import load_dataset
 
 DATA_OVERRIDES = [
@@ -104,6 +104,37 @@ def test_missing_input_file_names_the_path(tmp_path, capsys, argv):
 def test_bad_override_is_validation_error(capsys):
     assert main(["train", "--override", "train.lr=-1", *DATA_OVERRIDES]) == 1
     assert "positive" in capsys.readouterr().err
+
+
+FLOAT_KEYS = [
+    key for key, (name, _) in KEY_MAP.items() if isinstance(getattr(RunConfig(), name), float)
+]
+# optimizer hyperparameters, each with an optimizer that reads it
+OPTIM_KEYS = {"optim.beta": "momentum", "optim.eps": "adam", "optim.lookahead_alpha": "lookahead_sgd"}
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("key", [*FLOAT_KEYS, *OPTIM_KEYS])
+def test_non_finite_float_is_validation_error(tmp_path, capsys, key, value):
+    optimizer = OPTIM_KEYS.get(key, "sgd")
+    code = main([
+        "train", *DATA_OVERRIDES,
+        "--override", f"train.optimizer={optimizer}",
+        "--override", "lr_drop.epoch=0",
+        "--override", f"{key}={value}",
+        "--out", str(tmp_path / "run"),
+    ])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {key}: expected a finite number, got {value!r}\n"
+    assert not (tmp_path / "run" / "metrics.jsonl").exists()
+
+
+def test_non_finite_float_in_config_file_names_the_file(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("train.epochs = 1\ntemperature.lr = inf\n")
+    assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {cfg}: temperature.lr: expected a finite number, got 'inf'\n"
 
 
 @pytest.mark.parametrize(

@@ -1,8 +1,11 @@
 """Config parsing, validation rules, digests, seed derivation."""
 
+import math
+
 import pytest
 
 from metasched.config import (
+    KEY_MAP,
     RunConfig,
     apply_overrides,
     build_config,
@@ -10,9 +13,15 @@ from metasched.config import (
     load_config,
     parse_config_text,
     save_config,
+    validate_config,
     with_seeds,
 )
 from metasched.errors import ConfigError
+
+# every key whose field is a float, plus optimizer hyperparameters
+FLOAT_KEYS = [
+    key for key, (name, _) in KEY_MAP.items() if isinstance(getattr(RunConfig(), name), float)
+] + ["optim.beta", "optim.eps"]
 
 SAMPLE = """
 # reference noisy-label run
@@ -68,6 +77,45 @@ def test_bad_value_types():
         build_config({"train.lr": "fast"})
     with pytest.raises(ConfigError, match="boolean"):
         build_config({"meta.wd_learnable": "maybe"})
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", " NaN "])
+@pytest.mark.parametrize("key", FLOAT_KEYS)
+def test_non_finite_float_is_rejected(key, value):
+    with pytest.raises(ConfigError) as err:
+        build_config({key: value})
+    assert str(err.value) == f"{key}: expected a finite number, got {value!r}"
+
+
+def test_float_keys_are_found():
+    assert {"train.lr", "temperature.lr", "meta.wd_init", "lr_drop.factor"} <= set(FLOAT_KEYS)
+
+
+def test_non_finite_value_from_a_file_names_the_file(tmp_path):
+    path = tmp_path / "run.cfg"
+    path.write_text("train.lr = 0.1\nlr_drop.factor = inf\n")
+    with pytest.raises(ConfigError) as err:
+        load_config(path)
+    assert str(err.value) == f"{path}: lr_drop.factor: expected a finite number, got 'inf'"
+    # an override's value is named without the file it replaces
+    with pytest.raises(ConfigError) as err:
+        load_config(path, ["lr_drop.factor=nan"])
+    assert str(err.value) == "lr_drop.factor: expected a finite number, got 'nan'"
+    assert load_config(path, ["lr_drop.factor=4"]).lr_drop_factor == 4.0
+
+
+@pytest.mark.parametrize(
+    "fields, key",
+    [
+        ({"lr": math.nan}, "train.lr"),
+        ({"temperature_lr": math.inf}, "temperature.lr"),
+        ({"spread": -math.inf}, "data.spread"),
+        ({"optim_hyper": (("beta", math.nan),)}, "optim.beta"),
+    ],
+)
+def test_validate_rejects_non_finite_fields(fields, key):
+    with pytest.raises(ConfigError, match=f"^{key}: expected a finite number"):
+        validate_config(RunConfig(**fields))
 
 
 def test_optim_hyper_passthrough():

@@ -34,6 +34,8 @@ CASES = {
     "instance": ["train", "--config", "instance.cfg"],
     "class_wd": ["train", "--config", "class_wd.cfg"],
     "temperature_joint": ["train", "--config", "temperature_joint.cfg"],
+    # batches of 64 over 4 classes: most class sums run over 8 or more rows
+    "temperature_class": ["train", "--config", "temperature_class.cfg"],
     "kfold": ["kfold", "--config", "kfold.cfg"],
     "files": ["train", "--config", "files.cfg"],
     # reads the instance run's committed schedule back from disk

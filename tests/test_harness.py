@@ -293,6 +293,42 @@ def test_update_sigma_tables_matches_per_row_loop(mode):
         assert clamps > 0  # the floor is exercised
 
 
+@pytest.mark.parametrize("mode", ["class", "joint"])
+def test_update_sigma_tables_at_the_eight_row_boundary(mode):
+    """Classes of 7, 8 and 9 rows, class 1 absent, class 4 one -0.0 row.
+
+    In the 8- and 9-row classes, 1.0 and then 2**-53 per further row sums
+    to 1.0 one row at a time (each addition rounds back to 1.0) and to
+    more than 1.0 pairwise, so only their slice sums give the table bits.
+    """
+    tiny = 2.0**-53
+    members = {
+        0: [0.4, -0.0, 0.25, 0.5, 0.125, 0.75, 1.5],
+        2: [1.0] + [tiny] * 7,
+        3: [1.0] + [tiny] * 8,
+        4: [-0.0],
+    }
+    # round robin over the classes, so each class's rows keep their order
+    rows = [(c, vs[r]) for r in range(9) for c, vs in members.items() if r < len(vs)]
+    labels = np.array([c for c, _ in rows])
+    dsigma = np.array([v for _, v in rows])
+    ordered = np.bincount(labels, weights=dsigma)
+    assert ordered[2] == ordered[3] == 1.0
+    assert dsigma[labels == 2].sum() > 1.0 and dsigma[labels == 3].sum() > 1.0
+    n = 30
+    dps = meta.DataParamState.initial(n, 5, temperature_mode=mode)
+    dps.sigma_class[:] = [0.5, 0.8, 2.0, 2.0, 0.3]
+    batch = nn.Batch(np.zeros((labels.size, 1)), labels, np.arange(labels.size)[::-1] + 3)
+    ref = dps.copy()
+    # data_lr equal to the batch size: each class steps by its whole sum
+    got = update_sigma_tables(mode, dps, batch, dsigma, float(labels.size))
+    assert got == loop_update_sigma_tables(mode, ref, batch, dsigma, float(labels.size))
+    assert got == (1 if mode == "class" else 0)  # class 0 falls to the floor
+    for name in ("sigma_class", "sigma_inst"):
+        a, b = getattr(dps, name), getattr(ref, name)
+        assert (a is None and b is None) or a.tobytes() == b.tobytes()
+
+
 @settings(deadline=None, derandomize=True, max_examples=100)
 @given(
     mode=st.sampled_from(losses.TEMPERATURE_MODES),

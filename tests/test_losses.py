@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from metasched import losses
 from metasched.errors import ShapeError
@@ -255,3 +257,47 @@ def test_bad_logit_shape():
         losses.temperature_ce(np.zeros((2, 2)), 0, 1.0)
     with pytest.raises(ShapeError):
         losses.temperature_ce(np.zeros(1), 0, 1.0)
+
+
+def copying_temperature_ce_batch(logits, labels, sigma_eff):
+    """temperature_ce_batch as it read with a copy of the softmax for dz:
+    the oracle for the in-place version."""
+    logits = np.asarray(logits, dtype=np.float64)
+    labels = np.asarray(labels)
+    sigma = np.asarray(sigma_eff, dtype=np.float64)
+    b = logits.shape[0]
+    rows = np.arange(b)
+    zs = logits / sigma[:, None]
+    m = zs.max(axis=1, keepdims=True)
+    lse = m + np.log(np.exp(zs - m).sum(axis=1, keepdims=True))
+    losses_ = lse[:, 0] - zs[rows, labels]
+    p = np.exp(zs - lse)
+    dz = p.copy()
+    dz[rows, labels] -= 1.0
+    dz /= sigma[:, None]
+    dsigma = (logits[rows, labels] - (p * logits).sum(axis=1)) / sigma**2
+    return losses_, dz, dsigma
+
+
+@settings(deadline=None, derandomize=True, max_examples=200)
+@given(
+    rows=st.integers(1, 64),
+    k=st.integers(2, 12),
+    data=st.data(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_temperature_ce_batch_matches_copying_oracle(rows, k, data, seed):
+    sigma = np.array(
+        data.draw(st.lists(st.floats(SIGMA_MIN, 5.0), min_size=rows, max_size=rows))
+    )
+    rng = np.random.default_rng(seed)
+    # logits are a row slice of a larger array, as a pass buffer hands them over
+    buffer = rng.normal(0, 1, size=(rows + 3, k)) * 10.0 ** rng.uniform(-2, 2)
+    before = buffer.copy()
+    logits = buffer[:rows]
+    labels = rng.integers(0, k, size=rows)
+    got = losses.temperature_ce_batch(logits, labels, sigma)
+    want = copying_temperature_ce_batch(logits, labels, sigma)
+    for name, g, w in zip(("losses", "dz", "dsigma"), got, want):
+        assert g.shape == w.shape and g.tobytes() == w.tobytes(), name
+    assert buffer.tobytes() == before.tobytes()
