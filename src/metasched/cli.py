@@ -50,7 +50,7 @@ def _build_parser():
     gen.add_argument("--per-class", type=int, default=320)
     gen.add_argument("--dim", type=int, default=16)
     gen.add_argument("--spread", type=float, default=0.5)
-    gen.add_argument("--seed", type=int, default=0)
+    gen.add_argument("--seed", type=_count(0), default=0)
     gen.add_argument("--out", required=True, help="dataset CSV path")
     gen.add_argument("--superclasses", type=int, default=0)
     gen.add_argument("--superclass-out", default=None, help="superclass map CSV path")
@@ -58,7 +58,7 @@ def _build_parser():
     cor = sub.add_parser("corrupt", help="inject uniform label noise")
     cor.add_argument("--data", required=True)
     cor.add_argument("--p", type=float, required=True)
-    cor.add_argument("--seed", type=int, default=0)
+    cor.add_argument("--seed", type=_count(0), default=0)
     cor.add_argument("--out", required=True, help="corrupted dataset CSV path")
     cor.add_argument("--manifest-out", required=True, help="manifest CSV path")
 
@@ -73,7 +73,7 @@ def _build_parser():
         )
         p.add_argument(
             "--seed",
-            type=int,
+            type=_count(0),
             default=None,
             help="base seed; sets seed.data/init/shuffle to seed/seed+1/seed+2",
         )
@@ -95,7 +95,7 @@ def _build_parser():
 
     gc = sub.add_parser("gradcheck", help="finite-difference gradient oracles")
     gc.add_argument("--trials", type=_count(1), default=100)
-    gc.add_argument("--seed", type=int, default=0)
+    gc.add_argument("--seed", type=_count(0), default=0)
     gc.add_argument(
         "--target",
         action="append",
@@ -241,11 +241,10 @@ def _cmd_analyze(args):
     manifest_path = os.path.join(run_dir, "manifest.csv")
     if os.path.exists(manifest_path) and trajectory.epochs:
         manifest = datagen.load_manifest(manifest_path)
-        tables = trajectory.snapshot(trajectory.epochs - 1).as_tables()
         population = info.get("train_indices")
         try:
             sep = analysis.separation(
-                tables["w_inst"],
+                trajectory.snapshot(trajectory.epochs - 1).w_inst,
                 manifest,
                 None if population is None else np.array(population, dtype=np.int64),
             )

@@ -244,6 +244,10 @@ def validate_config(cfg):
     for key, value in floats:
         if not math.isfinite(value):
             raise ConfigError(f"{key}: expected a finite number, got {value!r}")
+    for key in ("seed.data", "seed.init", "seed.shuffle", "noise.seed", "split.seed"):
+        seed = getattr(cfg, KEY_MAP[key][0])
+        if seed is not None and seed < 0:
+            raise ConfigError(f"{key}: expected a non-negative seed, got {seed}")
     if cfg.activation not in ACTIVATIONS:
         raise ConfigError(f"unknown activation {cfg.activation!r}")
     if any(w < 1 for w in cfg.hidden):

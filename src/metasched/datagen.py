@@ -124,8 +124,8 @@ def make_blobs(n_classes, per_class, dim, spread, seed):
             f"dim {dim} too small to hold a {n_classes}-vertex simplex "
             f"(need >= {max(2, n_classes - 1)})"
         )
-    if spread <= 0:
-        raise ConfigError("spread must be positive")
+    if not (math.isfinite(spread) and spread > 0):
+        raise ConfigError(f"spread must be a positive finite number, got {spread!r}")
     rng = np.random.default_rng(seed)
     centered = np.eye(n_classes) - 1.0 / n_classes
     u, s, _ = np.linalg.svd(centered)
@@ -175,7 +175,6 @@ class SplitSpec:
     test_per_class: int = 100
     k: int = 5
     seed: int = 0
-    target_superclass: int | None = None
 
     def __post_init__(self):
         if self.kind not in ("holdout", "kfold"):

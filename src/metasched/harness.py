@@ -167,7 +167,7 @@ def _evaluate(model, ds, buffers):
     fresh layer outputs set the run's peak memory.
     """
     logits = nn.forward(model, ds.features, buffers)
-    losses_vec, _ = losses_mod.cross_entropy_batch(logits, ds.labels)
+    losses_vec, _, _ = losses_mod.cross_entropy_batch(logits, ds.labels)
     preds = np.argmax(logits, axis=1)
     return float(losses_vec.mean()), float((preds == ds.labels).mean()), preds
 
@@ -378,9 +378,8 @@ def _train(cfg, bundle, out_dir, schedule=None):
             t0 = time.perf_counter()
             lr = _epoch_lr(cfg, epoch)
             if schedule is not None:
-                dps = meta.DataParamState(
-                    **schedule.snapshot(epoch).as_tables(), mode=cfg.mode
-                )
+                # the rollout only reads the tables: no copy
+                dps = replace(schedule.snapshot(epoch), mode=cfg.mode)
             perm = rng_shuffle.permutation(n_train)
             # a permutation needs no bounds check, and without one
             # np.take writes straight into out instead of a temporary

@@ -1,6 +1,11 @@
 """Cross-entropy losses and the temperature-scaled cross-entropy with
 analytic gradients.
 
+``cross_entropy_batch`` is the one batch kernel for both: row-wise plain
+cross-entropy without temperatures, the temperature-scaled loss with one
+temperature per row. ``ce_loss`` and ``temperature_ce`` are the
+single-sample forms.
+
 The temperature variant divides the logits of a sample by an effective
 temperature ``sigma_eff`` before the softmax:
 
@@ -125,42 +130,35 @@ def resolve_sigma_batch(mode, labels, indices, dps):
     return np.where(clamped, SIGMA_MIN, raw), clamped
 
 
-def cross_entropy_batch(logits, labels):
-    """Row-wise stable cross-entropy. Returns (losses, dz), both per sample."""
-    logits = np.asarray(logits, dtype=np.float64)
-    labels = np.asarray(labels)
-    b = logits.shape[0]
-    rows = np.arange(b)
-    m = logits.max(axis=1, keepdims=True)
-    lse = m + np.log(np.exp(logits - m).sum(axis=1, keepdims=True))
-    losses = lse[:, 0] - logits[rows, labels]
-    dz = np.exp(logits - lse)
-    dz[rows, labels] -= 1.0
-    return losses, dz
-
-
-def temperature_ce_batch(logits, labels, sigma_eff):
-    """Row-wise temperature cross-entropy. Returns (losses, dz, dsigma).
+def cross_entropy_batch(logits, labels, sigma=None):
+    """Row-wise stable cross-entropy, temperature-scaled by one effective
+    temperature per row when ``sigma`` is given. Returns (losses, dz,
+    dsigma), per sample; ``dsigma`` is None without ``sigma``.
 
     ``logits`` is left as it is; ``dz`` is the softmax array, turned into
     the logit gradient in place once ``dsigma`` has read it.
     """
     logits = np.asarray(logits, dtype=np.float64)
     labels = np.asarray(labels)
-    sigma = np.asarray(sigma_eff, dtype=np.float64)
     b, k = logits.shape
     # flat position of each row's target entry
     target = np.arange(b) * k + labels
-    zs = logits / sigma[:, None]
+    zs = logits
+    if sigma is not None:
+        sigma = np.asarray(sigma, dtype=np.float64)
+        zs = logits / sigma[:, None]
     m = zs.max(axis=1, keepdims=True)
     e = zs - m
     lse = m + np.log(np.exp(e, out=e).sum(axis=1, keepdims=True))
     losses = lse[:, 0] - zs.take(target)
     p = np.exp(np.subtract(zs, lse, out=e), out=e)
-    dsigma = (logits.take(target) - (p * logits).sum(axis=1)) / sigma**2
+    dsigma = None
+    if sigma is not None:
+        dsigma = (logits.take(target) - (p * logits).sum(axis=1)) / sigma**2
     dz = p
     dz.ravel()[target] -= 1.0
-    dz /= sigma[:, None]
+    if sigma is not None:
+        dz /= sigma[:, None]
     return losses, dz, dsigma
 
 

@@ -99,13 +99,17 @@ class DataParamState:
         )
 
     def copy(self):
-        return replace(
-            self,
-            w_inst=self.w_inst.copy(),
-            w_class=self.w_class.copy(),
-            sigma_class=None if self.sigma_class is None else self.sigma_class.copy(),
-            sigma_inst=None if self.sigma_inst is None else self.sigma_inst.copy(),
-        )
+        return replace(self, **self.as_tables())
+
+    def as_tables(self):
+        """Copies of the weight, decay and temperature tables by name."""
+        return {
+            "w_inst": self.w_inst.copy(),
+            "w_class": self.w_class.copy(),
+            "lam_wd": self.lam_wd,
+            "sigma_class": None if self.sigma_class is None else self.sigma_class.copy(),
+            "sigma_inst": None if self.sigma_inst is None else self.sigma_inst.copy(),
+        }
 
 
 @dataclass

@@ -404,13 +404,7 @@ def batch_backward(model, batch, sigma=None, buffers=None):
     if rows > buffers.rows:
         raise ShapeError(f"{rows} rows do not fit pass buffers of {buffers.rows} rows")
     acts = _forward_cache(model, layers, batch.features, [out[:rows] for out in buffers.outs])
-    dsigma = None
-    if sigma is None:
-        sample_losses, dz = losses_mod.cross_entropy_batch(acts[-1], batch.labels)
-    else:
-        sample_losses, dz, dsigma = losses_mod.temperature_ce_batch(
-            acts[-1], batch.labels, sigma
-        )
+    sample_losses, dz, dsigma = losses_mod.cross_entropy_batch(acts[-1], batch.labels, sigma)
     deltas = _deltas(model, layers, acts, dz, buffers)
     inputs = tuple(acts[:-1])
     _check_finite(sample_losses, dsigma, inputs, deltas, batch.indices)
@@ -440,7 +434,7 @@ def per_sample_backward(model, batch):
     """
     outs = PassBuffers(model.manifest, batch.size).outs
     acts = _forward_cache(model, unflatten(model), batch.features, outs)
-    sample_losses, dz = losses_mod.cross_entropy_batch(acts[-1], batch.labels)
+    sample_losses, dz, _ = losses_mod.cross_entropy_batch(acts[-1], batch.labels)
     grads = per_sample_grads_from_dz(model, acts, dz)
     bad = ~(np.isfinite(sample_losses) & np.isfinite(grads).all(axis=1))
     if bad.any():

@@ -2,10 +2,12 @@
 
 A trajectory records every data parameter at each epoch end so a learned
 schedule can be averaged across folds and replayed as fixed multipliers.
-In memory every table is a dense array. Only the file is sparse: it holds
-an `inst` row for each instance weight that differs from its initial
-value 1, and an absent row reads back as 1. Class tables, the decay
-coefficient, and temperature tables are written densely.
+Each snapshot is a ``meta.DataParamState`` and its position in the log is
+its epoch. In memory every table is a dense array. Only the file is
+sparse: it holds an `inst` row for each instance weight that differs from
+its initial value 1, and an absent row reads back as 1. Class tables, the
+decay coefficient, and temperature tables are written densely. A decay
+row must not be negative.
 
 Interchange format: comma-separated `epoch,kind,id,value` rows with kind
 in {inst, class, wd, sigma_inst, sigma_class}. A clean file is parsed in
@@ -23,40 +25,12 @@ import numpy as np
 
 from .csvrows import read_blocks, read_rows
 from .errors import ConfigError
+from .meta import DataParamState
 
 COLUMNS = ("epoch", "kind", "id", "value")
 KINDS = ("inst", "class", "wd", "sigma_inst", "sigma_class")
 # one byte wider than the longest kind, so a longer name is never cut to a valid one
 ROW_DTYPE = np.dtype([("e", "i8"), ("k", "S12"), ("i", "i8"), ("v", "f8")])
-
-
-def _copy(table):
-    return None if table is None else table.copy()
-
-
-@dataclass
-class EpochSnapshot:
-    epoch: int
-    w_inst: np.ndarray
-    w_class: np.ndarray
-    lam_wd: float
-    sigma_class: np.ndarray | None = None
-    sigma_inst: np.ndarray | None = None
-
-    def as_tables(self):
-        """Copies of this epoch's weight tables, suitable for replay."""
-        return {
-            "w_inst": self.w_inst.copy(),
-            "w_class": self.w_class.copy(),
-            "lam_wd": self.lam_wd,
-            "sigma_class": _copy(self.sigma_class),
-            "sigma_inst": _copy(self.sigma_inst),
-        }
-
-
-def _blank(epoch, n_instances, n_classes):
-    """An epoch's snapshot before any of its rows: weights at 1, no decay."""
-    return EpochSnapshot(epoch, np.ones(n_instances), np.ones(n_classes), 0.0)
 
 
 def _put(snap, kind, ids, values, n_instances, n_classes):
@@ -90,19 +64,10 @@ class TrajectoryLog:
         return len(self.snapshots)
 
     def record(self, dps):
-        """Append an epoch-end snapshot of the data-parameter state."""
+        """Append a copy of the epoch-end data-parameter state."""
         if dps.w_inst.size != self.n_instances or dps.w_class.size != self.n_classes:
             raise ValueError("data-parameter dimensions do not match the trajectory")
-        snap = EpochSnapshot(
-            epoch=len(self.snapshots),
-            w_inst=dps.w_inst.copy(),
-            w_class=dps.w_class.copy(),
-            lam_wd=float(dps.lam_wd),
-            sigma_class=_copy(dps.sigma_class),
-            sigma_inst=_copy(dps.sigma_inst),
-        )
-        self.snapshots.append(snap)
-        return snap
+        self.snapshots.append(dps.copy())
 
     def snapshot(self, epoch):
         if not 0 <= epoch < len(self.snapshots):
@@ -115,15 +80,14 @@ class TrajectoryLog:
         # one epoch's text at a time: the whole file's would be the run's peak
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(",".join(COLUMNS) + "\n")
-            for snap in self.snapshots:
-                e = snap.epoch
+            for e, snap in enumerate(self.snapshots):
                 lines = []
                 nonunit = np.flatnonzero(snap.w_inst != 1.0)
                 for i, v in zip(nonunit.tolist(), snap.w_inst[nonunit].tolist()):
                     lines.append(f"{e},inst,{i},{v!r}")
                 for c, v in enumerate(snap.w_class.tolist()):
                     lines.append(f"{e},class,{c},{v!r}")
-                lines.append(f"{e},wd,0,{snap.lam_wd!r}")
+                lines.append(f"{e},wd,0,{float(snap.lam_wd)!r}")
                 if snap.sigma_class is not None:
                     for c, v in enumerate(snap.sigma_class.tolist()):
                         lines.append(f"{e},sigma_class,{c},{v!r}")
@@ -169,10 +133,11 @@ class TrajectoryLog:
                 and (ident >= 0).all()
                 and (ident < sizes[code]).all()
                 and np.isfinite(value).all()
+                and (value[code == KINDS.index("wd")] >= 0).all()
             ):
                 raise ValueError("trajectory row out of range")
-            for epoch in range(len(snapshots), int(e.max()) + 1):
-                snapshots.append(_blank(epoch, n_instances, n_classes))
+            for _ in range(len(snapshots), int(e.max()) + 1):
+                snapshots.append(DataParamState.initial(n_instances, n_classes, wd_init=0.0))
             # grouped by (epoch, kind) with file order kept per id, so
             # keeping the last row of each id keeps the row that wins
             key = e * len(KINDS) + code
@@ -217,13 +182,15 @@ class TrajectoryLog:
                 )
             if not math.isfinite(value):
                 raise ConfigError(f"{path} line {lineno}: non-finite value {parts[3]!r}")
+            if kind == "wd" and value < 0:
+                raise ConfigError(f"{path} line {lineno}: negative weight decay {parts[3]!r}")
             if e > len(snapshots):
                 raise ConfigError(
                     f"{path} line {lineno}: epoch {e} before any row of epoch "
                     f"{len(snapshots)}"
                 )
             if e == len(snapshots):
-                snapshots.append(_blank(e, n_instances, n_classes))
+                snapshots.append(DataParamState.initial(n_instances, n_classes, wd_init=0.0))
             _put(snapshots[e], kind, ident, value, n_instances, n_classes)
         return log
 
@@ -277,8 +244,7 @@ def average_trajectories(logs, memberships):
         if snaps[0].sigma_inst is not None:
             sigma_inst = _fold_mean([s.sigma_inst for s in snaps], masks, counts, 0.0)
         out.snapshots.append(
-            EpochSnapshot(
-                epoch=e,
+            DataParamState(
                 w_inst=_fold_mean([s.w_inst for s in snaps], masks, counts, 1.0),
                 w_class=np.mean([s.w_class for s in snaps], axis=0),
                 lam_wd=float(np.mean([s.lam_wd for s in snaps])),

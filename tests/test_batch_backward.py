@@ -97,10 +97,7 @@ def tangent_dots(model, batch, v, sigma=None):
             da = (1.0 - a * a) * ds
         else:
             a, da = s, ds
-    if sigma is None:
-        _, dz = losses.cross_entropy_batch(a, batch.labels)
-    else:
-        _, dz, _ = losses.temperature_ce_batch(a, batch.labels, sigma)
+    _, dz, _ = losses.cross_entropy_batch(a, batch.labels, sigma)
     return (dz * da).sum(axis=1)
 
 
@@ -192,7 +189,7 @@ def test_temperature_pass_matches_scalar_rows(b, activation, data):
             dps.sigma_inst[:] = rng.uniform(low, 3.0, size=N_POOL)
         sigma, _ = losses.resolve_sigma_batch(mode, batch.labels, batch.indices, dps)
         backward = nn.batch_backward(model, batch, sigma)
-        want_losses, _, want_dsigma = losses.temperature_ce_batch(logits, batch.labels, sigma)
+        want_losses, _, want_dsigma = losses.cross_entropy_batch(logits, batch.labels, sigma)
         assert np.array_equal(backward.losses, want_losses)
         assert np.array_equal(backward.dsigma, want_dsigma)
         grads = temperature_oracle(model, batch, sigma)
@@ -278,11 +275,7 @@ def reference_factors(model, batch, sigma=None):
             acts.append(np.tanh(s))
         else:
             acts.append(s)
-    dsigma = None
-    if sigma is None:
-        sample_losses, dz = losses.cross_entropy_batch(acts[-1], batch.labels)
-    else:
-        sample_losses, dz, dsigma = losses.temperature_ce_batch(acts[-1], batch.labels, sigma)
+    sample_losses, dz, dsigma = losses.cross_entropy_batch(acts[-1], batch.labels, sigma)
     deltas = [dz]
     for li in range(len(layers) - 1, 0, -1):
         activation, s = model.manifest[li - 1].activation, preacts[li - 1]

@@ -129,6 +129,47 @@ def test_non_finite_float_is_validation_error(tmp_path, capsys, key, value):
     assert not (tmp_path / "run" / "metrics.jsonl").exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["generate-data", "--seed", "-1", "--out", "{tmp}/data.csv"],
+        ["corrupt", "--data", "{tmp}/data.csv", "--p", "0.2", "--seed", "-1",
+         "--out", "{tmp}/noisy.csv", "--manifest-out", "{tmp}/manifest.csv"],
+        ["train", *DATA_OVERRIDES, "--seed", "-5"],
+        ["kfold", *DATA_OVERRIDES, "--seed", "-5"],
+        ["replay", *DATA_OVERRIDES, "--seed", "-5", "--trajectory", "{tmp}/trajectory.csv"],
+        ["gradcheck", "--seed", "-1"],
+    ],
+)
+def test_negative_seed_flag_is_validation_error(tmp_path, capsys, argv):
+    code = main([arg.format(tmp=tmp_path) for arg in argv])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1].startswith("error: argument --seed: must be at least 0, got -")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "key", ["seed.data", "seed.init", "seed.shuffle", "noise.seed", "split.seed"]
+)
+def test_negative_seed_override_is_validation_error(tmp_path, capsys, key):
+    argv = ["train", *DATA_OVERRIDES, "--override", f"{key}=-1", "--out", str(tmp_path / "run")]
+    code = main(argv)
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {key}: expected a non-negative seed, got -1\n"
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("spread", ["nan", "inf"])
+def test_non_finite_spread_is_validation_error(tmp_path, capsys, spread):
+    data = tmp_path / "data.csv"
+    code = main(["generate-data", "--spread", spread, "--out", str(data)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err == f"error: spread must be a positive finite number, got {spread}\n"
+    assert not data.exists()
+
+
 def test_non_finite_float_in_config_file_names_the_file(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("train.epochs = 1\ntemperature.lr = inf\n")
@@ -553,6 +594,26 @@ def test_bad_trajectory_row_is_validation_error(tmp_path, capsys, command):
     err = capsys.readouterr().err
     assert err.count("\n") == 1
     assert f"{trajectory} line 3: inst id 99999 outside" in err
+
+
+def test_negative_weight_decay_in_trajectory_is_validation_error(tmp_path, capsys):
+    run_dir = tmp_path / "base"
+    assert main([
+        "train", "--override", "meta.mode=instance", *DATA_OVERRIDES, "--out", str(run_dir),
+    ]) == 0
+    trajectory = run_dir / "trajectory.csv"
+    lines = trajectory.read_text().splitlines()
+    lines.append("2,wd,0,-0.5")
+    trajectory.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    code = main([
+        "replay", *DATA_OVERRIDES, "--trajectory", str(trajectory),
+        "--out", str(tmp_path / "replay"),
+    ])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {trajectory} line {len(lines)}: negative weight decay '-0.5'\n"
+    assert not (tmp_path / "replay").exists()
 
 
 def test_kfold_subcommand_with_candidates(tmp_path):

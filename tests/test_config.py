@@ -118,6 +118,16 @@ def test_validate_rejects_non_finite_fields(fields, key):
         validate_config(RunConfig(**fields))
 
 
+SEED_KEYS = ["seed.data", "seed.init", "seed.shuffle", "noise.seed", "split.seed"]
+
+
+@pytest.mark.parametrize("key", SEED_KEYS)
+def test_negative_seed_is_rejected(key):
+    with pytest.raises(ConfigError, match=f"^{key}: expected a non-negative seed, got -1$"):
+        build_config({key: "-1"})
+    validate_config(build_config({key: "0"}))
+
+
 def test_optim_hyper_passthrough():
     cfg = build_config({"train.optimizer": "adam", "optim.beta1": "0.8"})
     assert cfg.optim_hyper == (("beta1", 0.8),)

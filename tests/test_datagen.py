@@ -91,6 +91,12 @@ def test_make_blobs_validation():
         make_blobs(3, 10, 4, 0.0, seed=0)
 
 
+@pytest.mark.parametrize("spread", [math.nan, math.inf, -math.inf])
+def test_make_blobs_rejects_non_finite_spread(spread):
+    with pytest.raises(ConfigError, match=f"positive finite number, got {spread}$"):
+        make_blobs(3, 10, 4, spread, seed=0)
+
+
 def test_corrupt_p_zero_is_noop():
     ds = make_blobs(3, 20, 4, 0.5, seed=1)
     out, manifest = corrupt_labels(ds, 0.0, seed=2)

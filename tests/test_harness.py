@@ -118,7 +118,7 @@ def test_logged_metrics_recomputable_from_saved_model(tmp_path):
     model = load_model(tmp_path / "model.json")
     bundle = result.bundle
     logits = nn.forward(model, bundle.train.features)
-    loss_vec, _ = losses.cross_entropy_batch(logits, bundle.train.labels)
+    loss_vec, _, _ = losses.cross_entropy_batch(logits, bundle.train.labels)
     acc = float((logits.argmax(axis=1) == bundle.train.labels).mean())
     final = result.metrics[-1]
     assert abs(float(loss_vec.mean()) - final.train_loss) <= 1e-12
@@ -375,7 +375,7 @@ def test_blocked_evaluation_matches_one_full_forward(n, rows, activation, seed):
     )
     loss, acc, preds = _evaluate(model, ds, nn.PassBuffers(manifest, rows))
     logits = nn.forward(model, ds.features)
-    want_losses, _ = losses.cross_entropy_batch(logits, ds.labels)
+    want_losses, _, _ = losses.cross_entropy_batch(logits, ds.labels)
     want_preds = np.argmax(logits, axis=1)
     assert np.array_equal(preds, want_preds)
     assert acc == float((want_preds == ds.labels).mean())

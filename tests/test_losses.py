@@ -240,8 +240,8 @@ def test_batch_losses_match_scalar_calls():
     labels = rng.integers(0, 4, size=8)
     sigmas = rng.uniform(0.2, 5.0, size=8)
 
-    bl, bdz = losses.cross_entropy_batch(logits, labels)
-    tl, tdz, tds = losses.temperature_ce_batch(logits, labels, sigmas)
+    bl, bdz, _ = losses.cross_entropy_batch(logits, labels)
+    tl, tdz, tds = losses.cross_entropy_batch(logits, labels, sigmas)
     for i in range(8):
         l0, dz0 = losses.ce_loss(logits[i], int(labels[i]))
         assert np.isclose(bl[i], l0, rtol=1e-12, atol=1e-15)
@@ -259,9 +259,24 @@ def test_bad_logit_shape():
         losses.temperature_ce(np.zeros(1), 0, 1.0)
 
 
+def copying_cross_entropy_batch(logits, labels):
+    """The plain batch cross-entropy as it read before it shared the
+    temperature kernel: the oracle for that kernel without temperatures."""
+    logits = np.asarray(logits, dtype=np.float64)
+    labels = np.asarray(labels)
+    b = logits.shape[0]
+    rows = np.arange(b)
+    m = logits.max(axis=1, keepdims=True)
+    lse = m + np.log(np.exp(logits - m).sum(axis=1, keepdims=True))
+    losses_ = lse[:, 0] - logits[rows, labels]
+    dz = np.exp(logits - lse)
+    dz[rows, labels] -= 1.0
+    return losses_, dz, None
+
+
 def copying_temperature_ce_batch(logits, labels, sigma_eff):
-    """temperature_ce_batch as it read with a copy of the softmax for dz:
-    the oracle for the in-place version."""
+    """The temperature batch cross-entropy as it read with a copy of the
+    softmax for dz: the oracle for the in-place kernel."""
     logits = np.asarray(logits, dtype=np.float64)
     labels = np.asarray(labels)
     sigma = np.asarray(sigma_eff, dtype=np.float64)
@@ -286,9 +301,9 @@ def copying_temperature_ce_batch(logits, labels, sigma_eff):
     data=st.data(),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_temperature_ce_batch_matches_copying_oracle(rows, k, data, seed):
-    sigma = np.array(
-        data.draw(st.lists(st.floats(SIGMA_MIN, 5.0), min_size=rows, max_size=rows))
+def test_cross_entropy_batch_matches_copying_oracles(rows, k, data, seed):
+    sigma = data.draw(
+        st.none() | st.lists(st.floats(SIGMA_MIN, 5.0), min_size=rows, max_size=rows)
     )
     rng = np.random.default_rng(seed)
     # logits are a row slice of a larger array, as a pass buffer hands them over
@@ -296,8 +311,14 @@ def test_temperature_ce_batch_matches_copying_oracle(rows, k, data, seed):
     before = buffer.copy()
     logits = buffer[:rows]
     labels = rng.integers(0, k, size=rows)
-    got = losses.temperature_ce_batch(logits, labels, sigma)
-    want = copying_temperature_ce_batch(logits, labels, sigma)
+    if sigma is None:
+        got = losses.cross_entropy_batch(logits, labels)
+        want = copying_cross_entropy_batch(logits, labels)
+        assert got[2] is None
+    else:
+        sigma = np.array(sigma)
+        got = losses.cross_entropy_batch(logits, labels, sigma)
+        want = copying_temperature_ce_batch(logits, labels, sigma)
     for name, g, w in zip(("losses", "dz", "dsigma"), got, want):
-        assert g.shape == w.shape and g.tobytes() == w.tobytes(), name
+        assert w is None or (g.shape == w.shape and g.tobytes() == w.tobytes()), name
     assert buffer.tobytes() == before.tobytes()

@@ -463,7 +463,7 @@ def test_train_loss_objective_degenerates_weights_to_zero():
     w = np.ones(train.size)
     for _ in range(400):
         logits = nn.forward(model, train.features)
-        sample_losses, _ = cross_entropy_batch(logits, train.labels)
+        sample_losses, _, _ = cross_entropy_batch(logits, train.labels)
         w = np.maximum(0.0, w - 1.0 * sample_losses / train.size)
     assert w.max() == 0.0
 

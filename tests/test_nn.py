@@ -187,7 +187,7 @@ def test_mean_of_rows_equals_mean_loss_gradient():
 
     def mean_loss(values):
         logits = nn.forward(model.with_values(values), batch.features)
-        sample_losses, _ = losses.cross_entropy_batch(logits, batch.labels)
+        sample_losses, _, _ = losses.cross_entropy_batch(logits, batch.labels)
         return sample_losses.mean()
 
     h = 1e-5

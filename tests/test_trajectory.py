@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from metasched import csvrows
 from metasched.errors import ConfigError
 from metasched.meta import DataParamState
-from metasched.trajectory import KINDS, EpochSnapshot, TrajectoryLog, average_trajectories
+from metasched.trajectory import KINDS, TrajectoryLog, average_trajectories
 
 
 def make_dps(n=6, k=3, mode="instance", temperature_mode=None):
@@ -31,7 +31,6 @@ def test_record_and_snapshot_round_trip():
 
     assert log.epochs == 2
     snap = log.snapshot(0)
-    assert snap.epoch == 0
     tables = snap.as_tables()
     assert tables["w_inst"][2] == 0.4
     assert tables["w_inst"][0] == 1.0
@@ -142,6 +141,17 @@ def test_from_csv_rejects_negative_epoch(tmp_path):
     assert "negative epoch -1" in read_bad_row(tmp_path, "-1,inst,1,0.5")
 
 
+def test_from_csv_rejects_negative_weight_decay(tmp_path):
+    assert read_bad_row(tmp_path, "0,wd,0,-0.5").endswith("negative weight decay '-0.5'")
+
+
+def test_from_csv_accepts_negative_zero_weight_decay(tmp_path):
+    path = tmp_path / "traj.csv"
+    path.write_text("epoch,kind,id,value\n0,wd,0,-0.0\n")
+    lam_wd = TrajectoryLog.from_csv(path, 2, 2).snapshot(0).lam_wd
+    assert lam_wd == 0.0 and np.signbit(lam_wd)
+
+
 def test_from_csv_rejects_skipped_epoch(tmp_path):
     assert "epoch 2 before any row of epoch 1" in read_bad_row(tmp_path, "2,inst,1,0.5")
 
@@ -201,7 +211,12 @@ def valid_trajectories(draw):
         epochs = max(epochs, e + 1)
         kind = draw(st.sampled_from(KINDS))
         ident = draw(st.integers(0, SIZES[kind] - 1))
-        v = draw(st.floats(allow_nan=False, allow_infinity=False))
+        # a decay coefficient is never negative
+        v = draw(
+            st.floats(
+                min_value=0.0 if kind == "wd" else None, allow_nan=False, allow_infinity=False
+            )
+        )
         epoch_text = draw(st.sampled_from([str(e), f"0{e}", f"+{e}", f" {e}"]))
         id_text = draw(st.sampled_from([str(ident), f"0{ident}", f"{ident} "]))
         value_text = draw(st.sampled_from([repr(v), f"{v:.17e}", f" {v!r}"]))
@@ -214,7 +229,6 @@ def table_bytes(log):
     """Every table of every snapshot, bit for bit."""
     return [
         (
-            snap.epoch,
             snap.w_inst.tobytes(),
             snap.w_class.tobytes(),
             type(snap.lam_wd),
@@ -284,6 +298,7 @@ BAD_ROWS = [
     b"0,class,3,0.5",
     b"0,sigma_class,3,0.5",
     b"0,wd,1,0.5",
+    b"0,wd,0,-0.5",
     b"0,sigma_classX,0,0.5",
     b"0, inst,0,0.5",
     b"1_0,inst,0,0.5",
@@ -350,13 +365,13 @@ def test_csv_round_trip_is_bit_exact(data):
         return np.array(data.draw(st.lists(value, min_size=size, max_size=size)))
 
     log = TrajectoryLog(n_instances=N_INST, n_classes=N_CLASS)
-    for e in range(data.draw(st.integers(0, 3))):
+    for _ in range(data.draw(st.integers(0, 3))):
         log.snapshots.append(
-            EpochSnapshot(
-                epoch=e,
+            DataParamState(
                 w_inst=table(N_INST),
                 w_class=table(N_CLASS),
-                lam_wd=data.draw(value),
+                # a DataParamState holds no negative decay coefficient
+                lam_wd=data.draw(st.floats(min_value=0.0, allow_nan=False, allow_infinity=False)),
                 sigma_class=table(N_CLASS) if data.draw(st.booleans()) else None,
                 sigma_inst=table(N_INST) if data.draw(st.booleans()) else None,
             )
