@@ -103,7 +103,7 @@ def _sample_loss(model, features_row, label):
 def _meta_objective(theta, grads, train_batch, dps, lr, meta_batch):
     """Meta loss after the rollout, written out over the per-sample
     gradient matrix: the reference side of the meta-gradient checks."""
-    w_eff = meta.effective_weights(dps, train_batch)
+    w_eff = meta.effective_weights(dps, train_batch.labels, train_batch.indices)
     rolled = theta.values - (lr / train_batch.size) * (w_eff @ grads)
     rolled = rolled - lr * dps.lam_wd * theta.values
     losses, _ = nn.per_sample_backward(theta.with_values(rolled), meta_batch)

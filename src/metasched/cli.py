@@ -213,7 +213,8 @@ def _cmd_gradcheck(args):
 
 
 def _load_run_info(path):
-    """run_info.json of a run directory, with its table sizes checked."""
+    """run_info.json of a run directory, with its table sizes and train
+    indices checked."""
     try:
         with open(path, encoding="utf-8") as fh:
             info = json.load(fh)
@@ -225,6 +226,13 @@ def _load_run_info(path):
         value = info.get(key) if isinstance(info, dict) else None
         if type(value) is not int or value < 0:
             raise ConfigError(f"{path}: expected a non-negative integer {key}, got {value!r}")
+    n = info["n_instances"]
+    population = info.get("train_indices", [])
+    if not isinstance(population, list):
+        raise ConfigError(f"{path}: expected a list of train_indices, got {population!r}")
+    for i in population:
+        if type(i) is not int or not 0 <= i < n:
+            raise ConfigError(f"{path}: train_indices entry {i!r} is not an integer in [0, {n})")
     return info
 
 

@@ -13,8 +13,7 @@ import math
 from dataclasses import dataclass, fields, replace
 
 from .errors import ConfigError
-from .losses import TEMPERATURE_MODES
-from .meta import META_MODES
+from .meta import META_MODES, TEMPERATURE_MODES
 from .nn import ACTIVATIONS
 from .optim import OPTIMIZER_KINDS
 
@@ -309,6 +308,8 @@ def validate_config(cfg):
             raise ConfigError("data.spread must be positive")
     if cfg.train_subset not in ("full", "biased"):
         raise ConfigError(f"unknown train subset {cfg.train_subset!r}")
+    if cfg.n_superclasses < 0:
+        raise ConfigError(f"data.n_superclasses must be >= 0, got {cfg.n_superclasses}")
     if cfg.personalization_target is not None:
         if cfg.superclass_path is None and cfg.n_superclasses < 1:
             raise ConfigError(

@@ -246,6 +246,14 @@ def split(ds, spec):
     pool = ds.subset(rest_pos)
     fold_lists = [[] for _ in range(spec.k)]
     pool_by_class = _stratified_order(pool, rng)
+    # class c deals its rows to folds 0 .. n_c - 1: past the largest pool
+    # a fold would hold no row
+    largest = max(order.size for order in pool_by_class.values())
+    if spec.k > largest:
+        raise ConfigError(
+            f"split.k = {spec.k} exceeds the largest class pool ({largest} "
+            "instances), so some fold would be empty"
+        )
     for c in range(pool.n_classes):
         for j, pos in enumerate(pool_by_class[c]):
             fold_lists[j % spec.k].append(pos)

@@ -181,18 +181,6 @@ def _per_class_accuracy(preds, ds):
     return out
 
 
-def _effective_instance_weights(cfg, dps, train):
-    if cfg.formulation == "temperature":
-        # report the per-instance effective temperature as the "weight"
-        sigma, _ = losses_mod.resolve_sigma_batch(
-            cfg.temperature_mode, train.labels, train.indices, dps
-        )
-        return sigma
-    if cfg.mode == "class":
-        return dps.w_class[train.labels]
-    return dps.w_inst[train.indices]
-
-
 def _corrupt_mask(bundle):
     """Which train rows the manifest lists as corrupt; None without a
     manifest or with no corrupt instance."""
@@ -209,10 +197,14 @@ def _mean_std(values):
 
 
 def _weight_stats(cfg, dps, train, is_corrupt):
-    """(clean mean, clean std, corrupt mean, corrupt std) of the effective
-    train weights; ``is_corrupt`` is ``_corrupt_mask``. Every row counts as
-    clean without a mask, and a population with no row reads None."""
-    w_eff = _effective_instance_weights(cfg, dps, train)
+    """(clean mean, clean std, corrupt mean, corrupt std) of the train
+    rows' weights as a step applies them, or their temperatures in a
+    temperature run; ``is_corrupt`` is ``_corrupt_mask``. Every row counts
+    as clean without a mask, and a population with no row reads None."""
+    if cfg.formulation == "temperature":
+        w_eff, _ = meta.effective_temperatures(dps, train.labels, train.indices)
+    else:
+        w_eff = meta.effective_weights(dps, train.labels, train.indices)
     if is_corrupt is None:
         return (*_mean_std(w_eff), None, None)
     return (*_mean_std(w_eff[~is_corrupt]), *_mean_std(w_eff[is_corrupt]))
@@ -326,9 +318,7 @@ def _train(cfg, bundle, out_dir, schedule=None):
             opt_state.lr = lr
             sigma, clamps = None, 0
             if temperature_mode is not None:
-                sigma, clamped = losses_mod.resolve_sigma_batch(
-                    temperature_mode, batch.labels, batch.indices, dps
-                )
+                sigma, clamped = meta.effective_temperatures(dps, batch.labels, batch.indices)
                 clamps = int(clamped.sum())
             backward = nn.batch_backward(theta, batch, sigma, train_buffers)
             # grad_sum / B + lam theta in grad_sum's own buffer, in that order
@@ -337,9 +327,7 @@ def _train(cfg, bundle, out_dir, schedule=None):
             grad += dps.lam_wd * theta.values
             theta = theta.with_values(optim.step(opt_state, theta.values, grad))
             if sigma is not None:
-                clamps += meta.update_sigma_tables(
-                    temperature_mode, dps, batch, backward.dsigma, cfg.temperature_lr
-                )
+                clamps += meta.update_sigma_tables(dps, batch, backward.dsigma, cfg.temperature_lr)
             return theta, clamps
 
     rng_shuffle = np.random.default_rng(cfg.seed_shuffle)

@@ -20,6 +20,9 @@ q_j = p_j / (1 - p_y) the renormalized non-target distribution, but the
 form above stays finite as p_y -> 1.
 
 All softmaxes subtract the row maximum before exponentiating.
+
+This module is loss math only: it takes each row's temperature as given.
+Which table entry a row reads is ``meta.effective_temperatures``.
 """
 
 from __future__ import annotations
@@ -31,8 +34,6 @@ import numpy as np
 from .errors import ShapeError
 
 SIGMA_MIN = 0.05
-
-TEMPERATURE_MODES = ("class", "instance", "joint")
 
 
 @dataclass(frozen=True)
@@ -102,32 +103,6 @@ def temperature_ce(z, y, sigma_eff):
         q = np.zeros_like(p)
     record = SoftmaxRecord(z=z, p=p, q=q, y=int(y), sigma_eff=sigma, clamped=clamped)
     return float(loss), dz, float(dsigma), record
-
-
-def resolve_sigma_batch(mode, labels, indices, dps):
-    """Vector of effective temperatures for a batch from the
-    data-parameter tables.
-
-    ``class`` reads each row's target class entry, ``instance`` its
-    per-sample entry, ``joint`` their sum. Returns (sigmas, clamped)
-    where clamped marks the rows below ``SIGMA_MIN``, which read the floor.
-    """
-    if mode == "class":
-        if dps.sigma_class is None:
-            raise ValueError("class temperature requested but sigma_class is missing")
-        raw = dps.sigma_class[labels]
-    elif mode == "instance":
-        if dps.sigma_inst is None:
-            raise ValueError("instance temperature requested but sigma_inst is missing")
-        raw = dps.sigma_inst[indices]
-    elif mode == "joint":
-        if dps.sigma_class is None or dps.sigma_inst is None:
-            raise ValueError("joint temperature requires both sigma tables")
-        raw = dps.sigma_class[labels] + dps.sigma_inst[indices]
-    else:
-        raise ValueError(f"unknown temperature mode {mode!r}")
-    clamped = raw < SIGMA_MIN
-    return np.where(clamped, SIGMA_MIN, raw), clamped
 
 
 def cross_entropy_batch(logits, labels, sigma=None):

@@ -27,6 +27,10 @@ that meta gradient. No per-sample gradient matrix is built.
 
 Data parameters are updated in place by plain SGD on these
 meta-gradients and clamped at zero.
+
+This module alone reads and steps the data-parameter tables. The
+temperature kind is read off the tables a state holds: class, instance,
+or both (joint).
 """
 
 from __future__ import annotations
@@ -40,6 +44,7 @@ from . import nn
 from .errors import ShapeError
 
 META_MODES = ("instance", "class", "none")
+TEMPERATURE_MODES = ("class", "instance", "joint")
 
 
 @dataclass
@@ -134,13 +139,28 @@ class MetaStepReport:
     clamp_count: int = 0
 
 
-def effective_weights(dps, batch):
-    """Per-sample multiplier under the current mode; ones in mode none."""
+def effective_weights(dps, labels, indices):
+    """Per-row rate multiplier under the meta mode; ones in mode none."""
     if dps.mode == "instance":
-        return dps.w_inst[batch.indices]
+        return dps.w_inst[indices]
     if dps.mode == "class":
-        return dps.w_class[batch.labels]
-    return np.ones(batch.size)
+        return dps.w_class[labels]
+    return np.ones(len(labels))
+
+
+def effective_temperatures(dps, labels, indices):
+    """Per-row effective temperature from the tables ``dps`` holds: the
+    class entry of the row's label, the row's own instance entry, or in
+    joint mode (both tables) their sum. Returns (sigmas, clamped) where
+    clamped marks the rows below ``SIGMA_MIN``, which read the floor."""
+    if dps.sigma_inst is None:
+        raw = dps.sigma_class[labels]
+    elif dps.sigma_class is None:
+        raw = dps.sigma_inst[indices]
+    else:
+        raw = dps.sigma_class[labels] + dps.sigma_inst[indices]
+    clamped = raw < losses_mod.SIGMA_MIN
+    return np.where(clamped, losses_mod.SIGMA_MIN, raw), clamped
 
 
 def rollout_one_step(theta, backward, batch, dps, lr):
@@ -156,7 +176,7 @@ def rollout_one_step(theta, backward, batch, dps, lr):
         )
     # theta - (lr/B) grad_sum - (lr lam) theta in grad_sum's buffer, one
     # operation at a time in that expression's order, so the bits match it
-    new = backward.grad_sum(effective_weights(dps, batch))
+    new = backward.grad_sum(effective_weights(dps, batch.labels, batch.indices))
     new *= lr / batch.size
     np.subtract(theta.values, new, out=new)
     new -= lr * dps.lam_wd * theta.values
@@ -223,13 +243,13 @@ def apply_data_param_update(dps, report, data_lr, wd_lr):
     report.clamp_count = clamps
 
 
-def update_sigma_tables(mode, dps, batch, dsigma, data_lr):
-    """In-place SGD on the temperature tables of ``mode`` from the mean
+def update_sigma_tables(dps, batch, dsigma, data_lr):
+    """In-place SGD on the temperature tables ``dps`` holds from the mean
     batch loss; returns the number of rows projected.
 
-    Single-mode tables are projected onto [SIGMA_MIN, inf) after the
-    update; in joint mode the floor is enforced at resolve time instead
-    (the instance table starts at 0 and may go negative).
+    A lone table is projected onto [SIGMA_MIN, inf) after the update; with
+    both (joint mode) the floor is enforced by ``effective_temperatures``
+    instead (the instance table starts at 0 and may go negative).
 
     A class steps by the sum of its rows' dsigma as the slice ``.sum()``
     gives it. ``np.bincount(labels, weights=dsigma)`` adds each class's
@@ -240,8 +260,10 @@ def update_sigma_tables(mode, dps, batch, dsigma, data_lr):
     a class with 8 or more takes its slice sum.
     """
     scale = data_lr / batch.size
+    joint = dps.sigma_class is not None and dps.sigma_inst is not None
+    floor = None if joint else losses_mod.SIGMA_MIN
     clamps = 0
-    if mode in ("class", "joint"):
+    if dps.sigma_class is not None:
         labels = batch.labels
         counts = np.bincount(labels)
         sums = np.bincount(labels, weights=dsigma)
@@ -249,10 +271,8 @@ def update_sigma_tables(mode, dps, batch, dsigma, data_lr):
         for c in np.flatnonzero(counts >= 8):
             sums[c] = dsigma[labels == c].sum()
         classes = np.flatnonzero(counts)
-        floor = losses_mod.SIGMA_MIN if mode == "class" else None
         clamps += sgd_at(dps.sigma_class, classes, scale * sums[classes], floor)
-    if mode in ("instance", "joint"):
-        floor = losses_mod.SIGMA_MIN if mode == "instance" else None
+    if dps.sigma_inst is not None:
         clamps += sgd_at(dps.sigma_inst, batch.indices, scale * dsigma, floor)
     return clamps
 

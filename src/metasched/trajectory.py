@@ -211,9 +211,9 @@ def average_trajectories(logs, memberships):
     """Fold-average per-epoch trajectories into one schedule.
 
     ``memberships[f]`` lists the instance indices that were trainable in
-    fold f; an instance's weight is averaged over exactly those folds.
-    Class tables, the decay coefficient, and temperature tables average
-    over all folds.
+    fold f; an instance's weight and instance temperature are averaged
+    over exactly those folds. Class tables and the decay coefficient
+    average over all folds.
     """
     if not logs:
         raise ValueError("no trajectories to average")
@@ -242,7 +242,9 @@ def average_trajectories(logs, memberships):
         if snaps[0].sigma_class is not None:
             sigma_class = np.mean([s.sigma_class for s in snaps], axis=0)
         if snaps[0].sigma_inst is not None:
-            sigma_inst = _fold_mean([s.sigma_inst for s in snaps], masks, counts, 0.0)
+            # an instance no fold trains keeps its start: joint offset 0, else 1
+            fill = 1.0 if sigma_class is None else 0.0
+            sigma_inst = _fold_mean([s.sigma_inst for s in snaps], masks, counts, fill)
         out.snapshots.append(
             DataParamState(
                 w_inst=_fold_mean([s.w_inst for s in snaps], masks, counts, 1.0),

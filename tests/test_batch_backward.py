@@ -137,7 +137,7 @@ def check_meta_step(model, train, meta_batch, rng, mode, wd_learnable):
     theta_next, _, report = meta.meta_train_step(model, dps, train, meta_batch, lr, 0.0, 0.0)
 
     _, grads = nn.per_sample_backward(model, train)
-    w_eff = meta.effective_weights(dps, train)
+    w_eff = meta.effective_weights(dps, train.labels, train.indices)
     want = model.values - (lr / train.size) * (w_eff @ grads) - lr * dps.lam_wd * model.values
     scale = (lr / train.size) * (np.abs(w_eff) @ np.abs(grads)) + np.abs(model.values)
     assert np.all(np.abs(theta_next.values - want) <= REL * scale)
@@ -180,14 +180,14 @@ def test_temperature_pass_matches_scalar_rows(b, activation, data):
     model, batch, _, rng = data.draw(problems(b, activation))
     k = model.manifest[-1].out_dim
     logits = nn.forward(model, batch.features)
-    for mode in losses.TEMPERATURE_MODES:
+    for mode in meta.TEMPERATURE_MODES:
         dps = DataParamState.initial(N_POOL, k, temperature_mode=mode)
         if dps.sigma_class is not None:
             dps.sigma_class[:] = rng.uniform(0.02, 3.0, size=k)
         if dps.sigma_inst is not None:
             low = -0.5 if mode == "joint" else 0.02
             dps.sigma_inst[:] = rng.uniform(low, 3.0, size=N_POOL)
-        sigma, _ = losses.resolve_sigma_batch(mode, batch.labels, batch.indices, dps)
+        sigma, _ = meta.effective_temperatures(dps, batch.labels, batch.indices)
         backward = nn.batch_backward(model, batch, sigma)
         want_losses, _, want_dsigma = losses.cross_entropy_batch(logits, batch.labels, sigma)
         assert np.array_equal(backward.losses, want_losses)

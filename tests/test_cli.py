@@ -415,6 +415,32 @@ def test_bad_run_info_is_validation_error(tmp_path, capsys, text, message):
 
 
 @pytest.mark.parametrize(
+    "indices, message",
+    [
+        ([999999], "train_indices entry 999999 is not an integer in [0, 42)"),
+        ([-1], "train_indices entry -1 is not an integer in [0, 42)"),
+        ([0, "x"], "train_indices entry 'x' is not an integer in [0, 42)"),
+        ([1.7], "train_indices entry 1.7 is not an integer in [0, 42)"),
+        ([True], "train_indices entry True is not an integer in [0, 42)"),
+        ("0,1", "expected a list of train_indices, got '0,1'"),
+    ],
+    ids=["too-large", "negative", "string", "float", "bool", "not-a-list"],
+)
+def test_bad_train_indices_in_run_info_is_validation_error(tmp_path, capsys, indices, message):
+    run_dir = tmp_path / "run"
+    overrides = [*DATA_OVERRIDES, "--override", "noise.p=0.3", "--override", "train.epochs=1"]
+    assert main(["train", *overrides, "--out", str(run_dir)]) == 0
+    info_path = run_dir / "run_info.json"
+    info = json.loads(info_path.read_text())
+    info["train_indices"] = indices
+    info_path.write_text(json.dumps(info))
+    capsys.readouterr()
+    assert main(["analyze", "--run", str(run_dir)]) == 1
+    assert capsys.readouterr().err == f"error: {info_path}: {message}\n"
+    assert not (run_dir / "analysis.json").exists()
+
+
+@pytest.mark.parametrize(
     "damage, message",
     [
         (None, None),
@@ -633,6 +659,31 @@ def test_kfold_subcommand_with_candidates(tmp_path):
     assert len(info["candidate_scores"]) == 2
     assert info["heldout_acc"] == max(info["candidate_scores"])
     assert (out_dir / "trajectory.csv").exists()
+
+
+@pytest.mark.parametrize("mode", ["none", "instance"])
+def test_kfold_with_an_empty_fold_is_validation_error(tmp_path, capsys, mode):
+    # 14 rows per class less 2 test rows leave pools of 12: fold 12 is empty
+    code = main([
+        "kfold", *DATA_OVERRIDES,
+        "--override", "split.kind=kfold",
+        "--override", "split.k=13",
+        "--override", f"meta.mode={mode}",
+        "--out", str(tmp_path / "kf"),
+    ])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "error: split.k = 13 exceeds the largest class pool (12 instances), "
+        "so some fold would be empty\n"
+    )
+    assert not (tmp_path / "kf").exists()
+
+
+def test_negative_superclass_count_is_validation_error(tmp_path, capsys):
+    argv = ["train", *DATA_OVERRIDES, "--override", "data.n_superclasses=-1"]
+    assert main([*argv, "--out", str(tmp_path / "run")]) == 1
+    assert capsys.readouterr().err == "error: data.n_superclasses must be >= 0, got -1\n"
+    assert not (tmp_path / "run").exists()
 
 
 def test_generate_data_with_superclasses(tmp_path):

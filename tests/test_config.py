@@ -182,6 +182,8 @@ def test_misc_validation():
         config_from_overrides(["split.kind=kfold", "split.k=1"])
     with pytest.raises(ConfigError, match="n_superclasses"):
         config_from_overrides(["personalization.target=0"])
+    with pytest.raises(ConfigError, match="^data.n_superclasses must be >= 0, got -1$"):
+        config_from_overrides(["data.n_superclasses=-1"])
 
 
 def test_manifest_key_needs_a_dataset_file():

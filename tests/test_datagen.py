@@ -186,6 +186,20 @@ def test_each_instance_trains_in_k_minus_one_folds():
         fold_view(parts.pool, parts.folds, 3)
 
 
+def test_kfold_rejects_k_above_the_largest_class_pool():
+    ds = make_blobs(3, 14, 4, 0.8, seed=2)
+    # class 0 keeps 9 rows, the others 14; after 2 test rows per class the
+    # pools hold 7, 12 and 12
+    keep = np.flatnonzero((ds.labels != 0) | (np.cumsum(ds.labels == 0) <= 9))
+    uneven = ds.subset(keep)
+    parts = split(uneven, SplitSpec(kind="kfold", test_per_class=2, k=12, seed=0))
+    assert min(f.size for f in parts.folds) > 0
+    with pytest.raises(
+        ConfigError, match=r"^split.k = 13 exceeds the largest class pool \(12 instances\)"
+    ):
+        split(uneven, SplitSpec(kind="kfold", test_per_class=2, k=13, seed=0))
+
+
 def test_meta_and_test_labels_stay_clean():
     ds = make_blobs(5, 60, 6, 0.8, seed=2)
     noisy, _ = corrupt_labels(ds, 0.5, seed=9)

@@ -47,14 +47,14 @@ CASES = {
 COMPARED = ("metrics.jsonl", "trajectory.csv", "model.json", "run_info.json", "kfold_info.json")
 
 
-def _run(case, out_dir):
+def _run(argv, out_dir):
     cwd = os.getcwd()
     os.chdir(GOLDEN)
     try:
-        code = main([*CASES[case], "--out", str(out_dir)])
+        code = main([*argv, "--out", str(out_dir)])
     finally:
         os.chdir(cwd)
-    assert code == 0, f"{case} exited {code}"
+    assert code == 0, f"{argv} exited {code}"
 
 
 def _close(got, ref, what):
@@ -121,7 +121,7 @@ def _compare(name, got_path, ref_path):
 
 @pytest.mark.parametrize("case", list(CASES))
 def test_golden_run_matches_reference(tmp_path, case):
-    _run(case, tmp_path)
+    _run(CASES[case], tmp_path)
     ref_dir = os.path.join(GOLDEN, "ref", case)
     names = sorted(os.listdir(ref_dir))
     assert names == sorted(n for n in COMPARED if os.path.exists(tmp_path / n))
@@ -129,12 +129,28 @@ def test_golden_run_matches_reference(tmp_path, case):
         _compare(name, str(tmp_path / name), os.path.join(ref_dir, name))
 
 
+def test_replay_under_mode_none_is_the_plain_run(tmp_path):
+    """The instance run's schedule replayed under plain.cfg (meta.mode =
+    none) steps with unit weights: the model is the plain reference's, and
+    the weight statistics report the ones applied, not the schedule's."""
+    trajectory = os.path.join("ref", "instance", "trajectory.csv")
+    _run(["replay", "--config", "plain.cfg", "--trajectory", trajectory], tmp_path)
+    plain = os.path.join(GOLDEN, "ref", "plain")
+    _compare("model.json", str(tmp_path / "model.json"), os.path.join(plain, "model.json"))
+    got = _metrics(tmp_path / "metrics.jsonl")
+    want = _metrics(os.path.join(plain, "metrics.jsonl"))
+    assert [r["test_acc"] for r in got] == [r["test_acc"] for r in want]
+    for record in got:
+        assert (record["w_clean_mean"], record["w_clean_std"]) == (1.0, 0.0)
+        assert (record["w_corrupt_mean"], record["w_corrupt_std"]) == (1.0, 0.0)
+
+
 def regenerate():
     """Rewrite every reference from the current code."""
     for case in CASES:
         ref_dir = os.path.join(GOLDEN, "ref", case)
         with tempfile.TemporaryDirectory() as tmp:
-            _run(case, tmp)
+            _run(CASES[case], tmp)
             os.makedirs(ref_dir, exist_ok=True)
             for name in COMPARED:
                 if os.path.exists(os.path.join(tmp, name)):

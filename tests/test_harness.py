@@ -282,7 +282,7 @@ def test_update_sigma_tables_matches_per_row_loop(mode):
         batch = nn.Batch(np.zeros((size, 1)), labels, rng.choice(n, size, replace=False))
         dsigma = rng.normal(0, 0.5, size=size)
         ref = dps.copy()
-        got = update_sigma_tables(mode, dps, batch, dsigma, 0.7)
+        got = update_sigma_tables(dps, batch, dsigma, 0.7)
         want = loop_update_sigma_tables(mode, ref, batch, dsigma, 0.7)
         assert got == want
         for name in ("sigma_class", "sigma_inst"):
@@ -321,7 +321,7 @@ def test_update_sigma_tables_at_the_eight_row_boundary(mode):
     batch = nn.Batch(np.zeros((labels.size, 1)), labels, np.arange(labels.size)[::-1] + 3)
     ref = dps.copy()
     # data_lr equal to the batch size: each class steps by its whole sum
-    got = update_sigma_tables(mode, dps, batch, dsigma, float(labels.size))
+    got = update_sigma_tables(dps, batch, dsigma, float(labels.size))
     assert got == loop_update_sigma_tables(mode, ref, batch, dsigma, float(labels.size))
     assert got == (1 if mode == "class" else 0)  # class 0 falls to the floor
     for name in ("sigma_class", "sigma_inst"):
@@ -331,7 +331,7 @@ def test_update_sigma_tables_at_the_eight_row_boundary(mode):
 
 @settings(deadline=None, derandomize=True, max_examples=100)
 @given(
-    mode=st.sampled_from(losses.TEMPERATURE_MODES),
+    mode=st.sampled_from(meta.TEMPERATURE_MODES),
     size=st.integers(1, 64),
     seed=st.integers(0, 2**32 - 1),
 )
@@ -350,7 +350,7 @@ def test_update_sigma_tables_matches_per_row_loop_on_drawn_batches(mode, size, s
     )
     dsigma = rng.normal(0, 1.0, size=size) * rng.choice([0.0, 1.0, 1e3], size=size)
     ref = dps.copy()
-    got = update_sigma_tables(mode, dps, batch, dsigma, 0.7)
+    got = update_sigma_tables(dps, batch, dsigma, 0.7)
     assert got == loop_update_sigma_tables(mode, ref, batch, dsigma, 0.7)
     for name in ("sigma_class", "sigma_inst"):
         a, b = getattr(dps, name), getattr(ref, name)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from metasched import losses
+from metasched import losses, meta
 from metasched.errors import ShapeError
 from metasched.losses import SIGMA_MIN
 from metasched.meta import DataParamState
@@ -146,7 +146,7 @@ def test_argmax_invariant_under_temperature():
 
 
 def resolve_sigma(mode, y, index, dps):
-    """Per-row reference for ``losses.resolve_sigma_batch``: the effective
+    """Per-row reference for ``meta.effective_temperatures``: the effective
     temperature of one sample from the data-parameter tables.
 
     ``class`` reads the target class entry, ``instance`` the per-sample
@@ -218,20 +218,13 @@ def test_resolve_sigma_batch_matches_scalar(mode):
         size = int(rng.integers(1, 20))
         labels = rng.integers(0, k, size=size)
         indices = rng.choice(n, size=size, replace=False)
-        sigma, clamped = losses.resolve_sigma_batch(mode, labels, indices, dps)
+        sigma, clamped = meta.effective_temperatures(dps, labels, indices)
         for row, (y, idx) in enumerate(zip(labels, indices)):
             want, want_clamped = resolve_sigma(mode, int(y), int(idx), dps)
             assert sigma[row] == want
             assert clamped[row] == want_clamped
         clamps += int(clamped.sum())
     assert clamps > 0  # entries below SIGMA_MIN are exercised
-
-
-def test_resolve_sigma_batch_missing_table():
-    dps = DataParamState.initial(n_instances=2, n_classes=2, mode="none")
-    for mode in ("class", "instance", "joint", "bogus"):
-        with pytest.raises(ValueError):
-            losses.resolve_sigma_batch(mode, np.array([0]), np.array([0]), dps)
 
 
 def test_batch_losses_match_scalar_calls():

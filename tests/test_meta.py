@@ -501,10 +501,10 @@ def test_effective_weights_by_mode():
     dps = DataParamState.initial(6, 3, mode="instance")
     dps.w_inst[:] = np.arange(6) * 0.1
     dps.w_class[:] = [5.0, 6.0, 7.0]
-    batch = Batch(np.zeros((2, 1)), np.array([2, 0]), np.array([4, 1]))
-    inst = meta.effective_weights(dps, batch)
+    labels, indices = np.array([2, 0]), np.array([4, 1])
+    inst = meta.effective_weights(dps, labels, indices)
     assert np.allclose(inst, [0.4, 0.1], rtol=1e-12)
     dps.mode = "class"
-    assert np.allclose(meta.effective_weights(dps, batch), [7.0, 5.0], rtol=1e-12)
+    assert np.allclose(meta.effective_weights(dps, labels, indices), [7.0, 5.0], rtol=1e-12)
     dps.mode = "none"
-    assert np.array_equal(meta.effective_weights(dps, batch), [1.0, 1.0])
+    assert np.array_equal(meta.effective_weights(dps, labels, indices), [1.0, 1.0])

@@ -424,6 +424,21 @@ def test_average_respects_memberships():
     assert tables["sigma_inst"][3] == 0.0
 
 
+def test_average_fills_untrained_instance_temperatures_with_one():
+    # a lone instance table starts at 1, not at the joint offset's 0
+    logs = []
+    for value in (0.3, 0.6):
+        log = TrajectoryLog(n_instances=3, n_classes=2)
+        dps = make_dps(3, 2, temperature_mode="instance")
+        dps.sigma_inst[:] = value
+        log.record(dps)
+        logs.append(log)
+    avg = average_trajectories(logs, [np.array([0]), np.array([0, 1])])
+    tables = avg.snapshot(0).as_tables()
+    assert tables["sigma_class"] is None
+    assert tables["sigma_inst"].tolist() == [(0.3 + 0.6) / 2, 0.6, 1.0]
+
+
 def test_average_all_ones_stays_ones():
     logs = [TrajectoryLog(n_instances=3, n_classes=2) for _ in range(3)]
     for log in logs:
