@@ -148,14 +148,6 @@ def prepare_kfold(cfg):
     return pool, splits.test, splits.folds, manifest, ds
 
 
-def _make_batch(ds, positions):
-    return nn.Batch(
-        features=ds.features[positions],
-        labels=ds.labels[positions],
-        indices=ds.indices[positions],
-    )
-
-
 def _evaluate(model, ds, buffers):
     """(mean loss, accuracy, predicted classes) of ``ds``.
 
@@ -240,6 +232,11 @@ def replay_train(cfg, schedule, bundle=None, out_dir=None):
             "replay needs formulation = meta: a temperature run records no "
             "rate multipliers to freeze"
         )
+    if any(s.sigma_class is not None or s.sigma_inst is not None for s in schedule.snapshots):
+        raise ConfigError(
+            "trajectory holds temperature tables: replay needs the rate "
+            "multipliers of a formulation = meta run"
+        )
     if bundle is None:
         bundle = prepare_replay_bundle(cfg)
     if schedule.epochs < cfg.epochs:
@@ -258,10 +255,12 @@ def _train(cfg, bundle, out_dir, schedule=None):
     """The epoch loop behind run_training and replay_train.
 
     The step is chosen once, before the loop, and each batch runs
-    ``step(theta, dps, batch, lr) -> (theta, clamp events)``. A replay
+    ``step(theta, dps, batch, lr, next_batch) -> (theta, clamp events)``,
+    with ``next_batch`` the epoch's next batch or None. A replay
     steps by the lookahead rollout under each epoch's recorded tables,
     swapped in per epoch, with no meta update. A meta-driven run takes the
-    lookahead meta step on a meta batch drawn from its own stream. Any
+    lookahead meta step on a meta batch drawn from its own stream, whose
+    one pass also serves the next batch's train pass. Any
     other run takes an optimizer step, which under the temperature
     formulation also reads and updates the temperature tables.
     """
@@ -281,31 +280,34 @@ def _train(cfg, bundle, out_dir, schedule=None):
     )
     train = bundle.train
     n_train = train.n
-    # pass buffers made once per run: every step's train pass and epoch
-    # evaluation use one set, a meta step's meta pass a second, since the
-    # step reads the train pass's factors after the meta pass; no set is
-    # larger than the largest split
+    # arrays made once per run; no pass set is larger than the largest
+    # split. A lookahead run (meta step or replay) binds a
+    # ``meta.Workspace`` and evaluates through its held set; any other run
+    # has one pass set for its train passes and evaluation
     splits = [ds for ds in (train, bundle.meta, bundle.test) if ds is not None]
     rows = max(1, min(cfg.batch_size, max(ds.n for ds in splits)))
-    train_buffers = nn.PassBuffers(manifest, rows)
+    consumes_meta = schedule is None and cfg.meta_driven
+    if schedule is not None or consumes_meta:
+        workspace = meta.Workspace(manifest, rows)
+        train_buffers = workspace.held_set
+    else:
+        train_buffers = nn.PassBuffers(manifest, rows)
 
     opt_state = None
-    consumes_meta = schedule is None and cfg.meta_driven
     if schedule is not None:
 
-        def step(theta, dps, batch, lr):
+        def step(theta, dps, batch, lr, next_batch):
             backward = nn.batch_backward(theta, batch, buffers=train_buffers)
-            return meta.rollout_one_step(theta, backward, batch, dps, lr), 0
+            return meta.rollout_one_step(theta, backward, batch, dps, lr, workspace), 0
 
     elif consumes_meta:
         rng_meta = np.random.default_rng([cfg.seed_shuffle, 1])
-        meta_step_buffers = (train_buffers, nn.PassBuffers(manifest, rows))
 
-        def step(theta, dps, batch, lr):
+        def step(theta, dps, batch, lr, next_batch):
             positions = rng_meta.integers(0, bundle.meta.n, size=batch.size)
             theta, _, report = meta.meta_train_step(
-                theta, dps, batch, _make_batch(bundle.meta, positions), lr,
-                cfg.data_lr, cfg.wd_lr, buffers=meta_step_buffers,
+                theta, dps, batch, workspace.gather(bundle.meta, positions), lr,
+                cfg.data_lr, cfg.wd_lr, workspace, next_batch,
             )
             return theta, report.clamp_count
 
@@ -314,7 +316,7 @@ def _train(cfg, bundle, out_dir, schedule=None):
             cfg.optimizer, cfg.lr, nn.param_count(manifest), **dict(cfg.optim_hyper)
         )
 
-        def step(theta, dps, batch, lr):
+        def step(theta, dps, batch, lr, next_batch):
             opt_state.lr = lr
             sigma, clamps = None, 0
             if temperature_mode is not None:
@@ -348,6 +350,8 @@ def _train(cfg, bundle, out_dir, schedule=None):
         return theta
 
     def result(model):
+        # a workspace slot is overwritten by later steps: keep a copy
+        model = model.with_values(model.values.copy())
         meta_samples = samples if consumes_meta else 0
         counters = {
             "steps": steps,
@@ -374,10 +378,14 @@ def _train(cfg, bundle, out_dir, schedule=None):
             for source, out in zip(train_arrays, shuffled):
                 np.take(source, perm, axis=0, out=out, mode="clip")
             features, labels, indices = shuffled
-            for start in range(0, n_train, cfg.batch_size):
-                stop = start + cfg.batch_size
-                batch = nn.Batch(features[start:stop], labels[start:stop], indices[start:stop])
-                theta, clamps = step(theta, dps, batch, lr)
+            size = cfg.batch_size
+            batches = [
+                nn.Batch(features[i : i + size], labels[i : i + size], indices[i : i + size])
+                for i in range(0, n_train, size)
+            ]
+            # each step also sees the epoch's next batch (None at its last)
+            for batch, next_batch in zip(batches, [*batches[1:], None]):
+                theta, clamps = step(theta, dps, batch, lr, next_batch)
                 steps += 1
                 samples += batch.size
                 clamp_events += clamps

@@ -19,11 +19,25 @@ coefficient enters the rollout linearly, so
 
     d L_meta / d lam_wd = -lr * <dL_meta/dtheta', theta>.
 
-A step runs one backward pass over the train batch and one over the meta
-batch (``nn.batch_backward``). The meta pass gives only the mean gradient
-dL_meta/dtheta'. The train pass gives the weighted gradient sum for the
-rollout and, from the same cached factors, each row's dot product with
-that meta gradient. No per-sample gradient matrix is built.
+The meta pass of step t and the train pass of step t+1 both evaluate
+theta_{t+1}, so a step runs one backward pass for both. Step t:
+
+1. takes the train pass of its batch at theta_t, held from step t-1 (at
+   an epoch's first batch and a short last one, a train-only pass runs
+   instead);
+2. writes the rollout theta_{t+1} from that pass's weighted gradient sum;
+3. runs one joint pass at theta_{t+1} over the meta batch and then the
+   train batch of step t+1 (2B rows; meta rows only when step t+1 is a
+   short batch or in another epoch), and takes the mean meta gradient
+   dL_meta/dtheta' from the meta rows;
+4. dots each train row's gradient, from the held pass's factors, with
+   that meta gradient, and updates the data parameters;
+5. copies the joint pass's train rows into the held set for step t+1.
+
+A non-finite meta row aborts step t; a non-finite row of the next train
+batch aborts step t+1, after step t has committed, as a separate train
+pass there would. No per-sample gradient matrix is built, and the arrays
+a step writes are bound once per run in a ``Workspace``.
 
 Data parameters are updated in place by plain SGD on these
 meta-gradients and clamped at zero.
@@ -163,24 +177,120 @@ def effective_temperatures(dps, labels, indices):
     return np.where(clamped, losses_mod.SIGMA_MIN, raw), clamped
 
 
-def rollout_one_step(theta, backward, batch, dps, lr):
+class Workspace:
+    """The arrays a lookahead run binds once, for batches of up to ``rows``
+    rows; the ``nn`` module docstring gives their lifetime rules.
+
+    - ``slots``: two parameter vectors; a rollout writes into the one that
+      does not hold its input.
+    - ``decay``: the rollout's ``lr * lam_wd * theta`` term.
+    - ``meta_grad``: the meta gradient.
+    - ``joint_set``: the pass set of the joint pass, 2 x ``rows`` rows,
+      with ``features`` and ``labels`` its input rows, meta rows first.
+    - ``held_set``: the pass set of a step's train pass, ``rows`` rows,
+      sharing the joint set's scratch. A run also evaluates through it.
+    """
+
+    def __init__(self, manifest, rows):
+        size = nn.param_count(manifest)
+        self.slots = tuple(nn.ParamVector(np.zeros(size), manifest) for _ in range(2))
+        self.decay = np.empty(size)
+        self.meta_grad = nn.ParamVector(np.zeros(size), manifest)
+        self.joint_set = nn.PassBuffers(manifest, 2 * rows)
+        self.held_set = nn.PassBuffers(manifest, rows, scratch=self.joint_set.scratch)
+        self.features = np.empty((2 * rows, manifest[0].in_dim))
+        self.labels = np.empty(2 * rows, dtype=np.int64)
+        self.meta_indices = np.empty(rows, dtype=np.int64)
+        # the batch ``gather`` last filled, and one such batch of views
+        # into the leading input rows per row count
+        self.gathered = None
+        self._gather_batches = {}
+        # (batch, theta) the held train pass, or the error of its bad row, is for
+        self.held_key = None
+        self.held = self.held_error = None
+
+    def slot_after(self, theta):
+        """The slot a step from ``theta`` writes: the one not holding it."""
+        return self.slots[1] if theta is self.slots[0] else self.slots[0]
+
+    def gather(self, ds, positions):
+        """The meta batch of rows ``positions`` of ``ds`` (any object with
+        ``features``, ``labels`` and ``indices`` arrays), taken straight
+        into the joint input's leading rows; the batch is valid until the
+        next ``gather``. Positions must be in range: unchecked, ``take``
+        writes into ``out`` with no temporary."""
+        rows = len(positions)
+        batch = self._gather_batches.get(rows)
+        if batch is None:
+            batch = nn.Batch(self.features[:rows], self.labels[:rows], self.meta_indices[:rows])
+            self._gather_batches[rows] = batch
+        ds.features.take(positions, axis=0, out=batch.features, mode="clip")
+        ds.labels.take(positions, out=batch.labels, mode="clip")
+        ds.indices.take(positions, out=batch.indices, mode="clip")
+        self.gathered = batch
+        return batch
+
+    def train_pass(self, theta, batch):
+        """The train pass of ``batch`` at ``theta``: the one the last joint
+        pass held for them, or else a train-only pass into the held set."""
+        key, self.held_key = self.held_key, None
+        if key is None or key[0] is not batch or key[1] is not theta:
+            return nn.batch_backward(theta, batch, buffers=self.held_set)
+        if self.held_error is not None:
+            raise self.held_error
+        return self.held
+
+    def joint_pass(self, theta, meta_batch, next_batch):
+        """One pass at ``theta`` over the meta batch's rows, then those of
+        ``next_batch`` when given, without the finite check."""
+        rows = meta_batch.size
+        stop = rows if next_batch is None else rows + next_batch.size
+        features, labels = self.features[:stop], self.labels[:stop]
+        if meta_batch is not self.gathered:
+            features[:rows] = meta_batch.features
+            labels[:rows] = meta_batch.labels
+        if next_batch is not None:
+            features[rows:] = next_batch.features
+            labels[rows:] = next_batch.labels
+        return nn.unchecked_backward(theta, features, labels, buffers=self.joint_set)
+
+    def hold(self, theta, batch, joint, start, bad):
+        """Keep rows ``start:`` of ``joint`` as the train pass of ``batch``
+        at ``theta``, or the error naming its first bad row."""
+        if batch is None:
+            return
+        self.held_key = (batch, theta)
+        self.held = self.held_error = None
+        if bad is None:
+            self.held = joint.rows(start).copy_into(self.held_set, batch.features)
+        else:
+            self.held_error = nn.sample_error(batch.indices, bad - start)
+
+
+def rollout_one_step(theta, backward, batch, dps, lr, workspace=None):
     """theta' as an explicit function of the data parameters.
 
     ``backward`` is ``nn.batch_backward`` of the batch at ``theta``. The
-    meta step and a replay both step through this one expression.
+    meta step and a replay both step through this one expression. theta'
+    is written into the free slot of ``workspace`` (one is made for the
+    call without it).
     """
     if backward.losses.shape != (batch.size,):
         raise ShapeError(
             f"backward pass over {backward.losses.size} rows does not match "
             f"batch {batch.size}"
         )
-    # theta - (lr/B) grad_sum - (lr lam) theta in grad_sum's buffer, one
-    # operation at a time in that expression's order, so the bits match it
-    new = backward.grad_sum(effective_weights(dps, batch.labels, batch.indices))
+    if workspace is None:
+        workspace = Workspace(theta.manifest, batch.size)
+    slot = workspace.slot_after(theta)
+    # theta - (lr/B) grad_sum - (lr lam) theta in the slot, one operation
+    # at a time in that expression's order, so the bits match it
+    new = backward.grad_sum(effective_weights(dps, batch.labels, batch.indices), out=slot)
     new *= lr / batch.size
     np.subtract(theta.values, new, out=new)
-    new -= lr * dps.lam_wd * theta.values
-    return theta.with_values(new)
+    new -= np.multiply(theta.values, lr * dps.lam_wd, out=workspace.decay)
+    nn.require_finite(new)
+    return slot
 
 
 def instance_metagrad(dots, lr):
@@ -277,15 +387,21 @@ def update_sigma_tables(dps, batch, dsigma, data_lr):
     return clamps
 
 
-def meta_train_step(theta, dps, train_batch, meta_batch, lr, data_lr, wd_lr, buffers=None):
+def meta_train_step(
+    theta, dps, train_batch, meta_batch, lr, data_lr, wd_lr, workspace=None, next_batch=None
+):
     """One full step: rollout, meta loss at theta', meta-gradients, data
     parameter update. The committed model parameters are the rollout
     itself; the data parameters seen by this step are the pre-update ones,
     and the update then changes ``dps`` in place.
 
-    ``buffers`` is a (train, meta) pair of ``nn.PassBuffers`` for the two
-    passes, or None to make one per pass. They must be two sets: the train
-    pass's factors are read for the dot products after the meta pass has run.
+    ``workspace`` is the run's ``Workspace`` (one is made for the call
+    without it), and ``next_batch`` the train batch of the next step, or
+    None at an epoch's last batch. The joint pass holds that batch's train
+    pass for the next call, which must come from the returned theta' on
+    that same batch object to use it; any other call, and a next batch of
+    another size than the meta batch, runs its own train pass. The
+    sequence is in the module docstring.
 
     Returns (theta_next, dps, report).
     """
@@ -294,20 +410,30 @@ def meta_train_step(theta, dps, train_batch, meta_batch, lr, data_lr, wd_lr, buf
             f"train batch ({train_batch.size}) and meta batch ({meta_batch.size}) "
             "must have equal size"
         )
-    train_buffers, meta_buffers = (None, None) if buffers is None else buffers
-    train_pass = nn.batch_backward(theta, train_batch, buffers=train_buffers)
-    theta_next = rollout_one_step(theta, train_pass, train_batch, dps, lr)
+    if workspace is None:
+        workspace = Workspace(theta.manifest, train_batch.size)
+    if next_batch is not None and next_batch.size != meta_batch.size:
+        # a short last batch takes its own pass: inside a product of
+        # another row count OpenBLAS may round its rows differently
+        next_batch = None
+    train_pass = workspace.train_pass(theta, train_batch)
+    theta_next = rollout_one_step(theta, train_pass, train_batch, dps, lr, workspace)
 
-    meta_pass = nn.batch_backward(theta_next, meta_batch, buffers=meta_buffers)
-    meta_grad = meta_pass.grad_sum()
-    meta_grad /= meta_batch.size
+    rows = meta_batch.size
+    joint = workspace.joint_pass(theta_next, meta_batch, next_batch)
+    bad = joint.first_bad_row()
+    if bad is not None and bad < rows:
+        raise nn.sample_error(meta_batch.indices, bad)
+    meta_pass = joint.rows(0, rows)
+    meta_grad = meta_pass.grad_sum(out=workspace.meta_grad)
+    meta_grad /= rows
 
     empty_ids, empty = np.empty(0, dtype=np.int64), np.empty(0)
     instance_ids, instance_grads = empty_ids, empty
     class_ids, class_grads = empty_ids, empty
     if dps.mode != "none":
         instance_ids = train_batch.indices
-        instance_grads = instance_metagrad(train_pass.dots(meta_grad), lr)
+        instance_grads = instance_metagrad(train_pass.dots(workspace.meta_grad), lr)
     if dps.mode == "class":
         class_ids, class_grads = class_metagrad(
             instance_grads, train_batch.labels, dps.w_class.size
@@ -324,4 +450,6 @@ def meta_train_step(theta, dps, train_batch, meta_batch, lr, data_lr, wd_lr, buf
     if dps.history_reset:
         dps.w_inst[:] = 1.0
         dps.w_class[:] = 1.0
+    # after the dot products, which read the held set
+    workspace.hold(theta_next, next_batch, joint, rows, bad)
     return theta_next, dps, report

@@ -21,19 +21,37 @@ its batch of non-finite values with one norm bound and falls back to the
 exact per-row check only when the bound is not finite.
 
 Training passes write into ``PassBuffers``, one set of per-layer arrays
-created once per run, so a steady-state step allocates no layer array;
-``forward`` streams any number of rows through a set in blocks of its
-size. A ``batch_backward`` or ``forward`` called without a set makes one
-for its rows. Buffer lifetime rule: the arrays of a ``BatchBackward`` are
-views into its set and stay valid only until the next pass (or
-``forward``) into the same set. A caller that needs two passes alive at
-once, as the meta step does, gives each its own set.
+created once per run, with the row views of each pass size made once, so
+a steady-state step allocates no layer array; ``forward`` streams any
+number of rows through a set in blocks of its size. A ``batch_backward``
+or ``forward`` called without a set makes one for its rows. A
+``ParamVector`` builds its per-layer views once, so a vector reused across
+steps is never sliced again.
+
+Lifetime rules:
+
+- The arrays of a ``BatchBackward`` are views into its set and stay valid
+  only until the next pass (or ``forward``) into the same set.
+- Two sets may share one scratch tuple (``PassBuffers(..., scratch=)``):
+  scratch is consumed within one call, so a pass in one set never needs
+  what a call on the other left there.
+- The meta step (``meta.Workspace``) runs its joint pass, over the meta
+  batch and the next train batch, in a joint set of 2B rows, valid until
+  the next joint pass. It copies the train half into a held set of B rows
+  that shares the joint set's scratch (``BatchBackward.copy_into``). The
+  held pass is the next step's train pass, valid until the held set is
+  written again: by that step's copy, a train-only pass or a ``forward``.
+- The workspace's two parameter slots hold theta_t and theta_{t+1}. The
+  step writes its result into the slot that does not hold its input, so
+  a vector a step returns stays valid until the step after next. A model
+  that must outlive that is a copy.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -98,6 +116,23 @@ class ParamVector:
         object.__setattr__(out, "values", _checked_values(values, self.values.size))
         return out
 
+    @cached_property
+    def layers(self):
+        """Per-layer (W, b) views into ``values``, built on first use. They
+        follow in-place writes to ``values``, as a reused slot makes."""
+        return _layer_blocks(self.manifest, self.values)
+
+
+def require_finite(values):
+    """Raise NumericError unless every entry of the flat vector is finite.
+
+    A finite dot product with itself clears the vector without a
+    temporary; it overflows only with an entry near 1e154 or larger, and
+    only then does the exact test run.
+    """
+    if not math.isfinite(float(np.dot(values, values))) and not np.isfinite(values).all():
+        raise NumericError("non-finite model parameter")
+
 
 def _checked_values(values, expected):
     values = np.asarray(values, dtype=np.float64)
@@ -105,8 +140,7 @@ def _checked_values(values, expected):
         raise ShapeError(
             f"parameter vector has shape {values.shape}, manifest predicts ({expected},)"
         )
-    if not np.isfinite(values).all():
-        raise NumericError("non-finite model parameter")
+    require_finite(values)
     return values
 
 
@@ -150,7 +184,7 @@ def _layer_blocks(manifest, values):
 
 def unflatten(model):
     """Per-layer (W, b) views into the flat vector."""
-    return _layer_blocks(model.manifest, model.values)
+    return model.layers
 
 
 @dataclass(frozen=True)
@@ -186,19 +220,39 @@ class PassBuffers:
     width, ``scratch[l + 1]`` layer l's output width): the activation
     derivative and ``grad_sum``'s weighted deltas of layer l use
     ``scratch[l + 1]``, ``dots``' product ``d_l @ V_l`` uses
-    ``scratch[l]``, and each is consumed before the next is made. A pass
-    of b rows uses the leading b rows of each array. See the module
-    docstring for how long a pass's views stay valid.
+    ``scratch[l]``, and each is consumed before the next is made. A set
+    may take another's ``scratch`` of at least its rows. A pass of b rows
+    uses the leading b rows of each array, through views made once per
+    row count (``views``). See the module docstring for how long a pass's
+    views stay valid.
     """
 
-    def __init__(self, manifest, rows):
+    def __init__(self, manifest, rows, scratch=None):
         if rows < 1:
             raise ShapeError(f"buffer rows must be positive, got {rows}")
         self.rows = rows
         self.outs = tuple(np.empty((rows, spec.out_dim)) for spec in manifest)
         self.deltas = tuple(np.empty((rows, spec.out_dim)) for spec in manifest[:-1])
-        widths = [manifest[0].in_dim] + [spec.out_dim for spec in manifest]
-        self.scratch = tuple(np.empty((rows, width)) for width in widths)
+        if scratch is None:
+            widths = [manifest[0].in_dim] + [spec.out_dim for spec in manifest]
+            scratch = tuple(np.empty((rows, width)) for width in widths)
+        elif scratch[0].shape[0] < rows:
+            raise ShapeError(f"shared scratch of {scratch[0].shape[0]} rows is under {rows}")
+        self.scratch = scratch
+        self._views = {}
+
+    def views(self, rows):
+        """(outs, deltas, scratch) as views of their leading ``rows`` rows,
+        made on a row count's first use and kept."""
+        views = self._views.get(rows)
+        if views is None:
+            if rows > self.rows:
+                raise ShapeError(f"{rows} rows do not fit pass buffers of {self.rows} rows")
+            views = tuple(
+                tuple(a[:rows] for a in arrays) for arrays in (self.outs, self.deltas, self.scratch)
+            )
+            self._views[rows] = views
+        return views
 
 
 def _activate(name, s):
@@ -246,86 +300,55 @@ def forward(model, features, buffers=None):
     that many rows, no layer array is allocated, and the set's hidden
     layer outputs are overwritten.
     """
-    layers = unflatten(model)
     x = _checked_features(model, features)
     if buffers is None:
         buffers = PassBuffers(model.manifest, max(len(x), 1))
     n, size = x.shape[0], buffers.rows
     logits = np.empty((n, model.manifest[-1].out_dim))
-    hidden = list(buffers.outs[:-1])
+    layers, hidden = model.layers, buffers.outs[:-1]
     for start in range(0, n, size):
         if n - start < size:
-            hidden = [out[: n - start] for out in hidden]
+            hidden = buffers.views(n - start)[0][:-1]
         # the last layer writes its block of the logits directly
         outs = [*hidden, logits[start : start + size]]
         _forward_cache(model, layers, x[start : start + size], outs)
     return logits
 
 
-def _deltas(model, layers, acts, dz, buffers):
+def _deltas(manifest, layers, acts, dz, out, slopes):
     """Per-layer output deltas: row i of ``deltas[l]`` is d(loss_i)/d(s_l)
     for layer l's pre-activation s_l, given the logit gradients ``dz``.
 
     Each delta is scaled in place by its activation's derivative, taken
     from the layer output ``a``: ReLU's mask ``a > 0`` equals ``s > 0``
     for every float, NaN included, so the derivative is 0 at the kink;
-    tanh's is ``1 - a^2``; identity layers are left as they are. Each
-    delta and derivative is written into ``buffers``.
+    tanh's is ``1 - a^2``; identity layers are left as they are. Hidden
+    delta l is written into ``out[l]`` and its derivative into
+    ``slopes[l + 1]``, each with ``dz``'s rows.
     """
-    rows = dz.shape[0]
     deltas = [dz]
     for li in range(len(layers) - 1, 0, -1):
-        d = np.matmul(deltas[-1], layers[li][0], out=buffers.deltas[li - 1][:rows])
-        activation = model.manifest[li - 1].activation
+        d = np.matmul(deltas[-1], layers[li][0], out=out[li - 1])
+        activation = manifest[li - 1].activation
         a = acts[li]
-        slope = buffers.scratch[li][:rows]
+        slope = slopes[li]
         if activation == "relu":
             d *= np.greater(a, 0.0, out=slope)
         elif activation == "tanh":
             slope = np.multiply(a, a, out=slope)
             d *= np.subtract(1.0, slope, out=slope)
         deltas.append(d)
-    return deltas[::-1]
+    return tuple(deltas[::-1])
 
 
-def _raise_at_row(bad, indices):
-    row = int(np.flatnonzero(bad).min())
-    raise NumericError(
-        f"non-finite loss or gradient for sample index {int(indices[row])}",
-        sample_index=int(indices[row]),
+def sample_error(indices, row):
+    """The NumericError for a non-finite ``row``, naming its sample index."""
+    index = int(indices[row])
+    return NumericError(
+        f"non-finite loss or gradient for sample index {index}", sample_index=index
     )
 
 
-def _check_finite(sample_losses, dsigma, acts, deltas, indices):
-    """Raise NumericError at the first row whose loss, temperature
-    derivative or parameter gradient is not finite.
-
-    The bound ``sum(losses) [+ sum(dsigma)] + sum_l ||d_l||^2 ||a_l||^2``
-    carries any NaN or inf in its terms, and the square of every gradient
-    entry ``d_l[i, o] * a_l[i, j]`` is at most its layer's term. So a
-    finite bound clears the batch with two dot products per layer. Only
-    when it is not finite, as it can be with every row finite, does the
-    exact per-row test run.
-    """
-    # Python floats: a bound that overflows becomes inf without a warning
-    bound = float(sample_losses.sum())
-    if dsigma is not None:
-        bound += float(dsigma.sum())
-    for a, d in zip(acts, deltas):
-        bound += float(np.vdot(d, d)) * float(np.vdot(a, a))
-    if math.isfinite(bound):
-        return
-    ok = np.isfinite(sample_losses)
-    if dsigma is not None:
-        ok &= np.isfinite(dsigma)
-    for a, d in zip(acts, deltas):
-        # outer(d[i], a[i]) is all finite exactly when max|d[i]| * max|a[i]| is
-        ok &= np.isfinite(np.abs(d).max(axis=1) * np.abs(a).max(axis=1))
-    if not ok.all():
-        _raise_at_row(~ok, indices)
-
-
-@dataclass(frozen=True)
 class BatchBackward:
     """One batch's backward pass, kept per layer rather than per sample.
 
@@ -339,47 +362,137 @@ class BatchBackward:
     into the same set.
     """
 
-    manifest: tuple
-    losses: np.ndarray
-    acts: tuple
-    deltas: tuple
-    buffers: PassBuffers
-    dsigma: np.ndarray | None = None
+    __slots__ = ("manifest", "losses", "acts", "deltas", "buffers", "dsigma")
 
-    def grad_sum(self, weights=None):
+    def __init__(self, manifest, losses, acts, deltas, buffers, dsigma=None):
+        self.manifest = manifest
+        self.losses = losses
+        self.acts = acts
+        self.deltas = deltas
+        self.buffers = buffers
+        self.dsigma = dsigma
+
+    def _flat(self, v):
+        """(values, per-layer views) of a flat vector or a ParamVector."""
+        if isinstance(v, ParamVector):
+            if v.manifest != self.manifest:
+                raise ShapeError("vector is laid out by another manifest")
+            return v.values, v.layers
+        expected = param_count(self.manifest)
+        if v.shape != (expected,):
+            raise ShapeError(f"vector has shape {v.shape}, parameter count is {expected}")
+        return v, _layer_blocks(self.manifest, v)
+
+    def grad_sum(self, weights=None, out=None):
         """Flat ``sum_i weights[i] * g_i``; unit weights when None.
 
-        Per layer this is ``(d_l * w)^T a_l`` for the weights and the
-        column sums of ``d_l * w`` for the bias, each written straight
-        into its block of the result.
+        The sum is written into ``out``, a ParamVector whose values it
+        overwrites (a reused slot), or a fresh array without one, and the
+        flat array is returned. Per layer this is ``(d_l * w)^T a_l`` for
+        the weights and the column sums of ``d_l * w`` for the bias, each
+        written straight into its block of the result.
         """
-        out = np.empty(param_count(self.manifest))
-        rows = self.losses.size
-        blocks = _layer_blocks(self.manifest, out)
-        for li, ((g_w, g_b), a, d) in enumerate(zip(blocks, self.acts, self.deltas)):
-            if weights is not None:
-                d = np.multiply(d, weights[:, None], out=self.buffers.scratch[li + 1][:rows])
+        if out is None:
+            out = np.empty(param_count(self.manifest))
+        values, blocks = self._flat(out)
+        scratch = self.buffers.views(self.losses.size)[2]
+        column = None if weights is None else weights[:, None]
+        for (g_w, g_b), a, d, s in zip(blocks, self.acts, self.deltas, scratch[1:]):
+            if column is not None:
+                d = np.multiply(d, column, out=s)
             np.matmul(d.T, a, out=g_w)
-            d.sum(axis=0, out=g_b)
-        return out
+            # the ufunc itself: ndarray.sum adds a Python-level call
+            np.add.reduce(d, axis=0, out=g_b)
+        return values
 
     def dots(self, v):
-        """``<g_i, v>`` for every row i, as a length-B array.
+        """``<g_i, v>`` for every row i, as a length-B array; ``v`` is a
+        flat array or a ParamVector, whose layer views are reused.
 
         Per layer, with V_l and v_b the weight and bias blocks of v, this
         is ``((d_l @ V_l) * a_l).sum(1) + d_l @ v_b``.
         """
-        expected = param_count(self.manifest)
-        if v.shape != (expected,):
-            raise ShapeError(f"vector has shape {v.shape}, parameter count is {expected}")
+        _, blocks = self._flat(v)
         rows = self.losses.size
         out = np.zeros(rows)
-        blocks = _layer_blocks(self.manifest, v)
-        for li, ((v_w, v_b), a, d) in enumerate(zip(blocks, self.acts, self.deltas)):
-            dv = np.matmul(d, v_w, out=self.buffers.scratch[li][:rows])
+        scratch = self.buffers.views(rows)[2]
+        for (v_w, v_b), a, d, s in zip(blocks, self.acts, self.deltas, scratch):
+            dv = np.matmul(d, v_w, out=s)
             dv *= a
-            out += dv.sum(axis=1) + d @ v_b
+            out += np.add.reduce(dv, axis=1) + d @ v_b
         return out
+
+    def first_bad_row(self):
+        """The first row whose loss, temperature derivative or parameter
+        gradient is not finite, or None.
+
+        The bound ``sum(losses) [+ sum(dsigma)] + sum_l ||d_l||^2 ||a_l||^2``
+        carries any NaN or inf in its terms, and the square of every
+        gradient entry ``d_l[i, o] * a_l[i, j]`` is at most its layer's
+        term. So a finite bound clears the batch with two dot products per
+        layer. Only when it is not finite, as it can be with every row
+        finite, does the exact per-row test run.
+        """
+        # Python floats: a bound that overflows becomes inf without a warning
+        bound = float(np.add.reduce(self.losses))
+        if self.dsigma is not None:
+            bound += float(np.add.reduce(self.dsigma))
+        for a, d in zip(self.acts, self.deltas):
+            bound += float(np.vdot(d, d)) * float(np.vdot(a, a))
+        if math.isfinite(bound):
+            return None
+        ok = np.isfinite(self.losses)
+        if self.dsigma is not None:
+            ok &= np.isfinite(self.dsigma)
+        for a, d in zip(self.acts, self.deltas):
+            # outer(d[i], a[i]) is all finite exactly when max|d[i]| * max|a[i]| is
+            ok &= np.isfinite(np.abs(d).max(axis=1) * np.abs(a).max(axis=1))
+        return None if ok.all() else int(np.argmin(ok))
+
+    def rows(self, start, stop=None):
+        """The pass over rows ``start:stop``, as views of this one."""
+        cut = slice(start, stop)
+        return BatchBackward(
+            self.manifest,
+            self.losses[cut],
+            tuple(a[cut] for a in self.acts),
+            tuple(d[cut] for d in self.deltas),
+            self.buffers,
+            None if self.dsigma is None else self.dsigma[cut],
+        )
+
+    def copy_into(self, buffers, features):
+        """This pass moved into ``buffers``: each hidden layer output and
+        hidden delta is copied into the set, and the input is
+        ``features``, the rows' own feature array, equal to this pass's
+        input. The losses, logit delta and dsigma stay the arrays of the
+        pass that made them, which a later pass never writes."""
+        outs, deltas, _ = buffers.views(self.losses.size)
+        hidden = outs[:-1] + deltas
+        for src, dst in zip(self.acts[1:] + self.deltas[:-1], hidden):
+            np.copyto(dst, src)
+        return BatchBackward(
+            self.manifest,
+            self.losses,
+            (features, *outs[:-1]),
+            (*deltas, self.deltas[-1]),
+            buffers,
+            self.dsigma,
+        )
+
+
+def unchecked_backward(model, features, labels, sigma=None, buffers=None):
+    """``batch_backward`` over feature and label arrays, without its finite
+    check: for a caller that reads ``first_bad_row`` itself, as a pass over
+    two batches stacked in one does."""
+    rows = len(features)
+    if buffers is None:
+        buffers = PassBuffers(model.manifest, rows)
+    outs, deltas, scratch = buffers.views(rows)
+    acts = _forward_cache(model, model.layers, features, outs)
+    sample_losses, dz, dsigma = losses_mod.cross_entropy_batch(acts[-1], labels, sigma)
+    hidden = _deltas(model.manifest, model.layers, acts, dz, deltas, scratch)
+    return BatchBackward(model.manifest, sample_losses, tuple(acts[:-1]), hidden, buffers, dsigma)
 
 
 def batch_backward(model, batch, sigma=None, buffers=None):
@@ -391,32 +504,24 @@ def batch_backward(model, batch, sigma=None, buffers=None):
     parameter gradient is not finite raises NumericError naming its
     sample index, as ``per_sample_backward`` does. The batch is first
     cleared by one norm bound over all of it; the exact per-row check
-    runs only when that bound is not finite (see ``_check_finite``).
+    runs only when that bound is not finite (see ``first_bad_row``).
     Each layer's forward output is a single buffer, and no pre-activation
     is kept. Every layer output and hidden delta is a view into
     ``buffers``, a ``PassBuffers`` set of at least the batch's rows (one
     is made without it), valid until its next pass; temporaries use its scratch.
     """
-    layers = unflatten(model)
-    rows = batch.size
-    if buffers is None:
-        buffers = PassBuffers(model.manifest, rows)
-    if rows > buffers.rows:
-        raise ShapeError(f"{rows} rows do not fit pass buffers of {buffers.rows} rows")
-    acts = _forward_cache(model, layers, batch.features, [out[:rows] for out in buffers.outs])
-    sample_losses, dz, dsigma = losses_mod.cross_entropy_batch(acts[-1], batch.labels, sigma)
-    deltas = _deltas(model, layers, acts, dz, buffers)
-    inputs = tuple(acts[:-1])
-    _check_finite(sample_losses, dsigma, inputs, deltas, batch.indices)
-    return BatchBackward(
-        model.manifest, sample_losses, inputs, tuple(deltas), buffers, dsigma
-    )
+    backward = unchecked_backward(model, batch.features, batch.labels, sigma, buffers)
+    row = backward.first_bad_row()
+    if row is not None:
+        raise sample_error(batch.indices, row)
+    return backward
 
 
 def per_sample_grads_from_dz(model, acts, dz):
     """Backpropagate per-row output gradients to per-sample parameter rows."""
     b = dz.shape[0]
-    deltas = _deltas(model, unflatten(model), acts, dz, PassBuffers(model.manifest, b))
+    _, out, slopes = PassBuffers(model.manifest, b).views(b)
+    deltas = _deltas(model.manifest, model.layers, acts, dz, out, slopes)
     rows = []
     for a, d in zip(acts, deltas):
         rows.append(np.einsum("bo,bi->boi", d, a).reshape(b, -1))
@@ -433,10 +538,10 @@ def per_sample_backward(model, batch):
     for ``batch_backward``; training never builds the matrix.
     """
     outs = PassBuffers(model.manifest, batch.size).outs
-    acts = _forward_cache(model, unflatten(model), batch.features, outs)
+    acts = _forward_cache(model, model.layers, batch.features, outs)
     sample_losses, dz, _ = losses_mod.cross_entropy_batch(acts[-1], batch.labels)
     grads = per_sample_grads_from_dz(model, acts, dz)
-    bad = ~(np.isfinite(sample_losses) & np.isfinite(grads).all(axis=1))
-    if bad.any():
-        _raise_at_row(bad, batch.indices)
+    ok = np.isfinite(sample_losses) & np.isfinite(grads).all(axis=1)
+    if not ok.all():
+        raise sample_error(batch.indices, int(np.argmin(ok)))
     return sample_losses, grads

@@ -9,7 +9,8 @@ and for ``<g_i, v>`` it is ``||g_i|| ||v||``. That keeps the 1e-12 bound
 meaningful when a sum cancels to nearly zero.
 
 A pass into reused ``nn.PassBuffers`` must equal a fresh pass bit for
-bit, and a meta step with two buffer sets must equal one without.
+bit, and a meta step in a reused ``meta.Workspace`` must equal one
+without.
 """
 
 import itertools
@@ -461,11 +462,16 @@ def test_train_factors_survive_a_meta_pass_into_the_other_set(problem):
     k = model.manifest[-1].out_dim
     for mode, wd_learnable in itertools.product(meta.META_MODES, (False, True)):
         runs = []
-        for buffers in (None, (train_buffers, meta_buffers)):
+        used = meta.Workspace(model.manifest, train_buffers.rows)
+        # an earlier step leaves the workspace's sets and slots dirty
+        meta.meta_train_step(
+            model, DataParamState.initial(N_POOL, k), meta_batch, train, 0.1, 1.0, 0.0, used
+        )
+        for workspace in (None, used):
             dps = DataParamState.initial(N_POOL, k, mode=mode, wd_learnable=wd_learnable)
             dps.w_inst[:] = np.linspace(0.0, 2.0, N_POOL)
             theta, dps_next, report = meta.meta_train_step(
-                model, dps, train, meta_batch, 0.3, 2.0, 1e-3, buffers=buffers
+                model, dps, train, meta_batch, 0.3, 2.0, 1e-3, workspace
             )
             runs.append((
                 theta.values, dps_next.w_inst, dps_next.w_class, dps_next.lam_wd,

@@ -1,6 +1,7 @@
 """End-to-end CLI: subcommand pipeline, exit codes, override handling."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -599,6 +600,23 @@ def test_replay_of_temperature_run_is_validation_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.count("\n") == 1
     assert "replay needs formulation = meta" in err
+
+
+def test_replay_of_temperature_trajectory_under_meta_config_is_validation_error(
+    monkeypatch, capsys
+):
+    # a temperature run's trajectory holds sigma tables and no learned
+    # rates: replaying it under a meta config would train plain SGD
+    monkeypatch.delenv("METASCHED_OUT", raising=False)
+    monkeypatch.chdir(Path(__file__).parent / "golden")
+    code = main([
+        "replay", "--config", "plain.cfg", "--override", "meta.mode=instance",
+        "--trajectory", "ref/temperature_joint/trajectory.csv",
+    ])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert "trajectory holds temperature tables" in err
 
 
 @pytest.mark.parametrize("command", ["replay", "analyze"])

@@ -1,12 +1,15 @@
 """One-step lookahead rollout, meta-gradients, and data-parameter updates."""
 
+import json
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from metasched import datagen, meta, nn, optim
-from metasched.errors import ShapeError
+from metasched import config, datagen, harness, meta, nn, optim
+from metasched.errors import NumericError, ShapeError
 from metasched.losses import cross_entropy_batch
 from metasched.meta import DataParamState, MetaStepReport
 from metasched.nn import Batch, LayerSpec, ParamVector
@@ -508,3 +511,186 @@ def test_effective_weights_by_mode():
     assert np.allclose(meta.effective_weights(dps, labels, indices), [7.0, 5.0], rtol=1e-12)
     dps.mode = "none"
     assert np.array_equal(meta.effective_weights(dps, labels, indices), [1.0, 1.0])
+
+
+# ---- the joint pass against a loop of two passes per step ----
+
+
+def two_pass_meta_step(
+    theta, dps, train_batch, meta_batch, lr, data_lr, wd_lr, workspace=None, next_batch=None
+):
+    """The meta step as two separate passes: the train batch at theta, then
+    the meta batch at theta'. It ignores the workspace and the next batch,
+    and is the reference for the joint pass."""
+    train_pass = nn.batch_backward(theta, train_batch)
+    weights = meta.effective_weights(dps, train_batch.labels, train_batch.indices)
+    step = train_pass.grad_sum(weights)
+    step *= lr / train_batch.size
+    theta_next = theta.with_values(theta.values - step - lr * dps.lam_wd * theta.values)
+    meta_pass = nn.batch_backward(theta_next, meta_batch)
+    meta_grad = meta_pass.grad_sum() / meta_batch.size
+    empty_ids, empty = np.empty(0, dtype=np.int64), np.empty(0)
+    instance_ids, instance_grads = empty_ids, empty
+    class_ids, class_grads = empty_ids, empty
+    if dps.mode != "none":
+        instance_ids = train_batch.indices
+        instance_grads = meta.instance_metagrad(train_pass.dots(meta_grad), lr)
+    if dps.mode == "class":
+        class_ids, class_grads = meta.class_metagrad(
+            instance_grads, train_batch.labels, dps.w_class.size
+        )
+    report = MetaStepReport(
+        meta_loss=float(meta_pass.losses.mean()),
+        instance_ids=instance_ids,
+        per_instance_metagrad=instance_grads,
+        class_ids=class_ids,
+        per_class_metagrad=class_grads,
+        wd_metagrad=meta.wd_metagrad(theta, meta_grad, lr) if dps.wd_learnable else None,
+    )
+    meta.apply_data_param_update(dps, report, data_lr, wd_lr)
+    return theta_next, dps, report
+
+
+def loop_cfg(**kw):
+    """3 classes of 30 points: 66 train rows, so batches of 7 and 32 end
+    short, and a 9-row meta set."""
+    base = dict(
+        hidden=(8, 6), lr=0.1, epochs=3, n_classes=3, per_class=30, dim=4, spread=0.8,
+        meta_per_class=3, test_per_class=5, noise_p=0.3, data_lr=1.0, wd_lr=1e-3,
+    )
+    base.update(kw)
+    return config.RunConfig(**base)
+
+
+def recorded_run(monkeypatch, cfg, step, bundle=None, out_dir=None):
+    """Run ``cfg`` with ``step`` as the meta step; returns each step's
+    (theta, tables, clamp count, meta loss)."""
+    log = []
+
+    def recording(theta, dps, *args):
+        theta, dps, report = step(theta, dps, *args)
+        log.append((theta.values.copy(), dps.as_tables(), report.clamp_count, report.meta_loss))
+        return theta, dps, report
+
+    monkeypatch.setattr(meta, "meta_train_step", recording)
+    harness.run_training(cfg, bundle, out_dir)
+    return log
+
+
+def assert_rel_close(got, want):
+    scale = np.abs(np.asarray(want)).max(initial=0.0)
+    assert np.all(np.abs(np.asarray(got) - want) <= 1e-12 * scale)
+
+
+@pytest.mark.parametrize("batch_size", [1, 7, 32])
+@pytest.mark.parametrize("activation", nn.ACTIVATIONS)
+# mode none takes the meta step only with a learnable decay
+@pytest.mark.parametrize(
+    "mode, wd_learnable",
+    [("instance", False), ("instance", True), ("class", False), ("class", True), ("none", True)],
+)
+def test_joint_pass_loop_matches_two_pass_loop(
+    monkeypatch, batch_size, activation, mode, wd_learnable
+):
+    cfg = loop_cfg(
+        batch_size=batch_size, activation=activation, mode=mode, wd_learnable=wd_learnable
+    )
+    shipped = recorded_run(monkeypatch, cfg, meta.meta_train_step)
+    reference = recorded_run(monkeypatch, cfg, two_pass_meta_step)
+    assert len(shipped) == len(reference) == 3 * -(-66 // batch_size)
+    for (theta, tables, clamps, loss), (want_theta, want_tables, want_clamps, want_loss) in zip(
+        shipped, reference
+    ):
+        assert_rel_close(theta, want_theta)
+        for name in ("w_inst", "w_class", "lam_wd"):
+            assert_rel_close(tables[name], want_tables[name])
+        assert clamps == want_clamps
+        assert loss == pytest.approx(want_loss, rel=1e-12, abs=0)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("value", [1e200, np.finfo(float).max])
+@pytest.mark.parametrize("split", ["train", "meta"])
+def test_overflow_aborts_where_the_two_pass_loop_does(tmp_path, monkeypatch, split, value):
+    # 1e200 overflows the pass after the one that reads it; the largest
+    # float in every column overflows the row's own pass, so a train row
+    # in the third batch fails inside the joint pass of the step before
+    # its own and aborts its own step
+    cfg = loop_cfg(batch_size=7, mode="instance", wd_learnable=True)
+    position = np.random.default_rng(cfg.seed_shuffle).permutation(66)[2 * 7 + 3]
+    outcomes = []
+    for name, step in (("joint", meta.meta_train_step), ("two_pass", two_pass_meta_step)):
+        bundle = harness.prepare_data(cfg)
+        if split == "train":
+            bundle.train.features[position] = value
+        else:
+            bundle.meta.features[0] = value
+        with pytest.raises(NumericError) as err:
+            recorded_run(monkeypatch, cfg, step, bundle, str(tmp_path / name))
+        info = json.loads((tmp_path / name / "run_info.json").read_text())
+        model = (tmp_path / name / "model.json").read_bytes()
+        outcomes.append((err.value.context, info["last_good_epoch"], model))
+    assert outcomes[0] == outcomes[1]
+    if split == "train" and value > 1e300:
+        assert outcomes[0][0] == {
+            "sample_index": int(bundle.train.indices[position]), "epoch": 0
+        }
+
+
+def steady_state_steps(mode, wd_learnable):
+    """(theta, step) after three meta steps on a 16-256-256-10 net, when
+    both slots, every row view and a held pass exist; ``step(theta, k)``
+    takes step k on with its next batch."""
+    rng = np.random.default_rng(5)
+    manifest = nn.build_manifest(16, (256, 256), 10, "relu")
+    theta = nn.init_params(manifest, seed=1)
+    rows, n = 32, 6 * 32
+
+    def batch(offset):
+        pick = np.arange(offset, offset + rows) % n
+        return Batch(rng.standard_normal((rows, 16)), rng.integers(0, 10, rows), pick)
+
+    batches = [batch(i * rows) for i in range(6)]
+    workspace = meta.Workspace(manifest, rows)
+    dps = DataParamState.initial(n, 10, mode=mode, wd_learnable=wd_learnable)
+    meta_set = datagen.make_blobs(10, 4, 16, 1.0, seed=2)
+
+    def step(theta, k):
+        meta_batch = workspace.gather(meta_set, rng.integers(0, meta_set.n, rows))
+        return meta.meta_train_step(
+            theta, dps, batches[k], meta_batch, 0.1, 1.0, 1e-3, workspace, batches[k + 1]
+        )[0]
+
+    for k in range(3):
+        theta = step(theta, k)
+    return theta, step
+
+
+STEADY = pytest.mark.parametrize("mode, wd_learnable", [("instance", False), ("class", True)])
+
+
+@STEADY
+def test_steady_state_meta_step_allocates_no_parameter_sized_array(mode, wd_learnable):
+    theta, step = steady_state_steps(mode, wd_learnable)
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        step(theta, 3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - before < theta.values.nbytes
+
+
+@STEADY
+def test_steady_state_meta_step_builds_no_layer_views(monkeypatch, mode, wd_learnable):
+    theta, step = steady_state_steps(mode, wd_learnable)
+    calls = []
+    for name in ("_layer_blocks", "param_count"):
+        original = getattr(nn, name)
+        monkeypatch.setattr(
+            nn, name, lambda *args, _f=original, _n=name: calls.append(_n) or _f(*args)
+        )
+    step(step(theta, 3), 4)
+    assert calls == []
