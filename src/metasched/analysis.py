@@ -2,12 +2,15 @@
 
 The central-difference gradient checker is the ground truth for every
 analytic gradient in the package: per-sample parameter gradients,
-temperature gradients, and the three one-step meta-gradients. The
-meta-gradient checks take their analytic side from ``meta_train_step``
-itself and difference a rollout written out over the per-sample gradient
-matrix of ``nn.per_sample_backward``. The other probes quantify
-qualitative claims: clean/corrupt weight separation, rate/performance
-correlation, and the top of the loss Hessian spectrum.
+temperature gradients, and the three one-step meta-gradients. Each check
+takes its analytic side from the shipped code: a one-row slice of
+``nn.batch_backward``, the batch kernel ``losses.cross_entropy_batch``,
+and ``meta_train_step`` itself. The meta-gradient checks difference a
+rollout written out over the weighted gradient sum of one
+``batch_backward`` pass. The other probes quantify qualitative claims:
+clean/corrupt weight separation, rate/performance correlation, and the
+top of the loss Hessian spectrum, whose gradients come from the same
+pass.
 """
 
 from __future__ import annotations
@@ -86,7 +89,7 @@ def _relu_safe(model, features, margin=1e-2):
     """True when no ReLU pre-activation sits near its kink, so central
     differences with step 1e-5 stay on one side."""
     a = np.asarray(features, dtype=np.float64)
-    for spec, (w, b) in zip(model.manifest, nn.unflatten(model)):
+    for spec, (w, b) in zip(model.manifest, model.layers):
         s = a @ w.T + b
         if spec.activation == "relu" and np.abs(s).min() < margin:
             return False
@@ -100,14 +103,16 @@ def _sample_loss(model, features_row, label):
     return loss
 
 
-def _meta_objective(theta, grads, train_batch, dps, lr, meta_batch):
-    """Meta loss after the rollout, written out over the per-sample
-    gradient matrix: the reference side of the meta-gradient checks."""
+def _meta_objective(theta, backward, train_batch, dps, lr, meta_batch):
+    """Meta loss after the rollout, written out over the weighted gradient
+    sum of ``backward``, the train batch's pass at ``theta``: the
+    reference side of the meta-gradient checks."""
     w_eff = meta.effective_weights(dps, train_batch.labels, train_batch.indices)
-    rolled = theta.values - (lr / train_batch.size) * (w_eff @ grads)
+    rolled = theta.values - (lr / train_batch.size) * backward.grad_sum(w_eff)
     rolled = rolled - lr * dps.lam_wd * theta.values
-    losses, _ = nn.per_sample_backward(theta.with_values(rolled), meta_batch)
-    return float(losses.mean())
+    # a pass in its own set: ``backward``'s arrays outlive it
+    meta_pass = nn.batch_backward(theta.with_values(rolled), meta_batch)
+    return float(meta_pass.losses.mean())
 
 
 def _shipped_report(model, train_batch, meta_batch, dps, lr):
@@ -139,11 +144,10 @@ def _check_per_sample(rng, step):
         batch = _random_batch(rng, d, k, b, np.arange(16))
         if _relu_safe(model, batch.features):
             break
-    _, grads = nn.per_sample_backward(model, batch)
     s = int(rng.integers(0, b))
     p = model.values.size
     coords = rng.choice(p, size=min(p, 8), replace=False)
-    analytic = grads[s, coords]
+    analytic = nn.batch_backward(model, batch).rows(s, s + 1).grad_sum()[coords]
     numeric = np.empty(len(coords))
     for j, c in enumerate(coords):
         plus = model.values.copy()
@@ -161,7 +165,7 @@ def _check_temperature(rng, step):
     z = rng.normal(0.0, 2.0, size=k)
     y = int(rng.integers(0, k))
     sigma = float(rng.uniform(0.2, 3.0))
-    _, dz, dsigma, _ = losses_mod.temperature_ce(z, y, sigma)
+    _, dz, dsigma = losses_mod.cross_entropy_batch(z[None, :], [y], [sigma])
 
     def loss_at(zv, sv):
         value, _, _, _ = losses_mod.temperature_ce(zv, y, sv)
@@ -173,7 +177,7 @@ def _check_temperature(rng, step):
         e[j] = step
         numeric[j] = (loss_at(z + e, sigma) - loss_at(z - e, sigma)) / (2 * step)
     numeric[k] = (loss_at(z, sigma + step) - loss_at(z, sigma - step)) / (2 * step)
-    return np.concatenate([dz, [dsigma]]), numeric
+    return np.concatenate([dz[0], dsigma]), numeric
 
 
 def _random_meta_problem(rng, mode):
@@ -202,7 +206,7 @@ def _check_metagrad(rng, step, mode, table):
         entries, analytic = report.class_ids, report.per_class_metagrad
     else:
         entries, analytic = [None], np.array([report.wd_metagrad])
-    _, grads = nn.per_sample_backward(model, train_batch)
+    backward = nn.batch_backward(model, train_batch)
     numeric = np.empty(len(entries))
     for pos, entry in enumerate(entries):
         f = []
@@ -212,7 +216,7 @@ def _check_metagrad(rng, step, mode, table):
                 moved.lam_wd += delta
             else:
                 getattr(moved, table)[entry] += delta
-            f.append(_meta_objective(model, grads, train_batch, moved, lr, meta_batch))
+            f.append(_meta_objective(model, backward, train_batch, moved, lr, meta_batch))
         numeric[pos] = (f[0] - f[1]) / (2 * step)
     return analytic, numeric
 
@@ -395,15 +399,13 @@ def hessian_top_eigs(grad_fn, theta0, m, tol=1e-6, max_iters=500, seed=0):
 
 
 def hessian_top_eigs_model(model, batch, m, **kwargs):
-    """Spectrum probe for the mean cross-entropy loss of a small model."""
-    if model.values.size > 5000:
-        raise ValueError(
-            "spectrum probe is limited to models with <= 5000 parameters, "
-            f"this one has {model.values.size}"
-        )
+    """Spectrum probe for the mean cross-entropy loss of a model over
+    ``batch``. Each gradient is one ``nn.batch_backward`` pass, in one
+    set of pass buffers for the whole probe, summed over its rows."""
+    buffers = nn.PassBuffers(model.manifest, batch.size)
 
     def grad_fn(values):
-        _, grads = nn.per_sample_backward(model.with_values(values), batch)
-        return grads.mean(axis=0)
+        backward = nn.batch_backward(model.with_values(values), batch, buffers=buffers)
+        return backward.grad_sum() / batch.size
 
     return hessian_top_eigs(grad_fn, model.values, m, **kwargs)

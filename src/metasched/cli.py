@@ -4,8 +4,9 @@ Subcommands: generate-data, corrupt, train, kfold, replay, gradcheck,
 analyze. Config files are `key = value` text (see config module); any
 key can be overridden on the command line with repeated
 `--override key=value` flags. Exit codes: 0 success, 1 validation
-error, 2 numeric failure. When `--out` is omitted, the METASCHED_OUT
-environment variable (if set) provides the output root.
+error or an output path that cannot be written, 2 numeric failure. When
+`--out` is omitted, the METASCHED_OUT environment variable (if set)
+provides the output root.
 """
 
 from __future__ import annotations
@@ -374,6 +375,12 @@ def main(argv=None):
     except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 2
+    except OSError as exc:
+        # an output path that cannot be written: a missing directory, or
+        # an existing file where a run directory should go
+        where = "" if exc.filename is None else f"{exc.filename}: "
+        print(f"error: {where}{exc.strerror or exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -315,6 +315,15 @@ def validate_config(cfg):
             raise ConfigError(
                 "personalization needs data.n_superclasses or a superclass file"
             )
+        if cfg.split_kind == "kfold":
+            raise ConfigError(
+                "personalization.target reroutes a holdout split; k-fold splitting "
+                "does not read it"
+            )
+    elif cfg.train_subset == "biased":
+        raise ConfigError(
+            "personalization.train_subset = biased needs personalization.target"
+        )
     if cfg.lr_drop_epoch is not None and cfg.lr_drop_epoch < 0:
         raise ConfigError("lr_drop.epoch must be >= 0")
     if cfg.lr_drop_factor <= 0:

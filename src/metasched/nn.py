@@ -8,11 +8,10 @@ sample i's gradient is ``outer(d_l[i], a_l[i])`` for a weight matrix and
 ``d_l[i]`` for a bias. From those factors ``BatchBackward`` forms a
 weighted gradient sum and the per-sample dot products ``<g_i, v>``
 without materialising the B x P gradient matrix (Goodfellow, "Efficient
-Per-Example Gradient Computations", arXiv 1510.01799).
-
-``per_sample_backward`` does materialise that matrix. It is the oracle
-for the gradient checker, the Hessian probe and the differential tests,
-and no training path calls it.
+Per-Example Gradient Computations", arXiv 1510.01799). The gradient
+checker and the Hessian probe of ``analysis`` read the same pass; the
+matrix is built only by the tests, as the reference they compare
+against.
 
 Each layer of a pass works in one buffer: the product ``a @ W.T`` takes
 the bias and then the activation in place, and no pre-activation is
@@ -182,11 +181,6 @@ def _layer_blocks(manifest, values):
     return out
 
 
-def unflatten(model):
-    """Per-layer (W, b) views into the flat vector."""
-    return model.layers
-
-
 @dataclass(frozen=True)
 class Batch:
     """A mini-batch with stable dataset indices."""
@@ -278,7 +272,7 @@ def _checked_features(model, features):
 def _forward_cache(model, layers, features, outs):
     """Each layer's input, then the logits: ``acts[l]`` feeds layer l.
 
-    ``layers`` is ``unflatten(model)``. Layer l's output is ``outs[l]``,
+    ``layers`` is ``model.layers``. Layer l's output is ``outs[l]``,
     which has the features' row count: it takes ``a @ W.T``, then the
     bias and the activation in place.
     """
@@ -502,9 +496,9 @@ def batch_backward(model, batch, sigma=None, buffers=None):
     temperature-scaled cross-entropy and the result carries each row's
     d(loss)/d(sigma). A row whose loss, temperature derivative or
     parameter gradient is not finite raises NumericError naming its
-    sample index, as ``per_sample_backward`` does. The batch is first
-    cleared by one norm bound over all of it; the exact per-row check
-    runs only when that bound is not finite (see ``first_bad_row``).
+    sample index. The batch is first cleared by one norm bound over all
+    of it; the exact per-row check runs only when that bound is not
+    finite (see ``first_bad_row``).
     Each layer's forward output is a single buffer, and no pre-activation
     is kept. Every layer output and hidden delta is a view into
     ``buffers``, a ``PassBuffers`` set of at least the batch's rows (one
@@ -516,32 +510,3 @@ def batch_backward(model, batch, sigma=None, buffers=None):
         raise sample_error(batch.indices, row)
     return backward
 
-
-def per_sample_grads_from_dz(model, acts, dz):
-    """Backpropagate per-row output gradients to per-sample parameter rows."""
-    b = dz.shape[0]
-    _, out, slopes = PassBuffers(model.manifest, b).views(b)
-    deltas = _deltas(model.manifest, model.layers, acts, dz, out, slopes)
-    rows = []
-    for a, d in zip(acts, deltas):
-        rows.append(np.einsum("bo,bi->boi", d, a).reshape(b, -1))
-        rows.append(d)
-    return np.concatenate(rows, axis=1)
-
-
-def per_sample_backward(model, batch):
-    """Per-sample cross-entropy losses and exact per-sample parameter
-    gradients, as a B x P matrix.
-
-    Row i of the gradient matrix is d(loss_i)/d(theta); the mean over rows
-    equals the gradient of the unweighted mean loss. This is the oracle
-    for ``batch_backward``; training never builds the matrix.
-    """
-    outs = PassBuffers(model.manifest, batch.size).outs
-    acts = _forward_cache(model, model.layers, batch.features, outs)
-    sample_losses, dz, _ = losses_mod.cross_entropy_batch(acts[-1], batch.labels)
-    grads = per_sample_grads_from_dz(model, acts, dz)
-    ok = np.isfinite(sample_losses) & np.isfinite(grads).all(axis=1)
-    if not ok.all():
-        raise sample_error(batch.indices, int(np.argmin(ok)))
-    return sample_losses, grads

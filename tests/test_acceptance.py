@@ -17,6 +17,8 @@ from metasched.harness import prepare_data, replay_train, run_training
 from metasched.meta import DataParamState, meta_train_step
 from metasched.nn import Batch
 
+import oracles
+
 SEEDS = (0, 1, 2)
 
 
@@ -115,7 +117,7 @@ def test_criterion_2_sgd_recovery():
         theta, dps, _ = meta_train_step(
             theta, dps, batch, meta_batch, cfg.lr, cfg.data_lr, cfg.wd_lr
         )
-        _, grads = nn.per_sample_backward(theta.with_values(baseline), batch)
+        _, grads = oracles.per_sample_backward(theta.with_values(baseline), batch)
         baseline = optim.step(sgd, baseline, grads.mean(axis=0) + cfg.wd_init * baseline)
         assert np.abs(theta.values - baseline).max() <= 1e-12, f"diverged at step {step}"
     assert np.all(dps.w_inst == 1.0) and np.all(dps.w_class == 1.0)
@@ -296,7 +298,7 @@ def test_criterion_9_spectral_probe():
     batch = Batch(feats, labels, np.arange(12))
 
     def grad_fn(values):
-        _, grads = nn.per_sample_backward(model.with_values(values), batch)
+        _, grads = oracles.per_sample_backward(model.with_values(values), batch)
         return grads.mean(axis=0)
 
     h = 1e-4 * (1.0 + np.linalg.norm(model.values))

@@ -1,6 +1,6 @@
 """Differential tests of the fused backward pass that every training step
 runs (``nn.batch_backward`` and the meta step built on it) against the
-per-sample gradient matrix of ``nn.per_sample_backward``, plus a
+per-sample gradient matrix of ``oracles.per_sample_backward``, plus a
 forward-mode tangent oracle for the per-row dot products.
 
 Errors are measured against the magnitude of the terms being summed:
@@ -24,6 +24,8 @@ from metasched import analysis, losses, meta, nn
 from metasched.errors import NumericError, ShapeError
 from metasched.meta import DataParamState
 from metasched.nn import Batch, LayerSpec
+
+import oracles
 
 REL = 1e-12
 # a fixed example sequence keeps the suite reproducible from run to run
@@ -74,12 +76,12 @@ def temperature_oracle(model, batch, sigma):
     """Per-sample gradient rows of the temperature loss, from one scalar
     ``temperature_ce`` call per row."""
     outs = nn.PassBuffers(model.manifest, batch.size).outs
-    acts = nn._forward_cache(model, nn.unflatten(model), batch.features, outs)
+    acts = nn._forward_cache(model, model.layers, batch.features, outs)
     dz = np.array([
         losses.temperature_ce(z, int(y), s)[1]
         for z, y, s in zip(acts[-1], batch.labels, sigma)
     ])
-    return nn.per_sample_grads_from_dz(model, acts, dz)
+    return oracles.per_sample_grads_from_dz(model, acts, dz)
 
 
 def tangent_dots(model, batch, v, sigma=None):
@@ -88,7 +90,7 @@ def tangent_dots(model, batch, v, sigma=None):
     a = batch.features
     da = np.zeros_like(a)
     blocks = nn._layer_blocks(model.manifest, v)
-    for spec, (w, b), (v_w, v_b) in zip(model.manifest, nn.unflatten(model), blocks):
+    for spec, (w, b), (v_w, v_b) in zip(model.manifest, model.layers, blocks):
         s = a @ w.T + b
         ds = da @ w.T + a @ v_w.T + v_b
         if spec.activation == "relu":
@@ -108,7 +110,7 @@ def tangent_dots(model, batch, v, sigma=None):
 def test_grad_sum_and_dots_match_per_sample_rows(b, activation, data):
     model, batch, _, rng = data.draw(problems(b, activation))
     backward = nn.batch_backward(model, batch)
-    sample_losses, grads = nn.per_sample_backward(model, batch)
+    sample_losses, grads = oracles.per_sample_backward(model, batch)
     assert np.array_equal(backward.losses, sample_losses)
     # replay schedules hold clamped zeros; meta steps hold any non-negative rate
     weights = rng.uniform(0.0, 2.0, size=batch.size)
@@ -117,6 +119,9 @@ def test_grad_sum_and_dots_match_per_sample_rows(b, activation, data):
     assert_sum_close(backward.grad_sum(), np.ones(batch.size), grads)
     v = rng.standard_normal(model.values.size)
     assert_dots_close(backward.dots(v), grads, v)
+    # one row's sum is that row's gradient: the analytic side of gradcheck
+    s = int(rng.integers(batch.size))
+    assert_sum_close(backward.rows(s, s + 1).grad_sum(), np.eye(batch.size)[s], grads)
 
 
 @NETS
@@ -137,13 +142,13 @@ def check_meta_step(model, train, meta_batch, rng, mode, wd_learnable):
     lr = float(rng.uniform(0.05, 0.5))
     theta_next, _, report = meta.meta_train_step(model, dps, train, meta_batch, lr, 0.0, 0.0)
 
-    _, grads = nn.per_sample_backward(model, train)
+    _, grads = oracles.per_sample_backward(model, train)
     w_eff = meta.effective_weights(dps, train.labels, train.indices)
     want = model.values - (lr / train.size) * (w_eff @ grads) - lr * dps.lam_wd * model.values
     scale = (lr / train.size) * (np.abs(w_eff) @ np.abs(grads)) + np.abs(model.values)
     assert np.all(np.abs(theta_next.values - want) <= REL * scale)
 
-    meta_losses, meta_grads = nn.per_sample_backward(theta_next, meta_batch)
+    meta_losses, meta_grads = oracles.per_sample_backward(theta_next, meta_batch)
     assert report.meta_loss == pytest.approx(meta_losses.mean(), rel=REL, abs=0)
     meta_grad = meta_grads.mean(axis=0)
     ones = np.full(meta_batch.size, 1.0 / meta_batch.size)
@@ -208,7 +213,7 @@ def test_dots_match_forward_mode_tangents(b, activation, data):
         want = tangent_dots(model, batch, v, sigma)
         # the per-sample rows give the scale of each row's terms
         if sigma is None:
-            _, grads = nn.per_sample_backward(model, batch)
+            _, grads = oracles.per_sample_backward(model, batch)
         else:
             grads = temperature_oracle(model, batch, sigma)
         scale = np.linalg.norm(grads, axis=1) * np.linalg.norm(v)
@@ -255,7 +260,7 @@ def test_gradient_overflow_from_finite_factors_is_caught():
     manifest = (LayerSpec(1, 1, "identity"), LayerSpec(1, 2, "identity"))
     model = nn.ParamVector(np.array([1e-300, 0.0, 1e150, 0.0, 0.0, 0.0]), manifest)
     batch = Batch(np.array([[1.0], [1e200]]), np.array([0, 1]), np.array([4, 17]))
-    for backward in (nn.per_sample_backward, nn.batch_backward):
+    for backward in (oracles.per_sample_backward, nn.batch_backward):
         with pytest.raises(NumericError) as err:
             backward(model, batch)
         assert err.value.context["sample_index"] == 17
@@ -265,7 +270,7 @@ def reference_factors(model, batch, sigma=None):
     """Losses, temperature derivatives, layer inputs and deltas computed
     with every pre-activation kept, the ReLU mask read from ``s > 0`` and
     identity layers scaled by ones."""
-    layers = nn.unflatten(model)
+    layers = model.layers
     acts, preacts = [batch.features], []
     for spec, (w, b) in zip(model.manifest, layers):
         s = acts[-1] @ w.T + b
@@ -524,7 +529,7 @@ def test_forward_streams_rows_through_the_buffers():
     assert not np.shares_memory(logits, buffers.outs[-1])
     # the set holds the hidden outputs of the last block, rows 16 to 20
     outs = nn.PassBuffers(manifest, 5).outs
-    last = nn._forward_cache(model, nn.unflatten(model), feats[16:], outs)
+    last = nn._forward_cache(model, model.layers, feats[16:], outs)
     assert same_bits(buffers.outs[0][:5], last[1]) and same_bits(buffers.outs[1][:5], last[2])
     assert np.allclose(logits, nn.forward(model, feats), rtol=1e-12, atol=0)
     assert nn.forward(model, feats[:0], buffers).shape == (0, 4)

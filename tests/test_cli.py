@@ -1,6 +1,7 @@
 """End-to-end CLI: subcommand pipeline, exit codes, override handling."""
 
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -199,6 +200,52 @@ def test_empty_test_split_is_validation_error(tmp_path, capsys, argv):
     assert err.count("\n") == 1
     assert "split.test_per_class" in err
     assert not (tmp_path / "run" / "metrics.jsonl").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, key",
+    [
+        (["kfold", "--override", "split.kind=kfold", "--override", "data.n_superclasses=2",
+          "--override", "personalization.target=0"], "personalization.target"),
+        (["train", "--override", "personalization.train_subset=biased"],
+         "personalization.train_subset"),
+    ],
+    ids=["target-under-kfold", "biased-without-target"],
+)
+def test_ignored_personalization_key_is_validation_error(tmp_path, capsys, argv, key):
+    run_dir = tmp_path / "run"
+    assert main([*argv, *DATA_OVERRIDES, "--out", str(run_dir)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith(f"error: {key}")
+    assert not run_dir.exists()
+
+
+@pytest.mark.parametrize(
+    "command",
+    ["generate-data", "analyze", "train"],
+)
+def test_unwritable_output_path_is_validation_error(tmp_path, capsys, command):
+    data, run_dir = tmp_path / "data.csv", tmp_path / "run"
+    argv = ["generate-data", "--classes", "3", "--per-class", "14", "--dim", "4"]
+    if command == "generate-data":
+        out = tmp_path / "missing" / "x.csv"
+        argv += ["--out", str(out)]
+    else:
+        assert main([*argv, "--out", str(data)]) == 0
+        if command == "analyze":
+            assert main(["train", *DATA_OVERRIDES, "--out", str(run_dir)]) == 0
+            out = tmp_path / "missing" / "a.json"
+            argv = ["analyze", "--run", str(run_dir), "--out", str(out)]
+        else:
+            out = data  # an existing file where the run directory should go
+            argv = ["train", "--override", f"data.path={data}", *DATA_OVERRIDES,
+                    "--out", str(out)]
+    capsys.readouterr()
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith(f"error: {out}: ")
 
 
 @pytest.mark.parametrize(
@@ -517,7 +564,7 @@ def test_bad_probe_flag_is_validation_error(tmp_path, capsys, flags, message):
     assert capsys.readouterr().err.splitlines()[-1] == "error: " + message
 
 
-def test_probe_of_default_size_model_is_validation_error(tmp_path, capsys):
+def test_probe_of_default_size_model_writes_a_finite_eigenvalue(tmp_path, capsys):
     data, run_dir = tmp_path / "data.csv", tmp_path / "run"
     assert main([
         "generate-data", "--classes", "10", "--per-class", "8", "--out", str(data),
@@ -529,11 +576,11 @@ def test_probe_of_default_size_model_is_validation_error(tmp_path, capsys):
     ]) == 0
     capsys.readouterr()
     argv = ["analyze", "--run", str(run_dir), "--hessian-top", "1", "--data", str(data)]
-    assert main(argv) == 1
-    assert capsys.readouterr().err == (
-        "error: --hessian-top 1: spectrum probe is limited to models with <= 5000 "
-        "parameters, this one has 5898\n"
-    )
+    assert main(argv) == 0  # 5,898 parameters
+    assert capsys.readouterr().err == ""
+    probe = json.loads((run_dir / "analysis.json").read_text())["hessian_top_eigs"]
+    assert len(probe["values"]) == 1 and math.isfinite(probe["values"][0])
+    assert probe["sample_size"] == 80
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

@@ -186,6 +186,24 @@ def test_misc_validation():
         config_from_overrides(["data.n_superclasses=-1"])
 
 
+def test_personalization_target_is_rejected_under_kfold():
+    # prepare_kfold never reads the target: the run would ignore it
+    with pytest.raises(ConfigError, match="^personalization.target .*k-fold"):
+        config_from_overrides(
+            ["data.n_superclasses=2", "personalization.target=0", "split.kind=kfold"]
+        )
+    config_from_overrides(["data.n_superclasses=2", "personalization.target=0"])
+
+
+def test_biased_train_subset_needs_a_target():
+    # without a target there is no biased split to train on
+    with pytest.raises(ConfigError, match="^personalization.train_subset = biased needs"):
+        config_from_overrides(["personalization.train_subset=biased"])
+    config_from_overrides(
+        ["data.n_superclasses=2", "personalization.target=0", "personalization.train_subset=biased"]
+    )
+
+
 def test_manifest_key_needs_a_dataset_file():
     with pytest.raises(ConfigError, match="data.path"):
         config_from_overrides(["data.manifest=m.csv"])

@@ -14,6 +14,8 @@ from metasched.losses import cross_entropy_batch
 from metasched.meta import DataParamState, MetaStepReport
 from metasched.nn import Batch, LayerSpec, ParamVector
 
+import oracles
+
 
 def scalar_model(value):
     manifest = (LayerSpec(1, 1, "identity"),)
@@ -71,7 +73,7 @@ def test_rollout_unit_weights_is_sgd_on_regularized_loss():
     dps = DataParamState.initial(n, 2, mode="instance")
     dps.lam_wd = 3e-3
     rolled = meta.rollout_one_step(model, nn.batch_backward(model, train), train, dps, lr=0.2)
-    _, grads = nn.per_sample_backward(model, train)
+    _, grads = oracles.per_sample_backward(model, train)
     state = optim.make_optimizer("sgd", 0.2, model.values.size)
     reg_grad = grads.mean(axis=0) + dps.lam_wd * model.values
     stepped = optim.step(state, model.values, reg_grad)
@@ -330,7 +332,7 @@ def test_meta_step_computes_decay_metagrad_only_when_learnable(wd_learnable):
         assert report.wd_metagrad is None
         assert dps_next.lam_wd == lam_wd
         return
-    _, meta_grads = nn.per_sample_backward(theta_next, meta_batch)
+    _, meta_grads = oracles.per_sample_backward(theta_next, meta_batch)
     # the step sums the meta gradient in another order than the oracle's
     # row mean, so the two agree to rounding, not bit for bit
     want = meta.wd_metagrad(model, meta_grads.mean(axis=0), 0.2)
@@ -352,7 +354,7 @@ def test_meta_step_mode_none_is_plain_sgd_step():
     theta_next, dps_next, report = meta.meta_train_step(
         model, dps, train, meta_batch, 0.1, 1.0, 1e-3
     )
-    _, grads = nn.per_sample_backward(model, train)
+    _, grads = oracles.per_sample_backward(model, train)
     expected = model.values - 0.1 * grads.mean(axis=0)
     assert np.allclose(theta_next.values, expected, rtol=1e-12, atol=1e-15)
     assert np.array_equal(dps_next.w_inst, np.ones(n))
@@ -416,7 +418,7 @@ def test_hundred_step_baseline_recovery():
         theta_meta, dps, _ = meta.meta_train_step(
             theta_meta, dps, batch, mbatch, 0.15, 1.0, 0.0
         )
-        _, grads = nn.per_sample_backward(model.with_values(ref), batch)
+        _, grads = oracles.per_sample_backward(model.with_values(ref), batch)
         ref = optim.step(state, ref, grads.mean(axis=0) + 1e-3 * ref)
         assert np.allclose(theta_meta.values, ref, rtol=1e-12, atol=1e-14)
 

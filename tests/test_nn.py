@@ -1,4 +1,4 @@
-"""Forward pass, per-sample gradients, and parameter packing."""
+"""Forward pass, the per-sample gradient oracle, and parameter packing."""
 
 import numpy as np
 import pytest
@@ -6,6 +6,8 @@ import pytest
 from metasched import losses, nn
 from metasched.errors import NumericError, ShapeError
 from metasched.nn import Batch, LayerSpec, ParamVector
+
+import oracles
 
 
 def random_model(rng, in_dim=3, hidden=(5,), out_dim=4, activation="tanh"):
@@ -38,7 +40,7 @@ def test_forward_matches_straight_line_reevaluation():
     manifest = nn.build_manifest(3, (4,), 2, "tanh")
     model = nn.init_params(manifest, seed=7)
     x = np.ones((1, 3))
-    (w0, b0), (w1, b1) = nn.unflatten(model)
+    (w0, b0), (w1, b1) = model.layers
     expected = np.tanh(x @ w0.T + b0) @ w1.T + b1
     got = nn.forward(model, x)
     assert np.allclose(got, expected, rtol=1e-12, atol=0)
@@ -63,7 +65,7 @@ def test_manifest_validation():
 def test_init_bounds_and_zero_biases():
     manifest = nn.build_manifest(6, (8,), 3, "relu")
     model = nn.init_params(manifest, seed=11)
-    for (w, b), spec in zip(nn.unflatten(model), manifest):
+    for (w, b), spec in zip(model.layers, manifest):
         bound = np.sqrt(6.0 / (spec.in_dim + spec.out_dim))
         assert np.abs(w).max() <= bound
         assert np.array_equal(b, np.zeros(spec.out_dim))
@@ -76,10 +78,10 @@ def test_init_deterministic():
     assert np.array_equal(a.values, b.values)
 
 
-def test_unflatten_views_cover_the_vector_in_order():
+def test_layer_views_cover_the_vector_in_order():
     rng = np.random.default_rng(0)
     model = random_model(rng, hidden=(5, 4))
-    blocks = [a.ravel() for layer in nn.unflatten(model) for a in layer]
+    blocks = [a.ravel() for layer in model.layers for a in layer]
     assert np.array_equal(np.concatenate(blocks), model.values)
     assert all(np.shares_memory(a, model.values) for a in blocks)
 
@@ -122,7 +124,7 @@ def test_with_values_keeps_the_layout():
     assert moved.manifest is model.manifest
     assert moved.values.dtype == np.float64
     assert np.array_equal(moved.values, np.arange(model.values.size))
-    assert np.array_equal(nn.unflatten(moved)[1][0], moved.values[20:30].reshape(2, 5))
+    assert np.array_equal(moved.layers[1][0], moved.values[20:30].reshape(2, 5))
 
 
 def test_batch_shape_checks():
@@ -138,12 +140,12 @@ def test_per_sample_rows_match_single_sample_calls():
     for _ in range(5):
         model = random_model(rng, hidden=(5, 4), activation="tanh")
         batch = random_batch(rng, model, b=7)
-        losses_all, grads = nn.per_sample_backward(model, batch)
+        losses_all, grads = oracles.per_sample_backward(model, batch)
         for i in range(batch.size):
             one = Batch(
                 batch.features[i : i + 1], batch.labels[i : i + 1], batch.indices[i : i + 1]
             )
-            li, gi = nn.per_sample_backward(model, one)
+            li, gi = oracles.per_sample_backward(model, one)
             # blas association differs across batch shapes; same value to 1e-12
             assert np.isclose(li[0], losses_all[i], rtol=1e-12, atol=0)
             assert np.allclose(gi[0], grads[i], rtol=1e-12, atol=1e-15)
@@ -157,7 +159,7 @@ def test_per_sample_gradient_against_manual_chain():
     model = ParamVector(np.concatenate([w.ravel(), [0.1, -0.2]]), manifest)
     x = rng.standard_normal((4, 3))
     y = np.array([0, 1, 1, 0])
-    _, grads = nn.per_sample_backward(model, Batch(x, y, np.arange(4)))
+    _, grads = oracles.per_sample_backward(model, Batch(x, y, np.arange(4)))
     logits = nn.forward(model, x)
     for i in range(4):
         dz = np.exp(logits[i] - logits[i].max())
@@ -172,7 +174,7 @@ def test_duplicated_sample_rows_identical():
     model = random_model(rng)
     row = rng.standard_normal(3)
     batch = Batch(np.stack([row, row]), np.array([1, 1]), np.array([9, 9]))
-    losses_out, grads = nn.per_sample_backward(model, batch)
+    losses_out, grads = oracles.per_sample_backward(model, batch)
     assert losses_out[0] == losses_out[1]
     assert np.array_equal(grads[0], grads[1])
 
@@ -182,7 +184,7 @@ def test_mean_of_rows_equals_mean_loss_gradient():
     rng = np.random.default_rng(8)
     model = random_model(rng, hidden=(4,), activation="tanh")
     batch = random_batch(rng, model, b=5)
-    _, grads = nn.per_sample_backward(model, batch)
+    _, grads = oracles.per_sample_backward(model, batch)
     mean_grad = grads.mean(axis=0)
 
     def mean_loss(values):
@@ -202,8 +204,8 @@ def test_backward_deterministic():
     rng = np.random.default_rng(13)
     model = random_model(rng)
     batch = random_batch(rng, model)
-    l1, g1 = nn.per_sample_backward(model, batch)
-    l2, g2 = nn.per_sample_backward(model, batch)
+    l1, g1 = oracles.per_sample_backward(model, batch)
+    l2, g2 = oracles.per_sample_backward(model, batch)
     assert np.array_equal(l1, l2)
     assert np.array_equal(g1, g2)
 
@@ -214,7 +216,7 @@ def test_relu_subgradient_zero_at_kink():
     # layer 0: W=[[1]], b=[0]; layer 1: W=[[1],[0]], b=[0,0]
     model = ParamVector(np.array([1.0, 0.0, 1.0, 0.0, 0.0, 0.0]), manifest)
     batch = Batch(np.array([[0.0]]), np.array([0]), np.array([0]))
-    _, grads = nn.per_sample_backward(model, batch)
+    _, grads = oracles.per_sample_backward(model, batch)
     # first-layer weight and bias gradients are killed by the 0 subgradient
     assert grads[0][0] == 0.0
     assert grads[0][1] == 0.0
@@ -227,6 +229,6 @@ def test_overflow_carries_sample_index():
     feats = np.array([[1.0, 1.0], [np.inf, 0.0]])
     batch = Batch(feats, np.array([0, 0]), np.array([4, 17]))
     with pytest.raises(NumericError) as err:
-        nn.per_sample_backward(model, batch)
+        oracles.per_sample_backward(model, batch)
     assert err.value.context["sample_index"] == 17
 
