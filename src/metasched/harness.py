@@ -251,19 +251,51 @@ def replay_train(cfg, schedule, bundle=None, out_dir=None):
     return _train(cfg, replace(bundle, meta=None), out_dir, schedule)
 
 
+def _optimizer_step(opt_state, workspace, theta, dps, batch, temperature_lr):
+    """One optimizer step of ``theta`` on ``batch``: (theta', clamp events).
+
+    The pass runs in the workspace's held set, the mean gradient plus the
+    decay term is summed into its ``grad`` buffer, and theta' is written
+    into the slot that does not hold ``theta``, so a step allocates no
+    parameter-sized array. With temperature tables in ``dps`` the loss is
+    tempered by them and the step then updates them.
+    """
+    tempered = dps.sigma_class is not None or dps.sigma_inst is not None
+    sigma, clamps = None, 0
+    if tempered:
+        sigma, clamped = meta.effective_temperatures(dps, batch.labels, batch.indices)
+        clamps = int(np.count_nonzero(clamped))
+    backward = nn.batch_backward(theta, batch, sigma, workspace.held_set)
+    # grad_sum / B + lam theta, in that order
+    grad = backward.grad_sum(out=workspace.grad)
+    grad /= batch.size
+    grad += np.multiply(theta.values, dps.lam_wd, out=workspace.decay)
+    slot = workspace.slot_after(theta)
+    optim.step(opt_state, theta.values, grad, out=slot.values)
+    if tempered:
+        clamps += meta.update_sigma_tables(dps, batch, backward.dsigma, temperature_lr)
+    return slot, clamps
+
+
 def _train(cfg, bundle, out_dir, schedule=None):
     """The epoch loop behind run_training and replay_train.
 
-    The step is chosen once, before the loop, and each batch runs
+    ``out_dir`` is made before the first step, so a path that cannot be a
+    directory fails before any training. The step is chosen once, before
+    the loop, and each batch runs
     ``step(theta, dps, batch, lr, next_batch) -> (theta, clamp events)``,
     with ``next_batch`` the epoch's next batch or None. A replay
     steps by the lookahead rollout under each epoch's recorded tables,
     swapped in per epoch, with no meta update. A meta-driven run takes the
     lookahead meta step on a meta batch drawn from its own stream, whose
     one pass also serves the next batch's train pass. Any
-    other run takes an optimizer step, which under the temperature
-    formulation also reads and updates the temperature tables.
+    other run takes an optimizer step (``_optimizer_step``), which under
+    the temperature formulation also reads and updates the temperature
+    tables. Every step kind writes into one ``meta.Workspace`` bound for
+    the run, and evaluation runs through its held set.
     """
+    if out_dir is not None:
+        os.makedirs(out_dir, exist_ok=True)
     manifest = nn.build_manifest(
         bundle.train.dim, list(cfg.hidden), bundle.n_classes, cfg.activation
     )
@@ -280,24 +312,17 @@ def _train(cfg, bundle, out_dir, schedule=None):
     )
     train = bundle.train
     n_train = train.n
-    # arrays made once per run; no pass set is larger than the largest
-    # split. A lookahead run (meta step or replay) binds a
-    # ``meta.Workspace`` and evaluates through its held set; any other run
-    # has one pass set for its train passes and evaluation
+    # arrays made once per run; no pass set is larger than the largest split
     splits = [ds for ds in (train, bundle.meta, bundle.test) if ds is not None]
     rows = max(1, min(cfg.batch_size, max(ds.n for ds in splits)))
+    workspace = meta.Workspace(manifest, rows)
     consumes_meta = schedule is None and cfg.meta_driven
-    if schedule is not None or consumes_meta:
-        workspace = meta.Workspace(manifest, rows)
-        train_buffers = workspace.held_set
-    else:
-        train_buffers = nn.PassBuffers(manifest, rows)
 
     opt_state = None
     if schedule is not None:
 
         def step(theta, dps, batch, lr, next_batch):
-            backward = nn.batch_backward(theta, batch, buffers=train_buffers)
+            backward = nn.batch_backward(theta, batch, buffers=workspace.held_set)
             return meta.rollout_one_step(theta, backward, batch, dps, lr, workspace), 0
 
     elif consumes_meta:
@@ -318,19 +343,7 @@ def _train(cfg, bundle, out_dir, schedule=None):
 
         def step(theta, dps, batch, lr, next_batch):
             opt_state.lr = lr
-            sigma, clamps = None, 0
-            if temperature_mode is not None:
-                sigma, clamped = meta.effective_temperatures(dps, batch.labels, batch.indices)
-                clamps = int(clamped.sum())
-            backward = nn.batch_backward(theta, batch, sigma, train_buffers)
-            # grad_sum / B + lam theta in grad_sum's own buffer, in that order
-            grad = backward.grad_sum()
-            grad /= batch.size
-            grad += dps.lam_wd * theta.values
-            theta = theta.with_values(optim.step(opt_state, theta.values, grad))
-            if sigma is not None:
-                clamps += meta.update_sigma_tables(dps, batch, backward.dsigma, cfg.temperature_lr)
-            return theta, clamps
+            return _optimizer_step(opt_state, workspace, theta, dps, batch, cfg.temperature_lr)
 
     rng_shuffle = np.random.default_rng(cfg.seed_shuffle)
     trajectory = TrajectoryLog(bundle.n_instances, bundle.n_classes)
@@ -391,12 +404,12 @@ def _train(cfg, bundle, out_dir, schedule=None):
                 clamp_events += clamps
             trajectory.record(dps)
             model = eval_model()
-            train_loss, train_acc, _ = _evaluate(model, train, train_buffers)
+            train_loss, train_acc, _ = _evaluate(model, train, workspace.held_set)
             meta_loss = meta_acc = None
             if bundle.meta is not None and bundle.meta.n:
-                meta_loss, meta_acc, meta_preds = _evaluate(model, bundle.meta, train_buffers)
+                meta_loss, meta_acc, meta_preds = _evaluate(model, bundle.meta, workspace.held_set)
                 class_meta_acc.append(_per_class_accuracy(meta_preds, bundle.meta))
-            _, test_acc, _ = _evaluate(model, bundle.test, train_buffers)
+            _, test_acc, _ = _evaluate(model, bundle.test, workspace.held_set)
             wc_mean, wc_std, wx_mean, wx_std = _weight_stats(cfg, dps, train, is_corrupt)
             metrics.append(
                 MetricsRecord(
@@ -470,6 +483,10 @@ def kfold_collect(cfg, grid=None, out_dir=None):
     scores = []
     for candidate in candidates:
         pool, test, folds, manifest, ds = prepare_kfold(candidate)
+        if out_dir is not None and not scores:
+            # once, before the first training; a later candidate whose
+            # data fails validation leaves it behind
+            os.makedirs(out_dir, exist_ok=True)
         fold_results = []
         memberships = []
         for f in range(len(folds)):
@@ -496,7 +513,6 @@ def kfold_collect(cfg, grid=None, out_dir=None):
             best = report
     best.candidate_scores = scores
     if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
         best.averaged.to_csv(os.path.join(out_dir, "trajectory.csv"))
         config_mod.save_config(best.config, os.path.join(out_dir, "config.cfg"))
         info = {

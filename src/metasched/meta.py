@@ -178,13 +178,17 @@ def effective_temperatures(dps, labels, indices):
 
 
 class Workspace:
-    """The arrays a lookahead run binds once, for batches of up to ``rows``
-    rows; the ``nn`` module docstring gives their lifetime rules.
+    """The arrays a run binds once, for batches of up to ``rows`` rows;
+    the ``nn`` module docstring gives their lifetime rules. Every step
+    kind uses it: the meta step, a replay's rollout and the optimizer
+    step of any other run.
 
-    - ``slots``: two parameter vectors; a rollout writes into the one that
+    - ``slots``: two parameter vectors; a step writes into the one that
       does not hold its input.
-    - ``decay``: the rollout's ``lr * lam_wd * theta`` term.
-    - ``meta_grad``: the meta gradient.
+    - ``decay``: a step's ``lam_wd * theta`` term (times ``lr`` in a
+      rollout).
+    - ``grad``: the gradient a step sums, the meta gradient in a meta step
+      and the mean train gradient in an optimizer step.
     - ``joint_set``: the pass set of the joint pass, 2 x ``rows`` rows,
       with ``features`` and ``labels`` its input rows, meta rows first.
     - ``held_set``: the pass set of a step's train pass, ``rows`` rows,
@@ -195,7 +199,7 @@ class Workspace:
         size = nn.param_count(manifest)
         self.slots = tuple(nn.ParamVector(np.zeros(size), manifest) for _ in range(2))
         self.decay = np.empty(size)
-        self.meta_grad = nn.ParamVector(np.zeros(size), manifest)
+        self.grad = nn.ParamVector(np.zeros(size), manifest)
         self.joint_set = nn.PassBuffers(manifest, 2 * rows)
         self.held_set = nn.PassBuffers(manifest, rows, scratch=self.joint_set.scratch)
         self.features = np.empty((2 * rows, manifest[0].in_dim))
@@ -359,7 +363,8 @@ def update_sigma_tables(dps, batch, dsigma, data_lr):
 
     A lone table is projected onto [SIGMA_MIN, inf) after the update; with
     both (joint mode) the floor is enforced by ``effective_temperatures``
-    instead (the instance table starts at 0 and may go negative).
+    instead (the instance table starts at 0 and may go negative). Only
+    the classes present in the batch are projected and counted.
 
     A class steps by the sum of its rows' dsigma as the slice ``.sum()``
     gives it. ``np.bincount(labels, weights=dsigma)`` adds each class's
@@ -367,21 +372,28 @@ def update_sigma_tables(dps, batch, dsigma, data_lr):
     sum adds a run of fewer than 8 elements the same way and switches to
     8 accumulators from 8 on, so the bincount entry equals the slice sum
     bit for bit for a class with fewer than 8 rows in the batch, and only
-    a class with 8 or more takes its slice sum.
+    a class with 8 or more takes its slice sum. The whole class table
+    then steps at once: an absent class's step is 0.0, which leaves its
+    entry as it is.
     """
     scale = data_lr / batch.size
     joint = dps.sigma_class is not None and dps.sigma_inst is not None
     floor = None if joint else losses_mod.SIGMA_MIN
     clamps = 0
     if dps.sigma_class is not None:
-        labels = batch.labels
-        counts = np.bincount(labels)
-        sums = np.bincount(labels, weights=dsigma)
+        table, labels = dps.sigma_class, batch.labels
+        counts = np.bincount(labels, minlength=table.size)
+        steps = np.bincount(labels, weights=dsigma, minlength=table.size)
         # from 8 rows on the slice sum adds in another order
         for c in np.flatnonzero(counts >= 8):
-            sums[c] = dsigma[labels == c].sum()
-        classes = np.flatnonzero(counts)
-        clamps += sgd_at(dps.sigma_class, classes, scale * sums[classes], floor)
+            steps[c] = dsigma[labels == c].sum()
+        steps *= scale
+        table -= steps
+        if floor is not None:
+            below = table < floor
+            below &= counts > 0
+            clamps += int(np.count_nonzero(below))
+            table[below] = floor
     if dps.sigma_inst is not None:
         clamps += sgd_at(dps.sigma_inst, batch.indices, scale * dsigma, floor)
     return clamps
@@ -425,7 +437,7 @@ def meta_train_step(
     if bad is not None and bad < rows:
         raise nn.sample_error(meta_batch.indices, bad)
     meta_pass = joint.rows(0, rows)
-    meta_grad = meta_pass.grad_sum(out=workspace.meta_grad)
+    meta_grad = meta_pass.grad_sum(out=workspace.grad)
     meta_grad /= rows
 
     empty_ids, empty = np.empty(0, dtype=np.int64), np.empty(0)
@@ -433,7 +445,7 @@ def meta_train_step(
     class_ids, class_grads = empty_ids, empty
     if dps.mode != "none":
         instance_ids = train_batch.indices
-        instance_grads = instance_metagrad(train_pass.dots(workspace.meta_grad), lr)
+        instance_grads = instance_metagrad(train_pass.dots(workspace.grad), lr)
     if dps.mode == "class":
         class_ids, class_grads = class_metagrad(
             instance_grads, train_batch.labels, dps.w_class.size

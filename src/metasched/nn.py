@@ -40,10 +40,12 @@ Lifetime rules:
   that shares the joint set's scratch (``BatchBackward.copy_into``). The
   held pass is the next step's train pass, valid until the held set is
   written again: by that step's copy, a train-only pass or a ``forward``.
-- The workspace's two parameter slots hold theta_t and theta_{t+1}. The
-  step writes its result into the slot that does not hold its input, so
-  a vector a step returns stays valid until the step after next. A model
-  that must outlive that is a copy.
+- Every training run binds one ``meta.Workspace``, whatever its step:
+  a meta step, a replay's rollout or an optimizer step. Its two
+  parameter slots hold theta_t and theta_{t+1}. Each step writes its
+  result into the slot that does not hold its input, so a vector a step
+  returns stays valid until the step after next, and a step that fails
+  leaves its input intact. A model that must outlive that is a copy.
 """
 
 from __future__ import annotations
@@ -122,14 +124,19 @@ class ParamVector:
         return _layer_blocks(self.manifest, self.values)
 
 
-def require_finite(values):
-    """Raise NumericError unless every entry of the flat vector is finite.
+def all_finite(values):
+    """Whether every entry of the flat vector is finite.
 
     A finite dot product with itself clears the vector without a
     temporary; it overflows only with an entry near 1e154 or larger, and
     only then does the exact test run.
     """
-    if not math.isfinite(float(np.dot(values, values))) and not np.isfinite(values).all():
+    return math.isfinite(float(np.dot(values, values))) or bool(np.isfinite(values).all())
+
+
+def require_finite(values):
+    """Raise NumericError unless every entry of the flat vector is finite."""
+    if not all_finite(values):
         raise NumericError("non-finite model parameter")
 
 

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NumericError
+from .nn import all_finite
 
 OPTIMIZER_KINDS = ("sgd", "momentum", "adam", "adamw", "polyak_sgd", "lookahead_sgd")
 
@@ -58,11 +59,23 @@ def make_optimizer(kind, lr, param_count, **hyper):
     return OptimizerState(kind=kind, lr=lr, hyper=merged, slots=slots)
 
 
-def step(state, theta, grad):
-    """One update. Returns the new parameter array; mutates slot buffers."""
+def step(state, theta, grad, out=None):
+    """One update; mutates the slot buffers in place.
+
+    The new parameters are written into ``out`` and returned, or into a
+    fresh array without it. ``out`` must not share memory with ``theta``
+    or ``grad``, so an update that fails its finite check leaves its input
+    intact. Only the final result goes into ``out``, so the bits do not
+    depend on it. The gradient and the update are each cleared as finite
+    by ``nn.all_finite``'s one dot product.
+    """
     theta = np.asarray(theta, dtype=np.float64)
     grad = np.asarray(grad, dtype=np.float64)
-    if not np.isfinite(grad).all():
+    if out is None:
+        out = np.empty_like(theta)
+    elif np.shares_memory(out, theta) or np.shares_memory(out, grad):
+        raise ValueError("out must not share memory with theta or grad")
+    if not all_finite(grad):
         raise NumericError("non-finite gradient", step_index=state.step_count)
     state.step_count += 1
     t = state.step_count
@@ -70,11 +83,12 @@ def step(state, theta, grad):
     lr = state.lr
 
     if state.kind == "sgd":
-        new = theta - lr * grad
+        # theta - lr * grad, with no temporary
+        np.subtract(theta, np.multiply(grad, lr, out=out), out=out)
     elif state.kind == "momentum":
         v = state.slots["velocity"]
         v[:] = h["beta"] * v + grad
-        new = theta - lr * v
+        np.subtract(theta, lr * v, out=out)
     elif state.kind in ("adam", "adamw"):
         m, v = state.slots["m"], state.slots["v"]
         m[:] = h["beta1"] * m + (1.0 - h["beta1"]) * grad
@@ -82,25 +96,25 @@ def step(state, theta, grad):
         m_hat = m / (1.0 - h["beta1"] ** t)
         v_hat = v / (1.0 - h["beta2"] ** t)
         wd = h["wd"] if state.kind == "adamw" else 0.0
-        new = theta - lr * (m_hat / (np.sqrt(v_hat) + h["eps"]) + wd * theta)
+        np.subtract(theta, lr * (m_hat / (np.sqrt(v_hat) + h["eps"]) + wd * theta), out=out)
     elif state.kind == "polyak_sgd":
-        new = theta - lr * grad
+        np.subtract(theta, lr * grad, out=out)
         avg = state.slots["average"]
-        avg[:] = avg + (new - avg) / t
+        avg[:] = avg + (out - avg) / t
     elif state.kind == "lookahead_sgd":
         if state.slots["slow"] is None:
             state.slots["slow"] = theta.copy()
-        new = theta - lr * grad
+        np.subtract(theta, lr * grad, out=out)
         if t % int(h["lookahead_k"]) == 0:
             slow = state.slots["slow"]
-            slow[:] = slow + h["lookahead_alpha"] * (new - slow)
-            new = slow.copy()
+            slow[:] = slow + h["lookahead_alpha"] * (out - slow)
+            np.copyto(out, slow)
     else:  # pragma: no cover
         raise ValueError(f"unknown optimizer kind {state.kind!r}")
 
-    if not np.isfinite(new).all():
+    if not all_finite(out):
         raise NumericError("non-finite parameter update", step_index=t)
-    return new
+    return out
 
 
 def polyak_average(state):

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from metasched import nn
 from metasched.cli import main
 from metasched.config import KEY_MAP, RunConfig, load_config
 from metasched.datagen import load_dataset
@@ -223,9 +224,9 @@ def test_ignored_personalization_key_is_validation_error(tmp_path, capsys, argv,
 
 @pytest.mark.parametrize(
     "command",
-    ["generate-data", "analyze", "train"],
+    ["generate-data", "analyze", "train", "replay", "kfold"],
 )
-def test_unwritable_output_path_is_validation_error(tmp_path, capsys, command):
+def test_unwritable_output_path_is_validation_error(tmp_path, capsys, monkeypatch, command):
     data, run_dir = tmp_path / "data.csv", tmp_path / "run"
     argv = ["generate-data", "--classes", "3", "--per-class", "14", "--dim", "4"]
     if command == "generate-data":
@@ -238,9 +239,21 @@ def test_unwritable_output_path_is_validation_error(tmp_path, capsys, command):
             out = tmp_path / "missing" / "a.json"
             argv = ["analyze", "--run", str(run_dir), "--out", str(out)]
         else:
+            flags = ["--override", f"data.path={data}", *DATA_OVERRIDES]
+            if command == "replay":
+                assert main(["train", *flags, "--out", str(run_dir)]) == 0
+                flags += ["--trajectory", str(run_dir / "trajectory.csv")]
+            elif command == "kfold":
+                flags += ["--override", "split.kind=kfold"]
             out = data  # an existing file where the run directory should go
-            argv = ["train", "--override", f"data.path={data}", *DATA_OVERRIDES,
-                    "--out", str(out)]
+            argv = [command, *flags, "--out", str(out)]
+
+            # the run directory is made before the first step, so none runs
+            def no_pass(*args, **kwargs):
+                raise AssertionError("a training pass ran before the output check")
+
+            monkeypatch.setattr(nn, "batch_backward", no_pass)
+            monkeypatch.setattr(nn, "unchecked_backward", no_pass)
     capsys.readouterr()
     assert main(argv) == 1
     err = capsys.readouterr().err

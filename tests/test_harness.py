@@ -2,6 +2,7 @@
 
 import json
 import os
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -14,14 +15,16 @@ from hypothesis import strategies as st
 
 from metasched.harness import (
     _evaluate,
+    _optimizer_step,
     kfold_collect,
     load_model,
+    save_model,
     prepare_data,
     prepare_kfold,
     replay_train,
     run_training,
 )
-from metasched import datagen, losses, meta, nn
+from metasched import datagen, losses, meta, nn, optim
 from metasched.meta import update_sigma_tables
 
 
@@ -381,3 +384,215 @@ def test_blocked_evaluation_matches_one_full_forward(n, rows, activation, seed):
     assert acc == float((want_preds == ds.labels).mean())
     # blocks of rows round the products differently from one full product
     assert loss == pytest.approx(float(want_losses.mean()), rel=1e-12, abs=0)
+
+
+def reference_optimizer_run(cfg, bundle):
+    """The optimizer-step loop written out with a fresh gradient, decay
+    term and parameter vector per step, each step allocating as
+    ``optim.step`` without ``out`` does, and the temperature tables stepped
+    row by row (``loop_update_sigma_tables``).
+
+    Returns (per-epoch records, error): a record is (model, tables, clamp
+    events so far) after an epoch; the error is (epoch, NumericError,
+    last good parameters) for the error that stopped the loop, or None.
+    """
+    manifest = nn.build_manifest(bundle.train.dim, list(cfg.hidden), bundle.n_classes,
+                                 cfg.activation)
+    theta = nn.init_params(manifest, cfg.seed_init)
+    mode = cfg.temperature_mode if cfg.formulation == "temperature" else None
+    dps = meta.DataParamState.initial(bundle.n_instances, bundle.n_classes,
+                                      wd_init=cfg.wd_init, temperature_mode=mode)
+    state = optim.make_optimizer(cfg.optimizer, cfg.lr, nn.param_count(manifest),
+                                 **dict(cfg.optim_hyper))
+    buffers = nn.PassBuffers(manifest, min(cfg.batch_size, bundle.train.n))
+    rng = np.random.default_rng(cfg.seed_shuffle)
+    train, clamps, records = bundle.train, 0, []
+    for epoch in range(cfg.epochs):
+        state.lr = cfg.lr
+        if cfg.lr_drop_epoch is not None and epoch >= cfg.lr_drop_epoch:
+            state.lr = cfg.lr / cfg.lr_drop_factor
+        perm = rng.permutation(train.n)
+        features, labels, indices = train.features[perm], train.labels[perm], train.indices[perm]
+        for i in range(0, train.n, cfg.batch_size):
+            cut = slice(i, i + cfg.batch_size)
+            batch = nn.Batch(features[cut], labels[cut], indices[cut])
+            sigma = None
+            try:
+                if mode is not None:
+                    sigma, clamped = meta.effective_temperatures(dps, batch.labels, batch.indices)
+                    clamps += int(clamped.sum())
+                backward = nn.batch_backward(theta, batch, sigma, buffers)
+                grad = backward.grad_sum()
+                grad /= batch.size
+                grad += dps.lam_wd * theta.values
+                theta = theta.with_values(optim.step(state, theta.values, grad))
+            except NumericError as exc:
+                return records, (epoch, exc, theta)
+            if mode is not None:
+                clamps += loop_update_sigma_tables(
+                    mode, dps, batch, backward.dsigma, cfg.temperature_lr
+                )
+        model = theta
+        if state.kind == "polyak_sgd":
+            model = theta.with_values(optim.polyak_average(state))
+        records.append((model, dps.as_tables(), clamps))
+    return records, None
+
+
+def model_bytes(model, path):
+    save_model(model, path)
+    return path.read_bytes()
+
+
+def assert_same_tables(got, want):
+    assert got.keys() == want.keys()
+    for name, value in want.items():
+        if isinstance(value, np.ndarray):
+            assert got[name].tobytes() == value.tobytes(), name
+        else:
+            assert got[name] == value, name
+
+
+def diff_cfg(**kw):
+    # 78 train rows: batches of 7 and 32 end in a short batch
+    return tiny_cfg(per_class=30, noise_p=0.3, lr_drop_epoch=1, **kw)
+
+
+# every (temperature mode, decay) pair, each optimizer at each batch size
+DIFF_CASES = [
+    (optimizer, size, (None, "class", "instance", "joint")[i % 4], (0.0, 5e-4)[i // 4 % 2])
+    for i, (optimizer, size) in enumerate(
+        (o, s) for o in ("sgd", "momentum", "adam", "polyak_sgd") for s in (1, 7, 32)
+    )
+]
+
+
+@pytest.mark.parametrize("optimizer, size, temperature, wd", DIFF_CASES)
+def test_optimizer_runs_match_the_allocating_loop(tmp_path, optimizer, size, temperature, wd):
+    # at temperature.lr 8 each temperature mode clamps in some case
+    extra = {} if temperature is None else dict(
+        formulation="temperature", temperature_mode=temperature, temperature_lr=8.0
+    )
+    cfg = diff_cfg(optimizer=optimizer, batch_size=size, wd_init=wd, **extra)
+    bundle = prepare_data(cfg)
+    records, error = reference_optimizer_run(cfg, bundle)
+    assert error is None
+    for epochs, (want_model, want_tables, want_clamps) in enumerate(records, 1):
+        result = run_training(replace(cfg, epochs=epochs), bundle)
+        got = model_bytes(result.model, tmp_path / "got.json")
+        assert got == model_bytes(want_model, tmp_path / "want.json")
+        assert result.counters["clamp_events"] == want_clamps
+        for epoch in range(epochs):
+            assert_same_tables(
+                result.trajectory.snapshot(epoch).as_tables(), records[epoch][1]
+            )
+
+
+def planted_bundle(cfg, scenario):
+    """The bundle of ``cfg`` with features that make an optimizer step
+    fail, and the message of that failure."""
+    bundle = prepare_data(cfg)
+    features = bundle.train.features
+    if scenario == "update":
+        # with zero features only the last bias learns, at lr 1e300 by steps
+        # of order 1e300; row 0's 1e200 feature gives gradients of order
+        # 1e200 / B whenever its softmax is not saturated at its label, and
+        # at lr 1e300 that update overflows
+        features[:] = 0.0
+        features[0, 0] = 1e200
+        return bundle, "non-finite parameter update"
+    # every row's gradient is finite (|W| < 1 and 1e308 * |W| < 1.8e308),
+    # but a batch of them sums past the float range
+    features[:, 0] = 1e308
+    return bundle, "non-finite gradient"
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize(
+    "scenario, optimizer",
+    [("update", "sgd"), ("update", "momentum"), ("update", "polyak_sgd"),
+     ("gradient", "sgd"), ("gradient", "adam"), ("late update", "sgd"),
+     ("late update", "adam")],
+)
+def test_optimizer_step_abort_matches_the_allocating_loop(tmp_path, scenario, optimizer):
+    cfg = diff_cfg(optimizer=optimizer, epochs=3)
+    if scenario == "update":
+        # no decay: at lr 1e300 it would overflow the second step
+        cfg = replace(cfg, lr=1e300, wd_init=0.0)
+        bundle, message = planted_bundle(cfg, "update")
+    elif scenario == "gradient":
+        cfg = replace(cfg, hidden=(1,))
+        bundle, message = planted_bundle(cfg, "gradient")
+    else:
+        # epoch 1's rate, 0.2 / 1e-320, is inf: its first step overflows
+        cfg = replace(cfg, lr_drop_factor=1e-320)
+        bundle, message = prepare_data(cfg), "non-finite parameter update"
+    records, error = reference_optimizer_run(cfg, bundle)
+    epoch, want, last_theta = error
+    assert str(want) == message
+    with pytest.raises(NumericError) as got:
+        run_training(cfg, bundle, out_dir=str(tmp_path))
+    assert str(got.value) == (
+        f"{message} (aborted in epoch {epoch}; last complete epoch {epoch - 1})"
+    )
+    assert got.value.context == {"epoch": epoch, "step_index": want.context["step_index"]}
+    info = json.loads((tmp_path / "run_info.json").read_text())
+    assert info["last_good_epoch"] == epoch - 1 == len(records) - 1
+    assert (tmp_path / "model.json").read_bytes() == model_bytes(
+        last_theta, tmp_path / "want.json"
+    )
+
+
+def steady_state_optimizer_steps(temperature_mode):
+    """(theta, step) after three optimizer steps on a 16-256-256-10 net,
+    when both slots and every row view exist; ``step(theta, k)`` takes
+    step k on."""
+    rng = np.random.default_rng(5)
+    manifest = nn.build_manifest(16, (256, 256), 10, "relu")
+    theta = nn.init_params(manifest, seed=1)
+    rows, n = 32, 4 * 32
+    batches = [
+        nn.Batch(rng.standard_normal((rows, 16)), rng.integers(0, 10, rows),
+                 np.arange(i * rows, (i + 1) * rows))
+        for i in range(4)
+    ]
+    workspace = meta.Workspace(manifest, rows)
+    dps = meta.DataParamState.initial(n, 10, temperature_mode=temperature_mode)
+    state = optim.make_optimizer("sgd", 0.1, theta.values.size)
+
+    def step(theta, k):
+        return _optimizer_step(state, workspace, theta, dps, batches[k % 4], 0.1)[0]
+
+    for k in range(3):
+        theta = step(theta, k)
+    return theta, step
+
+
+STEADY = pytest.mark.parametrize("temperature_mode", [None, "joint"])
+
+
+@STEADY
+def test_steady_state_optimizer_step_allocates_no_parameter_sized_array(temperature_mode):
+    theta, step = steady_state_optimizer_steps(temperature_mode)
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        step(theta, 3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - before < theta.values.nbytes
+
+
+@STEADY
+def test_steady_state_optimizer_step_builds_no_layer_views(monkeypatch, temperature_mode):
+    theta, step = steady_state_optimizer_steps(temperature_mode)
+    calls = []
+    for name in ("_layer_blocks", "param_count"):
+        original = getattr(nn, name)
+        monkeypatch.setattr(
+            nn, name, lambda *args, _f=original, _n=name: calls.append(_n) or _f(*args)
+        )
+    step(step(theta, 3), 4)
+    assert calls == []

@@ -172,3 +172,54 @@ def test_constructor_validation():
         optim.make_optimizer("sgd", 0.0, 2)
     with pytest.raises(ValueError):
         optim.make_optimizer("sgd", 0.1, 2, beta=0.5)
+
+
+@pytest.mark.parametrize("kind", optim.OPTIMIZER_KINDS)
+def test_step_into_out_equals_the_allocating_step(kind):
+    # bit for bit, and equal to the transcript's expressions evaluated whole;
+    # 25 steps pass lookahead's syncs at 5, 10, ..., 25
+    rng = np.random.default_rng(31)
+    n, lr, steps = 40, 0.05, 25
+    theta0 = rng.standard_normal(n) * rng.choice([1e-3, 1.0, 1e3], size=n)
+    target = rng.standard_normal(n)
+    extra = {"wd": 0.01} if kind == "adamw" else {}
+    fresh = optim.make_optimizer(kind, lr, n, **extra)
+    bound = optim.make_optimizer(kind, lr, n, **extra)
+    _, average, iterates = quadratic_transcript(
+        kind, theta0, target, lr, steps, {**optim.DEFAULT_HYPER[kind], **extra}
+    )
+    x, y = theta0.copy(), theta0.copy()
+    slots = (np.empty(n), np.empty(n))
+    for t in range(steps):
+        x = optim.step(fresh, x, x - target)
+        out = slots[t % 2]
+        assert optim.step(bound, y, y - target, out=out) is out
+        y = out
+        assert x.tobytes() == y.tobytes() == iterates[t].tobytes()
+    if kind == "polyak_sgd":
+        assert optim.polyak_average(bound).tobytes() == average.tobytes()
+        assert optim.polyak_average(fresh).tobytes() == average.tobytes()
+
+
+@pytest.mark.parametrize("overlap", ["theta", "grad", "theta view"])
+def test_out_sharing_memory_with_an_input_is_rejected(overlap):
+    state = optim.make_optimizer("sgd", 0.1, 4)
+    theta, grad = np.ones(4), np.ones(4)
+    out = {"theta": theta, "grad": grad, "theta view": theta[::-1]}[overlap]
+    with pytest.raises(ValueError, match="share memory"):
+        optim.step(state, theta, grad, out=out)
+    assert state.step_count == 0
+    assert np.array_equal(theta, np.ones(4))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("kind", optim.OPTIMIZER_KINDS)
+def test_failed_update_leaves_its_input_intact(kind):
+    # every kind steps by about lr * sign(grad) or more: -1e308 - 1e308 is -inf
+    state = optim.make_optimizer(kind, 1e308, 3)
+    theta, out = np.array([-1e308, -2.0, 0.5]), np.empty(3)
+    kept = theta.copy()
+    with pytest.raises(NumericError, match="non-finite parameter update") as err:
+        optim.step(state, theta, np.ones(3), out=out)
+    assert err.value.context["step_index"] == 1
+    assert np.array_equal(theta, kept)
