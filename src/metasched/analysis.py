@@ -26,15 +26,6 @@ from . import nn
 REL_TOL = 1e-5
 ABS_TOL = 1e-8
 
-CHECK_TARGETS = (
-    "quadratic_sanity",
-    "per_sample_grad",
-    "temperature_grads",
-    "instance_metagrad",
-    "class_metagrad",
-    "wd_metagrad",
-)
-
 # temperature and weight-decay derivatives are checked with the finer step
 _STEPS = {"temperature_grads": 1e-6, "wd_metagrad": 1e-6}
 
@@ -232,6 +223,8 @@ _CHECKS = {
         rng, step, str(rng.choice(["instance", "class", "none"])), "lam_wd"
     ),
 }
+# in this order for the CLI's choices and ``run_all_gradchecks``
+CHECK_TARGETS = tuple(_CHECKS)
 
 
 def finite_diff_check(target, trials, seed):
@@ -278,16 +271,12 @@ class SeparationReport:
 
 
 def _midranks(x):
+    """1-based ranks of ``x``, each tie group at its mean rank: the group
+    at sorted positions i..j-1 reads 0.5 * (i + j + 1)."""
     order = np.argsort(x, kind="stable")
+    _, first, counts = np.unique(x[order], return_index=True, return_counts=True)
     ranks = np.empty(x.size, dtype=np.float64)
-    sx = x[order]
-    i = 0
-    while i < x.size:
-        j = i
-        while j < x.size and sx[j] == sx[i]:
-            j += 1
-        ranks[order[i:j]] = 0.5 * (i + j + 1)  # 1-based midrank
-        i = j
+    ranks[order] = np.repeat(0.5 * (first + (first + counts) + 1), counts)
     return ranks
 
 

@@ -328,6 +328,11 @@ def validate_config(cfg):
         raise ConfigError("lr_drop.epoch must be >= 0")
     if cfg.lr_drop_factor <= 0:
         raise ConfigError("lr_drop.factor must be positive")
+    if cfg.lr_drop_epoch is not None and not math.isfinite(cfg.lr / cfg.lr_drop_factor):
+        raise ConfigError(
+            f"lr_drop.factor {cfg.lr_drop_factor!r} is too small: the dropped rate "
+            "train.lr / lr_drop.factor is not finite"
+        )
 
 
 def _format_value(value):

@@ -188,12 +188,13 @@ def _mean_std(values):
     return float(values.mean()), float(values.std())
 
 
-def _weight_stats(cfg, dps, train, is_corrupt):
+def _weight_stats(dps, train, is_corrupt):
     """(clean mean, clean std, corrupt mean, corrupt std) of the train
-    rows' weights as a step applies them, or their temperatures in a
-    temperature run; ``is_corrupt`` is ``_corrupt_mask``. Every row counts
-    as clean without a mask, and a population with no row reads None."""
-    if cfg.formulation == "temperature":
+    rows' weights as a step applies them, or their temperatures when
+    ``dps`` holds temperature tables; ``is_corrupt`` is ``_corrupt_mask``.
+    Every row counts as clean without a mask, and a population with no
+    row reads None."""
+    if dps.tempered:
         w_eff, _ = meta.effective_temperatures(dps, train.labels, train.indices)
     else:
         w_eff = meta.effective_weights(dps, train.labels, train.indices)
@@ -232,7 +233,7 @@ def replay_train(cfg, schedule, bundle=None, out_dir=None):
             "replay needs formulation = meta: a temperature run records no "
             "rate multipliers to freeze"
         )
-    if any(s.sigma_class is not None or s.sigma_inst is not None for s in schedule.snapshots):
+    if any(s.tempered for s in schedule.snapshots):
         raise ConfigError(
             "trajectory holds temperature tables: replay needs the rate "
             "multipliers of a formulation = meta run"
@@ -260,9 +261,8 @@ def _optimizer_step(opt_state, workspace, theta, dps, batch, temperature_lr):
     parameter-sized array. With temperature tables in ``dps`` the loss is
     tempered by them and the step then updates them.
     """
-    tempered = dps.sigma_class is not None or dps.sigma_inst is not None
     sigma, clamps = None, 0
-    if tempered:
+    if dps.tempered:
         sigma, clamped = meta.effective_temperatures(dps, batch.labels, batch.indices)
         clamps = int(np.count_nonzero(clamped))
     backward = nn.batch_backward(theta, batch, sigma, workspace.held_set)
@@ -272,7 +272,7 @@ def _optimizer_step(opt_state, workspace, theta, dps, batch, temperature_lr):
     grad += np.multiply(theta.values, dps.lam_wd, out=workspace.decay)
     slot = workspace.slot_after(theta)
     optim.step(opt_state, theta.values, grad, out=slot.values)
-    if tempered:
+    if dps.tempered:
         clamps += meta.update_sigma_tables(dps, batch, backward.dsigma, temperature_lr)
     return slot, clamps
 
@@ -410,7 +410,7 @@ def _train(cfg, bundle, out_dir, schedule=None):
                 meta_loss, meta_acc, meta_preds = _evaluate(model, bundle.meta, workspace.held_set)
                 class_meta_acc.append(_per_class_accuracy(meta_preds, bundle.meta))
             _, test_acc, _ = _evaluate(model, bundle.test, workspace.held_set)
-            wc_mean, wc_std, wx_mean, wx_std = _weight_stats(cfg, dps, train, is_corrupt)
+            wc_mean, wc_std, wx_mean, wx_std = _weight_stats(dps, train, is_corrupt)
             metrics.append(
                 MetricsRecord(
                     epoch=epoch,

@@ -20,11 +20,12 @@ coefficient enters the rollout linearly, so
     d L_meta / d lam_wd = -lr * <dL_meta/dtheta', theta>.
 
 The meta pass of step t and the train pass of step t+1 both evaluate
-theta_{t+1}, so a step runs one backward pass for both. Step t:
+theta_{t+1}, so a step runs one backward pass for both. Step t
+(``meta_train_step``, in this order):
 
 1. takes the train pass of its batch at theta_t, held from step t-1 (at
    an epoch's first batch and a short last one, a train-only pass runs
-   instead);
+   instead, into the held set);
 2. writes the rollout theta_{t+1} from that pass's weighted gradient sum;
 3. runs one joint pass at theta_{t+1} over the meta batch and then the
    train batch of step t+1 (2B rows; meta rows only when step t+1 is a
@@ -32,12 +33,27 @@ theta_{t+1}, so a step runs one backward pass for both. Step t:
    dL_meta/dtheta' from the meta rows;
 4. dots each train row's gradient, from the held pass's factors, with
    that meta gradient, and updates the data parameters;
-5. copies the joint pass's train rows into the held set for step t+1.
+5. hands on the joint pass's train rows, copied into the held set, as
+   the train pass of step t+1.
 
 A non-finite meta row aborts step t; a non-finite row of the next train
 batch aborts step t+1, after step t has committed, as a separate train
-pass there would. No per-sample gradient matrix is built, and the arrays
-a step writes are bound once per run in a ``Workspace``.
+pass there would. No per-sample gradient matrix is built.
+
+Every training run binds one ``Workspace`` for the arrays its steps
+write, whatever the step: a meta step, a replay's rollout or an
+optimizer step. Their lifetimes:
+
+- The joint pass lives in a joint set of 2B rows, valid until the next
+  joint pass. The held pass lives in a held set of B rows that shares the
+  joint set's scratch (``nn.BatchBackward.copy_into``); it is valid until
+  the held set is written again, by the next step's copy, a train-only
+  pass or a ``forward``.
+- The two parameter slots hold theta_t and theta_{t+1}. Each step writes
+  its result into the slot that does not hold its input, so a vector a
+  step returns stays valid until the step after next, and a step that
+  fails leaves its input intact. A model that must outlive that is a
+  copy.
 
 Data parameters are updated in place by plain SGD on these
 meta-gradients and clamped at zero.
@@ -55,7 +71,7 @@ import numpy as np
 
 from . import losses as losses_mod
 from . import nn
-from .errors import ShapeError
+from .errors import NumericError, ShapeError
 
 META_MODES = ("instance", "class", "none")
 TEMPERATURE_MODES = ("class", "instance", "joint")
@@ -116,6 +132,11 @@ class DataParamState:
             sigma_class=sigma_class,
             sigma_inst=sigma_inst,
         )
+
+    @property
+    def tempered(self):
+        """True when the state holds a temperature table."""
+        return self.sigma_class is not None or self.sigma_inst is not None
 
     def copy(self):
         return replace(self, **self.as_tables())
@@ -179,9 +200,7 @@ def effective_temperatures(dps, labels, indices):
 
 class Workspace:
     """The arrays a run binds once, for batches of up to ``rows`` rows;
-    the ``nn`` module docstring gives their lifetime rules. Every step
-    kind uses it: the meta step, a replay's rollout and the optimizer
-    step of any other run.
+    the module docstring gives their lifetimes.
 
     - ``slots``: two parameter vectors; a step writes into the one that
       does not hold its input.
@@ -193,6 +212,10 @@ class Workspace:
       with ``features`` and ``labels`` its input rows, meta rows first.
     - ``held_set``: the pass set of a step's train pass, ``rows`` rows,
       sharing the joint set's scratch. A run also evaluates through it.
+    - ``held``: ``(batch, theta, pass)``, the train pass of ``batch`` at
+      ``theta`` that the last joint pass left in the held set, or in its
+      place the NumericError naming the batch's first bad row; None when
+      nothing is held.
     """
 
     def __init__(self, manifest, rows):
@@ -205,13 +228,9 @@ class Workspace:
         self.features = np.empty((2 * rows, manifest[0].in_dim))
         self.labels = np.empty(2 * rows, dtype=np.int64)
         self.meta_indices = np.empty(rows, dtype=np.int64)
-        # the batch ``gather`` last filled, and one such batch of views
-        # into the leading input rows per row count
-        self.gathered = None
+        # one batch of views into the leading input rows per row count
         self._gather_batches = {}
-        # (batch, theta) the held train pass, or the error of its bad row, is for
-        self.held_key = None
-        self.held = self.held_error = None
+        self.held = None
 
     def slot_after(self, theta):
         """The slot a step from ``theta`` writes: the one not holding it."""
@@ -231,44 +250,7 @@ class Workspace:
         ds.features.take(positions, axis=0, out=batch.features, mode="clip")
         ds.labels.take(positions, out=batch.labels, mode="clip")
         ds.indices.take(positions, out=batch.indices, mode="clip")
-        self.gathered = batch
         return batch
-
-    def train_pass(self, theta, batch):
-        """The train pass of ``batch`` at ``theta``: the one the last joint
-        pass held for them, or else a train-only pass into the held set."""
-        key, self.held_key = self.held_key, None
-        if key is None or key[0] is not batch or key[1] is not theta:
-            return nn.batch_backward(theta, batch, buffers=self.held_set)
-        if self.held_error is not None:
-            raise self.held_error
-        return self.held
-
-    def joint_pass(self, theta, meta_batch, next_batch):
-        """One pass at ``theta`` over the meta batch's rows, then those of
-        ``next_batch`` when given, without the finite check."""
-        rows = meta_batch.size
-        stop = rows if next_batch is None else rows + next_batch.size
-        features, labels = self.features[:stop], self.labels[:stop]
-        if meta_batch is not self.gathered:
-            features[:rows] = meta_batch.features
-            labels[:rows] = meta_batch.labels
-        if next_batch is not None:
-            features[rows:] = next_batch.features
-            labels[rows:] = next_batch.labels
-        return nn.unchecked_backward(theta, features, labels, buffers=self.joint_set)
-
-    def hold(self, theta, batch, joint, start, bad):
-        """Keep rows ``start:`` of ``joint`` as the train pass of ``batch``
-        at ``theta``, or the error naming its first bad row."""
-        if batch is None:
-            return
-        self.held_key = (batch, theta)
-        self.held = self.held_error = None
-        if bad is None:
-            self.held = joint.rows(start).copy_into(self.held_set, batch.features)
-        else:
-            self.held_error = nn.sample_error(batch.indices, bad - start)
 
 
 def rollout_one_step(theta, backward, batch, dps, lr, workspace=None):
@@ -402,37 +384,57 @@ def update_sigma_tables(dps, batch, dsigma, data_lr):
 def meta_train_step(
     theta, dps, train_batch, meta_batch, lr, data_lr, wd_lr, workspace=None, next_batch=None
 ):
-    """One full step: rollout, meta loss at theta', meta-gradients, data
-    parameter update. The committed model parameters are the rollout
+    """One full step, in the five numbered steps of the module docstring:
+    train pass, rollout, joint pass, meta-gradients and data parameter
+    update, hand-off. The committed model parameters are the rollout
     itself; the data parameters seen by this step are the pre-update ones,
     and the update then changes ``dps`` in place.
 
     ``workspace`` is the run's ``Workspace`` (one is made for the call
     without it), and ``next_batch`` the train batch of the next step, or
-    None at an epoch's last batch. The joint pass holds that batch's train
-    pass for the next call, which must come from the returned theta' on
-    that same batch object to use it; any other call, and a next batch of
-    another size than the meta batch, runs its own train pass. The
-    sequence is in the module docstring.
+    None at an epoch's last batch. The step leaves that batch's train pass
+    in ``workspace.held`` for the next call, which uses it only when it
+    comes from the returned theta' on that same batch object; any other
+    call, and a next batch of another size than the meta batch, runs its
+    own train pass.
 
     Returns (theta_next, dps, report).
     """
-    if train_batch.size != meta_batch.size:
+    rows = meta_batch.size
+    if train_batch.size != rows:
         raise ShapeError(
-            f"train batch ({train_batch.size}) and meta batch ({meta_batch.size}) "
-            "must have equal size"
+            f"train batch ({train_batch.size}) and meta batch ({rows}) must have equal size"
         )
     if workspace is None:
-        workspace = Workspace(theta.manifest, train_batch.size)
-    if next_batch is not None and next_batch.size != meta_batch.size:
+        workspace = Workspace(theta.manifest, rows)
+    if next_batch is not None and next_batch.size != rows:
         # a short last batch takes its own pass: inside a product of
         # another row count OpenBLAS may round its rows differently
         next_batch = None
-    train_pass = workspace.train_pass(theta, train_batch)
+
+    # 1. the train pass, held by the last step or run now
+    held, workspace.held = workspace.held, None
+    if held is not None and held[0] is train_batch and held[1] is theta:
+        train_pass = held[2]
+        if isinstance(train_pass, NumericError):
+            raise train_pass
+    else:
+        train_pass = nn.batch_backward(theta, train_batch, buffers=workspace.held_set)
+
+    # 2. the rollout
     theta_next = rollout_one_step(theta, train_pass, train_batch, dps, lr, workspace)
 
-    rows = meta_batch.size
-    joint = workspace.joint_pass(theta_next, meta_batch, next_batch)
+    # 3. one pass at theta' over the meta rows, then the next batch's; a
+    # meta batch from ``gather`` is already in place, and its copy onto
+    # itself writes nothing
+    stop = rows if next_batch is None else 2 * rows
+    features, labels = workspace.features[:stop], workspace.labels[:stop]
+    features[:rows] = meta_batch.features
+    labels[:rows] = meta_batch.labels
+    if next_batch is not None:
+        features[rows:] = next_batch.features
+        labels[rows:] = next_batch.labels
+    joint = nn.unchecked_backward(theta_next, features, labels, buffers=workspace.joint_set)
     bad = joint.first_bad_row()
     if bad is not None and bad < rows:
         raise nn.sample_error(meta_batch.indices, bad)
@@ -440,6 +442,7 @@ def meta_train_step(
     meta_grad = meta_pass.grad_sum(out=workspace.grad)
     meta_grad /= rows
 
+    # 4. the dots, the meta-gradients and the data parameter update
     empty_ids, empty = np.empty(0, dtype=np.int64), np.empty(0)
     instance_ids, instance_grads = empty_ids, empty
     class_ids, class_grads = empty_ids, empty
@@ -462,6 +465,13 @@ def meta_train_step(
     if dps.history_reset:
         dps.w_inst[:] = 1.0
         dps.w_class[:] = 1.0
-    # after the dot products, which read the held set
-    workspace.hold(theta_next, next_batch, joint, rows, bad)
+
+    # 5. the next batch's train pass, or its bad row's error, for the next
+    # step; after the dots, which read the held set
+    if next_batch is not None:
+        if bad is None:
+            held = joint.rows(rows).copy_into(workspace.held_set, next_batch.features)
+        else:
+            held = nn.sample_error(next_batch.indices, bad - rows)
+        workspace.held = (next_batch, theta_next, held)
     return theta_next, dps, report

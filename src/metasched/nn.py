@@ -34,18 +34,8 @@ Lifetime rules:
 - Two sets may share one scratch tuple (``PassBuffers(..., scratch=)``):
   scratch is consumed within one call, so a pass in one set never needs
   what a call on the other left there.
-- The meta step (``meta.Workspace``) runs its joint pass, over the meta
-  batch and the next train batch, in a joint set of 2B rows, valid until
-  the next joint pass. It copies the train half into a held set of B rows
-  that shares the joint set's scratch (``BatchBackward.copy_into``). The
-  held pass is the next step's train pass, valid until the held set is
-  written again: by that step's copy, a train-only pass or a ``forward``.
-- Every training run binds one ``meta.Workspace``, whatever its step:
-  a meta step, a replay's rollout or an optimizer step. Its two
-  parameter slots hold theta_t and theta_{t+1}. Each step writes its
-  result into the slot that does not hold its input, so a vector a step
-  returns stays valid until the step after next, and a step that fails
-  leaves its input intact. A model that must outlive that is a copy.
+- The training step's sets and parameter slots (``meta.Workspace``)
+  follow the step sequence that the ``meta`` module docstring states.
 """
 
 from __future__ import annotations

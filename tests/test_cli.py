@@ -132,6 +132,21 @@ def test_non_finite_float_is_validation_error(tmp_path, capsys, key, value):
     assert not (tmp_path / "run" / "metrics.jsonl").exists()
 
 
+def test_overflowing_lr_drop_is_validation_error(tmp_path, capsys):
+    code = main([
+        "train", *DATA_OVERRIDES,
+        "--override", "lr_drop.epoch=1",
+        "--override", "lr_drop.factor=1e-320",
+        "--out", str(tmp_path / "run"),
+    ])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "error: lr_drop.factor 1e-320 is too small: the dropped rate "
+        "train.lr / lr_drop.factor is not finite\n"
+    )
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -1,6 +1,7 @@
 """Config parsing, validation rules, digests, seed derivation."""
 
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -116,6 +117,19 @@ def test_non_finite_value_from_a_file_names_the_file(tmp_path):
 def test_validate_rejects_non_finite_fields(fields, key):
     with pytest.raises(ConfigError, match=f"^{key}: expected a finite number"):
         validate_config(RunConfig(**fields))
+
+
+def test_lr_drop_factor_that_overflows_the_dropped_rate_is_rejected():
+    cfg = RunConfig(lr=0.1, lr_drop_epoch=1, lr_drop_factor=1e-320)
+    with pytest.raises(ConfigError) as err:
+        validate_config(cfg)
+    assert str(err.value) == (
+        "lr_drop.factor 1e-320 is too small: the dropped rate "
+        "train.lr / lr_drop.factor is not finite"
+    )
+    # a rate near the float maximum, or no drop at all, is valid
+    validate_config(replace(cfg, lr_drop_factor=1.2e-309))
+    validate_config(replace(cfg, lr_drop_epoch=None))
 
 
 SEED_KEYS = ["seed.data", "seed.init", "seed.shuffle", "noise.seed", "split.seed"]

@@ -512,7 +512,8 @@ def planted_bundle(cfg, scenario):
     "scenario, optimizer",
     [("update", "sgd"), ("update", "momentum"), ("update", "polyak_sgd"),
      ("gradient", "sgd"), ("gradient", "adam"), ("late update", "sgd"),
-     ("late update", "adam")],
+     ("late update", "momentum"), ("late update", "polyak_sgd"),
+     ("late update", "lookahead_sgd"), ("late update", "adam")],
 )
 def test_optimizer_step_abort_matches_the_allocating_loop(tmp_path, scenario, optimizer):
     cfg = diff_cfg(optimizer=optimizer, epochs=3)
@@ -524,18 +525,29 @@ def test_optimizer_step_abort_matches_the_allocating_loop(tmp_path, scenario, op
         cfg = replace(cfg, hidden=(1,))
         bundle, message = planted_bundle(cfg, "gradient")
     else:
-        # epoch 1's rate, 0.2 / 1e-320, is inf: its first step overflows
-        cfg = replace(cfg, lr_drop_factor=1e-320)
-        bundle, message = prepare_data(cfg), "non-finite parameter update"
+        # epoch 1's rate, 0.2 / 1.2e-309, is finite but near the float
+        # maximum. With features of 10 times the size, a rate-sized update
+        # overflows at epoch 1's first step; adam's step is of order the
+        # rate over its root mean square, so it overflows the next pass.
+        cfg = replace(cfg, lr_drop_factor=1.2e-309)
+        bundle = prepare_data(cfg)
+        features = bundle.train.features
+        features *= 10
+        message = "non-finite parameter update"
+        if optimizer == "adam":
+            message = "non-finite loss or gradient for sample index 76"
     records, error = reference_optimizer_run(cfg, bundle)
     epoch, want, last_theta = error
     assert str(want) == message
+    if scenario == "late update":
+        assert epoch == 1
+        assert want.context == ({"sample_index": 76} if optimizer == "adam" else {"step_index": 11})
     with pytest.raises(NumericError) as got:
         run_training(cfg, bundle, out_dir=str(tmp_path))
     assert str(got.value) == (
         f"{message} (aborted in epoch {epoch}; last complete epoch {epoch - 1})"
     )
-    assert got.value.context == {"epoch": epoch, "step_index": want.context["step_index"]}
+    assert got.value.context == {"epoch": epoch, **want.context}
     info = json.loads((tmp_path / "run_info.json").read_text())
     assert info["last_good_epoch"] == epoch - 1 == len(records) - 1
     assert (tmp_path / "model.json").read_bytes() == model_bytes(

@@ -639,6 +639,33 @@ def test_overflow_aborts_where_the_two_pass_loop_does(tmp_path, monkeypatch, spl
         }
 
 
+# backward passes of a 3-epoch loop_cfg run per batch size, as
+# (meta-driven, optimizer): a meta step's joint pass also serves the next
+# step's train pass, so a meta-driven run adds one train-only pass per
+# epoch, at its first batch, and one more when the epoch ends short
+PASSES = {1: (201, 198), 7: (36, 30), 32: (15, 9), 33: (9, 6)}
+
+
+@pytest.mark.parametrize("batch_size", sorted(PASSES))
+@pytest.mark.parametrize(
+    "mode, wd_learnable", [("instance", False), ("class", True), ("none", True), ("none", False)]
+)
+def test_a_run_takes_one_backward_pass_per_step(monkeypatch, batch_size, mode, wd_learnable):
+    cfg = loop_cfg(batch_size=batch_size, mode=mode, wd_learnable=wd_learnable)
+    calls = []
+    original = nn.unchecked_backward
+    monkeypatch.setattr(
+        nn, "unchecked_backward", lambda *args, **kw: calls.append(1) or original(*args, **kw)
+    )
+    steps = harness.run_training(cfg).counters["steps"]
+    short = 66 % batch_size != 0
+    assert steps == cfg.epochs * (66 // batch_size + short)
+    if cfg.meta_driven:
+        assert len(calls) == steps + cfg.epochs * (1 + short) == PASSES[batch_size][0]
+    else:
+        assert len(calls) == steps == PASSES[batch_size][1]
+
+
 def steady_state_steps(mode, wd_learnable):
     """(theta, step) after three meta steps on a 16-256-256-10 net, when
     both slots, every row view and a held pass exist; ``step(theta, k)``
