@@ -272,9 +272,15 @@ class SeparationReport:
 
 def _midranks(x):
     """1-based ranks of ``x``, each tie group at its mean rank: the group
-    at sorted positions i..j-1 reads 0.5 * (i + j + 1)."""
+    at sorted positions i..j-1 reads 0.5 * (i + j + 1). NaNs form one
+    group, as in ``np.unique``."""
     order = np.argsort(x, kind="stable")
-    _, first, counts = np.unique(x[order], return_index=True, return_counts=True)
+    s = x[order]
+    # a group starts where the sorted value changes; -0.0 ties with 0.0
+    starts = np.ones(s.size, dtype=bool)
+    starts[1:] = (s[1:] != s[:-1]) & ~(np.isnan(s[1:]) & np.isnan(s[:-1]))
+    first = np.flatnonzero(starts)
+    counts = np.diff(first, append=s.size)
     ranks = np.empty(x.size, dtype=np.float64)
     ranks[order] = np.repeat(0.5 * (first + (first + counts) + 1), counts)
     return ranks
@@ -286,9 +292,16 @@ def separation(w_inst, manifest, population=None):
     w_inst = np.asarray(w_inst, dtype=np.float64)
     if population is None:
         population = np.arange(w_inst.size)
-    population = np.asarray(population, dtype=np.int64)
-    corrupt = np.intersect1d(manifest.corrupt_indices, population)
-    clean = np.setdiff1d(population, corrupt)
+    # sorted, each index once, and split by the manifest: the arrays
+    # np.unique, intersect1d and setdiff1d give, without their first
+    # call's import of numpy.ma
+    population = np.sort(np.asarray(population, dtype=np.int64))
+    repeat = np.zeros(population.size, dtype=bool)
+    repeat[1:] = population[1:] == population[:-1]
+    population = population[~repeat]
+    is_corrupt = np.isin(population, manifest.corrupt_indices)
+    corrupt = population[is_corrupt]
+    clean = population[~is_corrupt]
     if corrupt.size == 0:
         raise ValueError("empty corrupt set")
     if clean.size == 0:

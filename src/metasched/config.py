@@ -15,7 +15,7 @@ from dataclasses import dataclass, fields, replace
 from .errors import ConfigError
 from .meta import META_MODES, TEMPERATURE_MODES
 from .nn import ACTIVATIONS
-from .optim import OPTIMIZER_KINDS
+from .optim import DEFAULT_HYPER, OPTIMIZER_KINDS
 
 FORMULATIONS = ("meta", "temperature")
 
@@ -261,6 +261,12 @@ def validate_config(cfg):
         raise ConfigError("batch size must be >= 1")
     if cfg.optimizer not in OPTIMIZER_KINDS:
         raise ConfigError(f"unknown optimizer {cfg.optimizer!r}")
+    for name, _ in cfg.optim_hyper:
+        if name not in DEFAULT_HYPER[cfg.optimizer]:
+            raise ConfigError(
+                f"optim.{name}: train.optimizer = {cfg.optimizer} takes no such "
+                "hyperparameter"
+            )
     if cfg.formulation not in FORMULATIONS:
         raise ConfigError(f"unknown formulation {cfg.formulation!r}")
     if cfg.mode not in META_MODES:

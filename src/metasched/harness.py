@@ -148,20 +148,32 @@ def prepare_kfold(cfg):
     return pool, splits.test, splits.folds, manifest, ds
 
 
+# rows per evaluation chunk, rounded down to whole pass blocks
+EVAL_ROWS = 1024
+
+
 def _evaluate(model, ds, buffers):
     """(mean loss, accuracy, predicted classes) of ``ds``.
 
-    The forward pass runs through the training pass buffers in blocks of
-    one batch, so evaluation makes no matrix product larger than a
-    training step's and allocates no layer array. A full-split product
-    was the only one large enough to wake the BLAS thread pool, whose
-    threads then spun through the single-threaded steps after it, and its
-    fresh layer outputs set the run's peak memory.
+    The split is walked in chunks of a whole number of ``buffers.rows``
+    blocks, each block through the pass buffers, so evaluation makes no
+    matrix product larger than a training step's and allocates no layer
+    array. A full-split product was the only one large enough to wake the
+    BLAS thread pool, whose threads then spun through the single-threaded
+    steps after it. Each chunk's logits and loss temporaries are dropped
+    once its per-row losses and predictions are written into arrays of
+    the split's length, so evaluation holds 16 bytes per row plus one
+    chunk's arrays; the mean is taken over the whole loss vector.
     """
-    logits = nn.forward(model, ds.features, buffers)
-    losses_vec, _, _ = losses_mod.cross_entropy_batch(logits, ds.labels)
-    preds = np.argmax(logits, axis=1)
-    return float(losses_vec.mean()), float((preds == ds.labels).mean()), preds
+    losses = np.empty(ds.n)
+    preds = np.empty(ds.n, dtype=np.intp)
+    size = buffers.rows * max(1, EVAL_ROWS // buffers.rows)
+    for lo in range(0, ds.n, size):
+        hi = min(lo + size, ds.n)
+        logits = nn.forward(model, ds.features[lo:hi], buffers)
+        losses[lo:hi] = losses_mod.cross_entropy_batch(logits, ds.labels[lo:hi])[0]
+        np.argmax(logits, axis=1, out=preds[lo:hi])
+    return float(losses.mean()), float((preds == ds.labels).mean()), preds
 
 
 def _per_class_accuracy(preds, ds):
@@ -228,6 +240,11 @@ def replay_train(cfg, schedule, bundle=None, out_dir=None):
     """Retrain on the full train split with frozen per-epoch weight
     tables; no meta set is consumed."""
     config_mod.validate_config(cfg)
+    if cfg.optimizer != "sgd":
+        raise ConfigError(
+            "replay steps by the lookahead's SGD rollout; it needs "
+            "train.optimizer = sgd"
+        )
     if cfg.formulation == "temperature":
         raise ConfigError(
             "replay needs formulation = meta: a temperature run records no "

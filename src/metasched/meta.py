@@ -292,7 +292,8 @@ def class_metagrad(instance_grads, labels, n_classes):
     if labels.size and (labels.min() < 0 or labels.max() >= n_classes):
         raise ValueError(f"label out of range [0, {n_classes})")
     sums = np.bincount(labels, weights=instance_grads, minlength=n_classes)
-    classes = np.unique(labels)
+    # np.unique would give the same classes, but its first call imports numpy.ma
+    classes = np.flatnonzero(np.bincount(labels, minlength=n_classes))
     return classes, sums[classes]
 
 

@@ -3,11 +3,14 @@
 A trajectory records every data parameter at each epoch end so a learned
 schedule can be averaged across folds and replayed as fixed multipliers.
 Each snapshot is a ``meta.DataParamState`` and its position in the log is
-its epoch. In memory every table is a dense array. Only the file is
-sparse: it holds an `inst` row for each instance weight that differs from
-its initial value 1, and an absent row reads back as 1. Class tables, the
-decay coefficient, and temperature tables are written densely. A decay
-row must not be negative.
+its epoch. In memory every table is a dense, read-only array, and a table
+that did not change since the previous epoch is that epoch's array, so a
+table a run never writes costs one array for the whole log. A write into
+a snapshot raises; code that needs writable tables takes ``as_tables()``
+or ``copy()``. Only the file is sparse: it holds an `inst` row for each
+instance weight that differs from its initial value 1, and an absent row
+reads back as 1. Class tables, the decay coefficient, and temperature
+tables are written densely. A decay row must not be negative.
 
 Interchange format: comma-separated `epoch,kind,id,value` rows with kind
 in {inst, class, wd, sigma_inst, sigma_class}. A clean file is parsed in
@@ -19,7 +22,7 @@ names the file and line.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -29,6 +32,8 @@ from .meta import DataParamState
 
 COLUMNS = ("epoch", "kind", "id", "value")
 KINDS = ("inst", "class", "wd", "sigma_inst", "sigma_class")
+# the array fields of a snapshot
+TABLES = ("w_inst", "w_class", "sigma_class", "sigma_inst")
 # one byte wider than the longest kind, so a longer name is never cut to a valid one
 ROW_DTYPE = np.dtype([("e", "i8"), ("k", "S12"), ("i", "i8"), ("v", "f8")])
 
@@ -53,6 +58,29 @@ def _put(snap, kind, ids, values, n_instances, n_classes):
         snap.sigma_inst[ids] = values
 
 
+# entries written per chunk of text: bounds the text held at once
+WRITE_LINES = 4096
+
+
+def _text(epoch, kind, values, ids=None):
+    """The file lines of one table, at most WRITE_LINES per string;
+    ``ids[j]`` names ``values[j]``, which default to entries 0, 1, ..."""
+    for lo in range(0, len(values), WRITE_LINES):
+        chunk = values[lo : lo + WRITE_LINES].tolist()
+        names = range(lo, lo + len(chunk)) if ids is None else ids[lo : lo + len(chunk)].tolist()
+        yield "".join(f"{epoch},{kind},{i},{v!r}\n" for i, v in zip(names, chunk))
+
+
+def _same_bits(a, b):
+    """Whether two tables hold the same values bit for bit: ``==`` alone
+    takes -0.0 for 0.0, which the file writes apart."""
+    return (
+        a.dtype == b.dtype
+        and np.array_equal(a, b)
+        and np.array_equal(np.signbit(a), np.signbit(b))
+    )
+
+
 @dataclass
 class TrajectoryLog:
     n_instances: int
@@ -64,10 +92,30 @@ class TrajectoryLog:
         return len(self.snapshots)
 
     def record(self, dps):
-        """Append a copy of the epoch-end data-parameter state."""
+        """Append the epoch-end data-parameter state. A table that is
+        read-only is kept as it is, one equal to the previous snapshot's is
+        that array, and any other is stored as a read-only copy."""
         if dps.w_inst.size != self.n_instances or dps.w_class.size != self.n_classes:
             raise ValueError("data-parameter dimensions do not match the trajectory")
-        self.snapshots.append(dps.copy())
+        self._append(dps, owned=False)
+
+    def _append(self, dps, owned):
+        """``record``; ``owned`` tables belong to no one else, so a changed
+        one is frozen in place instead of copied."""
+        last = self.snapshots[-1] if self.snapshots else None
+        tables = {}
+        for name in TABLES:
+            table = getattr(dps, name)
+            previous = None if last is None else getattr(last, name)
+            if table is not None and table.flags.writeable:
+                if previous is not None and _same_bits(table, previous):
+                    table = previous
+                else:
+                    if not owned:
+                        table = table.copy()
+                    table.flags.writeable = False
+            tables[name] = table
+        self.snapshots.append(replace(dps, **tables))
 
     def snapshot(self, epoch):
         if not 0 <= epoch < len(self.snapshots):
@@ -77,24 +125,18 @@ class TrajectoryLog:
         return self.snapshots[epoch]
 
     def to_csv(self, path):
-        # one epoch's text at a time: the whole file's would be the run's peak
+        # written a chunk of lines at a time: an epoch's text as one list
+        # of lines would be the run's peak
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(",".join(COLUMNS) + "\n")
             for e, snap in enumerate(self.snapshots):
-                lines = []
                 nonunit = np.flatnonzero(snap.w_inst != 1.0)
-                for i, v in zip(nonunit.tolist(), snap.w_inst[nonunit].tolist()):
-                    lines.append(f"{e},inst,{i},{v!r}")
-                for c, v in enumerate(snap.w_class.tolist()):
-                    lines.append(f"{e},class,{c},{v!r}")
-                lines.append(f"{e},wd,0,{float(snap.lam_wd)!r}")
-                if snap.sigma_class is not None:
-                    for c, v in enumerate(snap.sigma_class.tolist()):
-                        lines.append(f"{e},sigma_class,{c},{v!r}")
-                if snap.sigma_inst is not None:
-                    for i, v in enumerate(snap.sigma_inst.tolist()):
-                        lines.append(f"{e},sigma_inst,{i},{v!r}")
-                fh.write("\n".join(lines) + "\n")
+                fh.writelines(_text(e, "inst", snap.w_inst[nonunit], nonunit))
+                fh.writelines(_text(e, "class", snap.w_class))
+                fh.write(f"{e},wd,0,{float(snap.lam_wd)!r}\n")
+                for kind in ("sigma_class", "sigma_inst"):
+                    if getattr(snap, kind) is not None:
+                        fh.writelines(_text(e, kind, getattr(snap, kind)))
 
     @classmethod
     def from_csv(cls, path, n_instances, n_classes):
@@ -105,11 +147,17 @@ class TrajectoryLog:
         entry wins. The file is parsed in blocks; when a block does not
         parse or fails a check, what was built is dropped and the row reader
         reads the file again and raises ConfigError naming the file and line.
+        The tables are read-only, and an epoch's table equal to the
+        previous epoch's is that array.
         """
         try:
-            return cls._from_blocks(path, n_instances, n_classes)
+            read = cls._from_blocks(path, n_instances, n_classes)
         except (OSError, ValueError):
-            return cls._from_rows(path, n_instances, n_classes)
+            read = cls._from_rows(path, n_instances, n_classes)
+        log = cls(n_instances=n_instances, n_classes=n_classes)
+        for snap in read.snapshots:
+            log._append(snap, owned=True)
+        return log
 
     @classmethod
     def _from_blocks(cls, path, n_instances, n_classes):
@@ -245,13 +293,14 @@ def average_trajectories(logs, memberships):
             # an instance no fold trains keeps its start: joint offset 0, else 1
             fill = 1.0 if sigma_class is None else 0.0
             sigma_inst = _fold_mean([s.sigma_inst for s in snaps], masks, counts, fill)
-        out.snapshots.append(
+        out._append(
             DataParamState(
                 w_inst=_fold_mean([s.w_inst for s in snaps], masks, counts, 1.0),
                 w_class=np.mean([s.w_class for s in snaps], axis=0),
                 lam_wd=float(np.mean([s.lam_wd for s in snaps])),
                 sigma_class=sigma_class,
                 sigma_inst=sigma_inst,
-            )
+            ),
+            owned=True,
         )
     return out

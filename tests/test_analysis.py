@@ -1,5 +1,8 @@
 """Gradient checker, separation AUC, correlation, Hessian probe."""
 
+import os
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -173,6 +176,60 @@ def test_separation_rejects_empty_groups():
         separation(np.ones(4), manifest_for([], 4))
     with pytest.raises(ValueError, match="clean"):
         separation(np.ones(4), manifest_for([0, 1, 2, 3], 4))
+
+
+def test_separation_over_an_empty_population_is_an_empty_corrupt_set():
+    with pytest.raises(ValueError, match="empty corrupt set"):
+        separation(np.ones(4), manifest_for([1], 4), population=np.array([], dtype=np.int64))
+
+
+def test_separation_counts_a_repeated_index_once():
+    w = np.array([1.0, 0.9, 0.8, 0.95])
+    report = separation(w, manifest_for([2, 3], 4), population=[3, 0, 2, 3, 1, 0])
+    assert (report.n_clean, report.n_corrupt) == (2, 2)
+    assert report.auc == brute_auc(w, [2, 3], [0, 1])
+
+
+@pytest.mark.parametrize("x", [
+    [0.5, np.nan, 0.1, np.nan, 0.5],
+    [0.0, -0.0, 1.0, -0.0],
+    [],
+    [2.0, 2.0, 2.0],
+])
+def test_midranks_groups_ties_like_np_unique(x):
+    x = np.array(x)
+    order = np.argsort(x, kind="stable")
+    _, first, counts = np.unique(x[order], return_index=True, return_counts=True)
+    want = np.empty(x.size)
+    want[order] = np.repeat(0.5 * (first + (first + counts) + 1), counts)
+    assert np.array_equal(analysis._midranks(x), want)
+
+
+CLASS_RUN_THEN_AUC = """
+import sys
+from metasched import analysis, config, harness
+cfg = config.config_from_overrides(
+    ["meta.mode=class", "noise.p=0.4", "train.epochs=1", "data.per_class=30",
+     "split.meta_per_class=5", "split.test_per_class=5"]
+)
+bundle = harness.prepare_data(cfg)
+result = harness.run_training(cfg, bundle)
+w = result.trajectory.snapshot(0).w_inst
+analysis.separation(w, bundle.manifest, population=bundle.train.indices)
+print("numpy.ma" in sys.modules)
+"""
+
+
+def test_a_class_run_and_its_auc_leave_numpy_ma_unloaded():
+    # np.unique, intersect1d and setdiff1d import numpy.ma on their first
+    # call (about 1.6 MB); this process may hold it already, a fresh one not
+    src = os.path.dirname(os.path.dirname(os.path.abspath(analysis.__file__)))
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+    out = subprocess.run(
+        [sys.executable, "-c", CLASS_RUN_THEN_AUC],
+        env=env, capture_output=True, text=True, timeout=120, check=True,
+    )
+    assert out.stdout.strip() == "False"
 
 
 def test_correlation_examples():

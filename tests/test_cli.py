@@ -788,3 +788,61 @@ def test_generate_data_with_superclasses(tmp_path):
     ]) == 0
     assert smap.read_text().splitlines()[0] == "class,superclass"
     assert len(smap.read_text().splitlines()) == 5
+
+
+def _no_data(*args, **kwargs):
+    raise AssertionError("data prepared for a config that should have been rejected")
+
+
+@pytest.mark.parametrize(
+    "argv, key",
+    [
+        (["train", "--config", "plain.cfg", "--override", "optim.beta=0.5"], "optim.beta"),
+        (
+            ["train", "--config", "plain.cfg", "--override", "train.optimizer=momentum",
+             "--override", "optim.beta1=0.5"],
+            "optim.beta1",
+        ),
+        (["train", "--config", "instance.cfg", "--override", "optim.beta=0.5"], "optim.beta"),
+        (
+            ["replay", "--config", "plain.cfg", "--override", "optim.beta=0.5",
+             "--trajectory", "ref/instance/trajectory.csv"],
+            "optim.beta",
+        ),
+    ],
+)
+def test_hyperparameter_the_optimizer_does_not_take_is_validation_error(
+    tmp_path, capsys, monkeypatch, argv, key
+):
+    monkeypatch.chdir(Path(__file__).parent / "golden")
+    monkeypatch.setattr("metasched.harness.prepare_data", _no_data)
+    monkeypatch.setattr("metasched.harness.prepare_replay_bundle", _no_data)
+    assert main([*argv, "--out", str(tmp_path / "run")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {key}: train.optimizer = ") and err.count("\n") == 1
+    assert not (tmp_path / "run").exists()
+
+
+def test_replay_under_another_optimizer_is_validation_error(tmp_path, capsys, monkeypatch):
+    # replay steps by the SGD rollout: an adam replay used to be the sgd one
+    monkeypatch.chdir(Path(__file__).parent / "golden")
+    code = main([
+        "replay", "--config", "plain.cfg", "--override", "train.optimizer=adam",
+        "--trajectory", "ref/instance/trajectory.csv", "--out", str(tmp_path / "run"),
+    ])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "train.optimizer = sgd" in err and err.count("\n") == 1
+    assert not (tmp_path / "run").exists()
+
+
+def test_kfold_config_replays(tmp_path, monkeypatch):
+    # the saved config writes every key: it must stay valid for replay
+    monkeypatch.chdir(Path(__file__).parent / "golden")
+    kfold_dir = tmp_path / "kfold"
+    assert main(["kfold", "--config", "kfold.cfg", "--out", str(kfold_dir)]) == 0
+    assert main([
+        "replay", "--config", str(kfold_dir / "config.cfg"),
+        "--trajectory", str(kfold_dir / "trajectory.csv"), "--out", str(tmp_path / "replay"),
+    ]) == 0
+    assert (tmp_path / "replay" / "model.json").exists()

@@ -239,12 +239,14 @@ def test_digest_stable_and_sensitive():
 def test_save_load_round_trip(tmp_path):
     cfg = config_from_overrides(
         [
-            "meta.mode=class",
+            "formulation=temperature",
+            "temperature.mode=class",
             "meta.history_reset=true",
             "noise.p=0.4",
             "model.hidden=48",
             "lr_drop.epoch=20",
-            "optim.momentum=0.9",
+            "train.optimizer=momentum",
+            "optim.beta=0.9",
         ]
     )
     path = tmp_path / "run.cfg"

@@ -24,7 +24,7 @@ from metasched.harness import (
     replay_train,
     run_training,
 )
-from metasched import datagen, losses, meta, nn, optim
+from metasched import datagen, harness, losses, meta, nn, optim
 from metasched.meta import update_sigma_tables
 
 
@@ -59,6 +59,45 @@ def test_trajectory_snapshots_do_not_alias_the_live_tables():
     # the later epochs did move the tables
     assert not np.array_equal(first.w_inst, last.w_inst)
     assert first.lam_wd != last.lam_wd
+
+
+def test_a_table_the_run_never_writes_is_one_array_for_every_epoch():
+    result = run_training(tiny_cfg(formulation="temperature", temperature_mode="joint", epochs=3))
+    snaps = result.trajectory.snapshots
+    assert all(s.w_inst is snaps[0].w_inst and s.w_class is snaps[0].w_class for s in snaps)
+    # the temperature tables moved, so each epoch holds its own
+    assert snaps[1].sigma_inst is not snaps[0].sigma_inst
+    assert not np.array_equal(snaps[1].sigma_inst, snaps[0].sigma_inst)
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [
+        dict(mode="instance", wd_learnable=True, noise_p=0.3),
+        dict(formulation="temperature", temperature_mode="joint"),
+    ],
+)
+def test_snapshot_tables_are_read_only(fields):
+    result = run_training(tiny_cfg(**fields))
+    for snap in result.trajectory.snapshots:
+        for name, table in snap.as_tables().items():
+            if name == "lam_wd" or table is None:
+                continue
+            held = getattr(snap, name)
+            before = held[0]
+            with pytest.raises(ValueError):
+                held[0] = 0.5
+            # what a caller takes to change is its own
+            table[0] = before + 1.0
+            assert table.flags.writeable and held[0] == before
+
+
+def test_replay_records_the_schedule_arrays():
+    cfg = tiny_cfg(mode="instance", noise_p=0.3, epochs=3)
+    schedule = run_training(cfg).trajectory
+    rep = replay_train(cfg, schedule)
+    for got, want in zip(rep.trajectory.snapshots, schedule.snapshots):
+        assert got.w_inst is want.w_inst and got.w_class is want.w_class
 
 
 def test_full_batch_single_epoch_is_one_step():
@@ -384,6 +423,62 @@ def test_blocked_evaluation_matches_one_full_forward(n, rows, activation, seed):
     assert acc == float((want_preds == ds.labels).mean())
     # blocks of rows round the products differently from one full product
     assert loss == pytest.approx(float(want_losses.mean()), rel=1e-12, abs=0)
+
+
+@settings(deadline=None, derandomize=True, max_examples=40)
+@given(
+    n=st.integers(1, 90),
+    rows=st.integers(1, 12),
+    chunk=st.integers(1, 40),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_chunked_evaluation_matches_one_chunk_bit_for_bit(n, rows, chunk, seed):
+    # each row goes through the same block product whatever the chunk, and
+    # the loss is the mean of the whole loss vector
+    rng = np.random.default_rng(seed)
+    manifest = nn.build_manifest(4, (7,), 5, "tanh")
+    model = nn.init_params(manifest, seed=int(rng.integers(2**31)))
+    labels = rng.integers(0, 5, size=n)
+    ds = datagen.LabeledDataset(
+        rng.standard_normal((n, 4)), labels, labels, np.arange(n), tuple("abcde")
+    )
+    buffers = nn.PassBuffers(manifest, rows)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(harness, "EVAL_ROWS", n + rows)
+        whole = _evaluate(model, ds, buffers)
+        mp.setattr(harness, "EVAL_ROWS", chunk)
+        chunked = _evaluate(model, ds, buffers)
+    assert chunked[:2] == whole[:2]
+    assert np.array_equal(chunked[2], whole[2])
+
+
+def _evaluate_peak(n):
+    """tracemalloc peak, in bytes, of one _evaluate over n rows in blocks of 32."""
+    rng = np.random.default_rng(n)
+    manifest = nn.build_manifest(16, (32,), 10, "relu")
+    model = nn.init_params(manifest, seed=3)
+    labels = rng.integers(0, 10, size=n)
+    ds = datagen.LabeledDataset(
+        rng.standard_normal((n, 16)), labels, labels, np.arange(n), tuple("abcdefghij")
+    )
+    buffers = nn.PassBuffers(manifest, 32)
+    _evaluate(model, ds, buffers)  # makes the buffers' views
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        _evaluate(model, ds, buffers)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak - before
+
+
+def test_evaluation_memory_grows_by_its_per_row_outputs():
+    # losses and predictions take 16 bytes per row and the correct mask 1;
+    # split-sized logits and softmax arrays would add about 200
+    n = 3000
+    assert _evaluate_peak(4 * n) - _evaluate_peak(n) <= 24 * 3 * n
 
 
 def reference_optimizer_run(cfg, bundle):

@@ -40,6 +40,79 @@ def test_record_and_snapshot_round_trip():
     # the tables are copies: writing to them leaves the snapshot as recorded
     tables["w_inst"][0] = 5.0
     assert snap.w_inst[0] == 1.0
+    # and the snapshot's own tables refuse a write
+    with pytest.raises(ValueError):
+        snap.w_inst[0] = 5.0
+    copied = snap.copy()
+    copied.w_inst[0] = 5.0
+    assert snap.w_inst[0] == 1.0
+
+
+def test_record_shares_only_tables_that_hold_the_same_bits():
+    log = TrajectoryLog(n_instances=4, n_classes=2)
+    dps = make_dps(4, 2, temperature_mode="joint")
+    log.record(dps)
+    dps.w_inst[1] = 0.5
+    log.record(dps)
+    dps.sigma_inst[2] = -0.0  # equal to 0.0, but written as -0.0
+    log.record(dps)
+    first, second, third = log.snapshots
+    assert second.w_class is first.w_class and second.sigma_inst is first.sigma_inst
+    assert second.w_inst is not first.w_inst and first.w_inst[1] == 1.0
+    assert third.w_inst is second.w_inst
+    assert third.sigma_inst is not second.sigma_inst
+    assert np.signbit(third.sigma_inst[2]) and not np.signbit(second.sigma_inst[2])
+    # the live tables stay the caller's: none of them is stored
+    held = {id(getattr(s, name)) for s in log.snapshots for name in ("w_inst", "sigma_inst")}
+    assert id(dps.w_inst) not in held and dps.w_inst.flags.writeable
+
+
+def test_record_keeps_a_read_only_table_as_it_is():
+    table = np.full(3, 0.5)
+    table.flags.writeable = False
+    dps = make_dps(3, 2)
+    log = TrajectoryLog(n_instances=3, n_classes=2)
+    log.record(DataParamState(w_inst=table, w_class=dps.w_class, lam_wd=0.0))
+    assert log.snapshot(0).w_inst is table
+
+
+def test_from_csv_and_averages_hold_read_only_tables(tmp_path):
+    log = TrajectoryLog(n_instances=4, n_classes=2)
+    dps = make_dps(4, 2, temperature_mode="joint")
+    for e in range(3):
+        dps.w_inst[e] = 0.25
+        log.record(dps)
+    path = tmp_path / "traj.csv"
+    log.to_csv(path)
+    back = TrajectoryLog.from_csv(path, 4, 2)
+    avg = average_trajectories([back, back], [np.arange(4), np.arange(2)])
+    for read in (back, avg):
+        for snap in read.snapshots:
+            for name in ("w_inst", "w_class", "sigma_class", "sigma_inst"):
+                assert not getattr(snap, name).flags.writeable
+        # unchanged tables are one array, changed ones are not
+        first, second = read.snapshots[:2]
+        assert second.w_class is first.w_class and second.sigma_inst is first.sigma_inst
+        assert second.w_inst is not first.w_inst
+
+
+def test_to_csv_writes_the_same_bytes_in_any_chunk_size(tmp_path):
+    rng = np.random.default_rng(5)
+    log = TrajectoryLog(n_instances=9, n_classes=4)
+    dps = make_dps(9, 4, temperature_mode="joint")
+    for _ in range(2):
+        dps.w_inst[rng.integers(9, size=5)] = rng.uniform(0, 2, size=5)
+        dps.sigma_inst[:] = rng.uniform(-0.5, 0.5, size=9)
+        log.record(dps)
+    written = []
+    for lines in (1, 2, 4, 4096):
+        with mock.patch("metasched.trajectory.WRITE_LINES", lines):
+            log.to_csv(tmp_path / "traj.csv")
+        written.append((tmp_path / "traj.csv").read_bytes())
+    assert written.count(written[-1]) == len(written)
+    # one line per entry, in file order
+    text = written[-1].decode().splitlines()
+    assert text[1].startswith("0,inst,") and text[-1].startswith("1,sigma_inst,8,")
 
 
 def test_to_csv_writes_only_non_unit_instance_rows(tmp_path):
