@@ -121,7 +121,6 @@ def _load_run_config(args):
         cfg = config_mod.load_config(args.config, args.override)
     if args.seed is not None:
         cfg = config_mod.with_seeds(cfg, args.seed)
-        config_mod.validate_config(cfg)
     return cfg
 
 
@@ -187,6 +186,7 @@ def _cmd_kfold(args):
 
 def _cmd_replay(args):
     cfg = _load_run_config(args)
+    harness.check_replayable(cfg)
     out_dir = _resolve_out(args, cfg, "replay")
     bundle = harness.prepare_replay_bundle(cfg)
     schedule = TrajectoryLog.from_csv(

@@ -4,69 +4,82 @@ Lines are `key = value`; `#` starts a comment (full-line or trailing);
 unknown keys are rejected. The same dotted keys are accepted by the CLI
 `--override` flag. A config digest (over every field, in canonical form)
 identifies the run in its outputs.
+
+Each key is declared once, in its ``RunConfig`` field's metadata, with
+its set of values where that is fixed. The annotation picks the parser;
+the field order is the key order, so it fixes ``config.cfg`` and the
+digest. ``RunConfig`` runs ``validate_config`` whenever it is built, by
+``replace`` too, so a RunConfig that exists is valid.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 
 from .errors import ConfigError
 from .meta import META_MODES, TEMPERATURE_MODES
 from .nn import ACTIVATIONS
 from .optim import DEFAULT_HYPER, OPTIMIZER_KINDS
 
-FORMULATIONS = ("meta", "temperature")
+
+def _key(default, key, values=None):
+    """A field read from the dotted ``key``, one of ``values`` if given."""
+    return field(default=default, metadata={"key": key, "values": values})
 
 
 @dataclass(frozen=True)
 class RunConfig:
     # model
-    hidden: tuple = (64, 64)
-    activation: str = "relu"
+    hidden: tuple = _key((64, 64), "model.hidden")
+    activation: str = _key("relu", "model.activation", ACTIVATIONS)
     # training loop
-    lr: float = 0.3
-    epochs: int = 40
-    batch_size: int = 32
-    optimizer: str = "sgd"
-    optim_hyper: tuple = ()  # ((name, value), ...)
+    lr: float = _key(0.3, "train.lr")
+    epochs: int = _key(40, "train.epochs")
+    batch_size: int = _key(32, "train.batch_size")
+    optimizer: str = _key("sgd", "train.optimizer", OPTIMIZER_KINDS)
     # curriculum
-    formulation: str = "meta"
-    mode: str = "none"
-    data_lr: float = 5.0
-    wd_lr: float = 1e-3
-    wd_init: float = 5e-4
-    wd_learnable: bool = False
-    history_reset: bool = False
-    temperature_mode: str = "class"
-    temperature_lr: float = 0.1
+    formulation: str = _key("meta", "formulation", ("meta", "temperature"))
+    mode: str = _key("none", "meta.mode", META_MODES)
+    data_lr: float = _key(5.0, "meta.data_lr")
+    wd_lr: float = _key(1e-3, "meta.wd_lr")
+    wd_init: float = _key(5e-4, "meta.wd_init")
+    wd_learnable: bool = _key(False, "meta.wd_learnable")
+    history_reset: bool = _key(False, "meta.history_reset")
+    temperature_mode: str = _key("class", "temperature.mode", TEMPERATURE_MODES)
+    temperature_lr: float = _key(0.1, "temperature.lr")
     # data generation / loading
-    n_classes: int = 10
-    per_class: int = 320
-    dim: int = 16
-    spread: float = 0.8
-    noise_p: float = 0.0
-    n_superclasses: int = 0
-    data_path: str | None = None
-    manifest_path: str | None = None
-    superclass_path: str | None = None
+    n_classes: int = _key(10, "data.classes")
+    per_class: int = _key(320, "data.per_class")
+    dim: int = _key(16, "data.dim")
+    spread: float = _key(0.8, "data.spread")
+    data_path: str | None = _key(None, "data.path")
+    manifest_path: str | None = _key(None, "data.manifest")
+    superclass_path: str | None = _key(None, "data.superclass_file")
+    n_superclasses: int = _key(0, "data.n_superclasses")
+    noise_p: float = _key(0.0, "noise.p")
+    noise_seed: int | None = _key(None, "noise.seed")
     # split
-    split_kind: str = "holdout"
-    meta_per_class: int = 20
-    test_per_class: int = 100
-    k: int = 5
-    personalization_target: int | None = None
-    train_subset: str = "full"
+    split_kind: str = _key("holdout", "split.kind", ("holdout", "kfold"))
+    meta_per_class: int = _key(20, "split.meta_per_class")
+    test_per_class: int = _key(100, "split.test_per_class")
+    k: int = _key(5, "split.k")
+    split_seed: int | None = _key(None, "split.seed")
+    personalization_target: int | None = _key(None, "personalization.target")
+    train_subset: str = _key("full", "personalization.train_subset", ("full", "biased"))
     # learning-rate drop mid-run
-    lr_drop_epoch: int | None = None
-    lr_drop_factor: float = 10.0
+    lr_drop_epoch: int | None = _key(None, "lr_drop.epoch")
+    lr_drop_factor: float = _key(10.0, "lr_drop.factor")
     # seeds
-    seed_data: int = 0
-    seed_init: int = 1
-    seed_shuffle: int = 2
-    noise_seed: int | None = None
-    split_seed: int | None = None
+    seed_data: int = _key(0, "seed.data")
+    seed_init: int = _key(1, "seed.init")
+    seed_shuffle: int = _key(2, "seed.shuffle")
+    # optimizer hyperparameters, keyed optim.<name>: ((name, value), ...)
+    optim_hyper: tuple = ()
+
+    def __post_init__(self):
+        validate_config(self)
 
     @property
     def noise_seed_effective(self):
@@ -136,48 +149,21 @@ def _parse_str(text):
     return text.strip()
 
 
-# dotted config key -> (RunConfig field, parser)
-KEY_MAP = {
-    "model.hidden": ("hidden", _parse_widths),
-    "model.activation": ("activation", _parse_str),
-    "train.lr": ("lr", _parse_float),
-    "train.epochs": ("epochs", _parse_int),
-    "train.batch_size": ("batch_size", _parse_int),
-    "train.optimizer": ("optimizer", _parse_str),
-    "formulation": ("formulation", _parse_str),
-    "meta.mode": ("mode", _parse_str),
-    "meta.data_lr": ("data_lr", _parse_float),
-    "meta.wd_lr": ("wd_lr", _parse_float),
-    "meta.wd_init": ("wd_init", _parse_float),
-    "meta.wd_learnable": ("wd_learnable", _parse_bool),
-    "meta.history_reset": ("history_reset", _parse_bool),
-    "temperature.mode": ("temperature_mode", _parse_str),
-    "temperature.lr": ("temperature_lr", _parse_float),
-    "data.classes": ("n_classes", _parse_int),
-    "data.per_class": ("per_class", _parse_int),
-    "data.dim": ("dim", _parse_int),
-    "data.spread": ("spread", _parse_float),
-    "data.path": ("data_path", _parse_opt_str),
-    "data.manifest": ("manifest_path", _parse_opt_str),
-    "data.superclass_file": ("superclass_path", _parse_opt_str),
-    "data.n_superclasses": ("n_superclasses", _parse_int),
-    "noise.p": ("noise_p", _parse_float),
-    "noise.seed": ("noise_seed", _parse_opt_int),
-    "split.kind": ("split_kind", _parse_str),
-    "split.meta_per_class": ("meta_per_class", _parse_int),
-    "split.test_per_class": ("test_per_class", _parse_int),
-    "split.k": ("k", _parse_int),
-    "split.seed": ("split_seed", _parse_opt_int),
-    "personalization.target": ("personalization_target", _parse_opt_int),
-    "personalization.train_subset": ("train_subset", _parse_str),
-    "lr_drop.epoch": ("lr_drop_epoch", _parse_opt_int),
-    "lr_drop.factor": ("lr_drop_factor", _parse_float),
-    "seed.data": ("seed_data", _parse_int),
-    "seed.init": ("seed_init", _parse_int),
-    "seed.shuffle": ("seed_shuffle", _parse_int),
+# field annotation -> parser of its key's value
+_PARSERS = {
+    "tuple": _parse_widths,
+    "str": _parse_str,
+    "float": _parse_float,
+    "int": _parse_int,
+    "bool": _parse_bool,
+    "str | None": _parse_opt_str,
+    "int | None": _parse_opt_int,
 }
 
-_FIELD_TO_KEY = {field_name: key for key, (field_name, _) in KEY_MAP.items()}
+# dotted config key -> (RunConfig field, parser), in field order
+KEY_MAP = {
+    f.metadata["key"]: (f.name, _PARSERS[f.type]) for f in fields(RunConfig) if f.metadata
+}
 
 
 def parse_config_text(text):
@@ -232,12 +218,12 @@ def build_config(raw, origins=None):
         values[field_name] = _parse_value(key, parser, text, origins)
     if hyper:
         values["optim_hyper"] = tuple(sorted(hyper.items()))
-    cfg = RunConfig(**values)
-    validate_config(cfg)
-    return cfg
+    return RunConfig(**values)
 
 
 def validate_config(cfg):
+    """Raise ConfigError unless ``cfg`` is a valid run; ``RunConfig``
+    calls it on every instance it builds."""
     floats = [(k, getattr(cfg, f)) for k, (f, parse) in KEY_MAP.items() if parse is _parse_float]
     floats += [(f"optim.{name}", value) for name, value in cfg.optim_hyper]
     for key, value in floats:
@@ -247,8 +233,12 @@ def validate_config(cfg):
         seed = getattr(cfg, KEY_MAP[key][0])
         if seed is not None and seed < 0:
             raise ConfigError(f"{key}: expected a non-negative seed, got {seed}")
-    if cfg.activation not in ACTIVATIONS:
-        raise ConfigError(f"unknown activation {cfg.activation!r}")
+    for f in fields(cfg):
+        allowed, value = f.metadata.get("values"), getattr(cfg, f.name)
+        if allowed is not None and value not in allowed:
+            raise ConfigError(
+                f"{f.metadata['key']}: unknown value {value!r} (have {', '.join(allowed)})"
+            )
     if any(w < 1 for w in cfg.hidden):
         raise ConfigError("hidden widths must be positive")
     if cfg.lr <= 0 or cfg.data_lr <= 0 or cfg.wd_lr <= 0 or cfg.temperature_lr <= 0:
@@ -259,18 +249,12 @@ def validate_config(cfg):
         raise ConfigError("epochs must be >= 1")
     if cfg.batch_size < 1:
         raise ConfigError("batch size must be >= 1")
-    if cfg.optimizer not in OPTIMIZER_KINDS:
-        raise ConfigError(f"unknown optimizer {cfg.optimizer!r}")
     for name, _ in cfg.optim_hyper:
         if name not in DEFAULT_HYPER[cfg.optimizer]:
             raise ConfigError(
                 f"optim.{name}: train.optimizer = {cfg.optimizer} takes no such "
                 "hyperparameter"
             )
-    if cfg.formulation not in FORMULATIONS:
-        raise ConfigError(f"unknown formulation {cfg.formulation!r}")
-    if cfg.mode not in META_MODES:
-        raise ConfigError(f"unknown meta mode {cfg.mode!r}")
     if cfg.formulation == "temperature":
         if cfg.mode != "none":
             raise ConfigError(
@@ -282,19 +266,17 @@ def validate_config(cfg):
                 "learnable weight decay needs the lookahead; not available "
                 "under the temperature formulation"
             )
-        if cfg.temperature_mode not in TEMPERATURE_MODES:
-            raise ConfigError(f"unknown temperature mode {cfg.temperature_mode!r}")
     if cfg.meta_driven and cfg.optimizer != "sgd":
         raise ConfigError(
             "the one-step lookahead is an SGD step; meta modes require "
             "train.optimizer = sgd"
         )
-    if cfg.split_kind not in ("holdout", "kfold"):
-        raise ConfigError(f"unknown split kind {cfg.split_kind!r}")
     if cfg.split_kind == "kfold" and cfg.k < 2:
         raise ConfigError("k-fold splitting needs split.k >= 2")
     if cfg.test_per_class < 1:
         raise ConfigError("split.test_per_class must be >= 1: no test split, no accuracy")
+    if cfg.meta_per_class < 0:
+        raise ConfigError(f"split.meta_per_class must be >= 0, got {cfg.meta_per_class}")
     if cfg.meta_driven and cfg.split_kind == "holdout" and cfg.meta_per_class < 1:
         raise ConfigError("meta-driven runs need split.meta_per_class >= 1")
     if not 0.0 <= cfg.noise_p <= 1.0:
@@ -312,8 +294,6 @@ def validate_config(cfg):
             raise ConfigError("invalid synthetic data sizes")
         if cfg.spread <= 0:
             raise ConfigError("data.spread must be positive")
-    if cfg.train_subset not in ("full", "biased"):
-        raise ConfigError(f"unknown train subset {cfg.train_subset!r}")
     if cfg.n_superclasses < 0:
         raise ConfigError(f"data.n_superclasses must be >= 0, got {cfg.n_superclasses}")
     if cfg.personalization_target is not None:
@@ -355,12 +335,8 @@ def _format_value(value):
 
 def config_lines(cfg):
     """Canonical `key = value` lines covering every field."""
-    lines = []
-    for key, (field_name, _) in KEY_MAP.items():
-        lines.append(f"{key} = {_format_value(getattr(cfg, field_name))}")
-    for name, value in cfg.optim_hyper:
-        lines.append(f"optim.{name} = {_format_value(value)}")
-    return lines
+    lines = [f"{key} = {_format_value(getattr(cfg, name))}" for key, (name, _) in KEY_MAP.items()]
+    return lines + [f"optim.{name} = {_format_value(value)}" for name, value in cfg.optim_hyper]
 
 
 def save_config(cfg, path):
@@ -393,6 +369,3 @@ def with_seeds(cfg, base_seed):
         seed_init=base_seed + 1,
         seed_shuffle=base_seed + 2,
     )
-
-
-assert set(_FIELD_TO_KEY) <= {f.name for f in fields(RunConfig)}

@@ -5,6 +5,11 @@ corruption, so per-instance learning rates, fold membership, and
 clean/corrupt diagnostics all key off the same ids. Label corruption is
 recorded in a manifest; meta and test views always carry true labels.
 
+The splits (``holdout_split``, ``kfold_split``, ``personalization_split``)
+take plain sizes and a seed. The rules a run's sizes obey live in
+``config.validate_config``; a split raises ConfigError only for what the
+data decides: a class too small to carve, or a fold left empty.
+
 File formats: dataset rows `index,label,true_label,f0..f{d-1}`,
 corruption manifest rows `index,original,assigned` after a
 `# noise_fraction=... seed=... n_population=...` line (left out when the
@@ -169,23 +174,6 @@ def corrupt_labels(ds, p, seed):
 
 
 @dataclass(frozen=True)
-class SplitSpec:
-    kind: str = "holdout"
-    meta_per_class: int = 20
-    test_per_class: int = 100
-    k: int = 5
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.kind not in ("holdout", "kfold"):
-            raise ConfigError(f"unknown split kind {self.kind!r}")
-        if self.meta_per_class < 0 or self.test_per_class < 0:
-            raise ConfigError("split sizes must be non-negative")
-        if self.kind == "kfold" and self.k < 2:
-            raise ConfigError("k-fold splitting needs k >= 2")
-
-
-@dataclass(frozen=True)
 class HoldoutSplits:
     train: LabeledDataset
     meta: LabeledDataset
@@ -232,33 +220,41 @@ def _carve(ds, rng, classes, test_per_class, meta_per_class):
     return tuple(np.sort(np.concatenate(pos)) for pos in (test_pos, meta_pos, rest_pos))
 
 
-def split(ds, spec):
-    """Disjoint stratified views; meta and test always carry true labels."""
-    rng = np.random.default_rng(spec.seed)
-    meta_per_class = spec.meta_per_class if spec.kind == "holdout" else 0
+def holdout_split(ds, meta_per_class, test_per_class, seed):
+    """Disjoint stratified train/meta/test views; meta and test carry true
+    labels."""
+    rng = np.random.default_rng(seed)
     test_pos, meta_pos, rest_pos = _carve(
-        ds, rng, range(ds.n_classes), spec.test_per_class, meta_per_class
+        ds, rng, range(ds.n_classes), test_per_class, meta_per_class
     )
-    test = ds.subset(test_pos).restore_true_labels()
-    if spec.kind == "holdout":
-        meta = ds.subset(meta_pos).restore_true_labels()
-        return HoldoutSplits(train=ds.subset(rest_pos), meta=meta, test=test)
+    return HoldoutSplits(
+        train=ds.subset(rest_pos),
+        meta=ds.subset(meta_pos).restore_true_labels(),
+        test=ds.subset(test_pos).restore_true_labels(),
+    )
+
+
+def kfold_split(ds, test_per_class, k, seed):
+    """A stratified test view with true labels, and the rest as a pool
+    dealt into ``k`` stratified folds."""
+    rng = np.random.default_rng(seed)
+    test_pos, _, rest_pos = _carve(ds, rng, range(ds.n_classes), test_per_class, 0)
     pool = ds.subset(rest_pos)
-    fold_lists = [[] for _ in range(spec.k)]
+    fold_lists = [[] for _ in range(k)]
     pool_by_class = _stratified_order(pool, rng)
     # class c deals its rows to folds 0 .. n_c - 1: past the largest pool
     # a fold would hold no row
     largest = max(order.size for order in pool_by_class.values())
-    if spec.k > largest:
+    if k > largest:
         raise ConfigError(
-            f"split.k = {spec.k} exceeds the largest class pool ({largest} "
+            f"split.k = {k} exceeds the largest class pool ({largest} "
             "instances), so some fold would be empty"
         )
     for c in range(pool.n_classes):
         for j, pos in enumerate(pool_by_class[c]):
-            fold_lists[j % spec.k].append(pos)
+            fold_lists[j % k].append(pos)
     folds = tuple(np.sort(np.array(f, dtype=np.int64)) for f in fold_lists)
-    return KFoldSplits(pool=pool, test=test, folds=folds)
+    return KFoldSplits(pool=pool, test=ds.subset(test_pos).restore_true_labels(), folds=folds)
 
 
 def fold_view(pool, folds, f):

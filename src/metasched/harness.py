@@ -121,13 +121,9 @@ def prepare_data(cfg):
         )
         train = splits.full_train if cfg.train_subset == "full" else splits.biased_train
     else:
-        spec = datagen.SplitSpec(
-            kind="holdout",
-            meta_per_class=cfg.meta_per_class,
-            test_per_class=cfg.test_per_class,
-            seed=cfg.split_seed_effective,
+        splits = datagen.holdout_split(
+            ds, cfg.meta_per_class, cfg.test_per_class, cfg.split_seed_effective
         )
-        splits = datagen.split(ds, spec)
         train = splits.train
     train, manifest = _corrupt(cfg, ds, train)
     meta_ds = splits.meta if cfg.meta_per_class > 0 else None
@@ -137,13 +133,7 @@ def prepare_data(cfg):
 def prepare_kfold(cfg):
     """(corrupted pool, test, fold positions, manifest, base dataset)."""
     ds = _load_base_dataset(cfg)
-    spec = datagen.SplitSpec(
-        kind="kfold",
-        test_per_class=cfg.test_per_class,
-        k=cfg.k,
-        seed=cfg.split_seed_effective,
-    )
-    splits = datagen.split(ds, spec)
+    splits = datagen.kfold_split(ds, cfg.test_per_class, cfg.k, cfg.split_seed_effective)
     pool, manifest = _corrupt(cfg, ds, splits.pool)
     return pool, splits.test, splits.folds, manifest, ds
 
@@ -228,7 +218,6 @@ def run_training(cfg, bundle=None, out_dir=None):
     model.json, config.cfg, run_info.json, and (when applicable)
     manifest.csv and class_meta_acc.csv into it.
     """
-    config_mod.validate_config(cfg)
     if bundle is None:
         bundle = prepare_data(cfg)
     if cfg.meta_driven and (bundle.meta is None or bundle.meta.n == 0):
@@ -236,10 +225,9 @@ def run_training(cfg, bundle=None, out_dir=None):
     return _train(cfg, bundle, out_dir)
 
 
-def replay_train(cfg, schedule, bundle=None, out_dir=None):
-    """Retrain on the full train split with frozen per-epoch weight
-    tables; no meta set is consumed."""
-    config_mod.validate_config(cfg)
+def check_replayable(cfg):
+    """Raise ConfigError unless a replay can run under ``cfg``; it reads
+    the config alone, so a caller can check before preparing data."""
     if cfg.optimizer != "sgd":
         raise ConfigError(
             "replay steps by the lookahead's SGD rollout; it needs "
@@ -250,6 +238,12 @@ def replay_train(cfg, schedule, bundle=None, out_dir=None):
             "replay needs formulation = meta: a temperature run records no "
             "rate multipliers to freeze"
         )
+
+
+def replay_train(cfg, schedule, bundle=None, out_dir=None):
+    """Retrain on the full train split with frozen per-epoch weight
+    tables; no meta set is consumed."""
+    check_replayable(cfg)
     if any(s.tempered for s in schedule.snapshots):
         raise ConfigError(
             "trajectory holds temperature tables: replay needs the rate "

@@ -34,11 +34,12 @@ theta_{t+1}, so a step runs one backward pass for both. Step t
 4. dots each train row's gradient, from the held pass's factors, with
    that meta gradient, and updates the data parameters;
 5. hands on the joint pass's train rows, copied into the held set, as
-   the train pass of step t+1.
+   the train pass of step t+1, when every one of them is finite.
 
-A non-finite meta row aborts step t; a non-finite row of the next train
-batch aborts step t+1, after step t has committed, as a separate train
-pass there would. No per-sample gradient matrix is built.
+A non-finite meta row aborts step t. A non-finite row of the next train
+batch leaves nothing held: step t+1 then runs its own train pass, which
+aborts it, after step t has committed. No per-sample gradient matrix is
+built.
 
 Every training run binds one ``Workspace`` for the arrays its steps
 write, whatever the step: a meta step, a replay's rollout or an
@@ -71,7 +72,7 @@ import numpy as np
 
 from . import losses as losses_mod
 from . import nn
-from .errors import NumericError, ShapeError
+from .errors import ShapeError
 
 META_MODES = ("instance", "class", "none")
 TEMPERATURE_MODES = ("class", "instance", "joint")
@@ -213,9 +214,8 @@ class Workspace:
     - ``held_set``: the pass set of a step's train pass, ``rows`` rows,
       sharing the joint set's scratch. A run also evaluates through it.
     - ``held``: ``(batch, theta, pass)``, the train pass of ``batch`` at
-      ``theta`` that the last joint pass left in the held set, or in its
-      place the NumericError naming the batch's first bad row; None when
-      nothing is held.
+      ``theta`` that the last joint pass left in the held set; None when
+      nothing is held, as after a joint pass with a non-finite train row.
     """
 
     def __init__(self, manifest, rows):
@@ -396,8 +396,8 @@ def meta_train_step(
     None at an epoch's last batch. The step leaves that batch's train pass
     in ``workspace.held`` for the next call, which uses it only when it
     comes from the returned theta' on that same batch object; any other
-    call, and a next batch of another size than the meta batch, runs its
-    own train pass.
+    call, a next batch of another size than the meta batch, and one with
+    a non-finite row, runs its own train pass.
 
     Returns (theta_next, dps, report).
     """
@@ -417,8 +417,6 @@ def meta_train_step(
     held, workspace.held = workspace.held, None
     if held is not None and held[0] is train_batch and held[1] is theta:
         train_pass = held[2]
-        if isinstance(train_pass, NumericError):
-            raise train_pass
     else:
         train_pass = nn.batch_backward(theta, train_batch, buffers=workspace.held_set)
 
@@ -467,12 +465,9 @@ def meta_train_step(
         dps.w_inst[:] = 1.0
         dps.w_class[:] = 1.0
 
-    # 5. the next batch's train pass, or its bad row's error, for the next
-    # step; after the dots, which read the held set
-    if next_batch is not None:
-        if bad is None:
-            held = joint.rows(rows).copy_into(workspace.held_set, next_batch.features)
-        else:
-            held = nn.sample_error(next_batch.indices, bad - rows)
+    # 5. the next batch's train pass for the next step, when all its rows
+    # are finite; after the dots, which read the held set
+    if next_batch is not None and bad is None:
+        held = joint.rows(rows).copy_into(workspace.held_set, next_batch.features)
         workspace.held = (next_batch, theta_next, held)
     return theta_next, dps, report

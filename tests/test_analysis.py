@@ -20,7 +20,7 @@ from metasched.analysis import (
     separation,
 )
 from metasched.config import RunConfig, with_seeds
-from metasched.datagen import CorruptionManifest, SplitSpec, make_blobs, split
+from metasched.datagen import CorruptionManifest, holdout_split, make_blobs
 from metasched.harness import DataBundle, run_training
 
 import oracles
@@ -309,9 +309,7 @@ def one_bad_class_bundle(seed):
     """Holdout bundle whose class 0 has mostly corrupted train labels,
     giving the class table a real performance spread to react to."""
     ds = make_blobs(6, 60, 8, 0.8, seed=seed)
-    parts = split(
-        ds, SplitSpec(kind="holdout", meta_per_class=10, test_per_class=10, seed=seed + 2)
-    )
+    parts = holdout_split(ds, meta_per_class=10, test_per_class=10, seed=seed + 2)
     train = parts.train
     rng = np.random.default_rng(seed + 1)
     labels = train.labels.copy()

@@ -219,6 +219,25 @@ def test_empty_test_split_is_validation_error(tmp_path, capsys, argv):
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [
+        ["train", "--override", "data.n_superclasses=3",
+         "--override", "personalization.target=0"],
+        ["kfold", "--override", "split.kind=kfold"],
+    ],
+    ids=["personalization", "kfold"],
+)
+def test_negative_meta_split_is_validation_error(tmp_path, capsys, argv):
+    # a personalization run used to train on rows of its own test split
+    overrides = [*DATA_OVERRIDES, "--override", "split.meta_per_class=-3"]
+    code = main([*argv, *overrides, "--out", str(tmp_path / "run")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err == "error: split.meta_per_class must be >= 0, got -3\n"
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize(
     "argv, key",
     [
         (["kfold", "--override", "split.kind=kfold", "--override", "data.n_superclasses=2",
@@ -833,6 +852,29 @@ def test_replay_under_another_optimizer_is_validation_error(tmp_path, capsys, mo
     assert code == 1
     err = capsys.readouterr().err
     assert "train.optimizer = sgd" in err and err.count("\n") == 1
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        (["train.optimizer=adam"], "train.optimizer = sgd"),
+        (["formulation=temperature"], "replay needs formulation = meta"),
+    ],
+    ids=["adam", "temperature"],
+)
+def test_replay_refuses_its_config_before_preparing_data(
+    tmp_path, capsys, monkeypatch, overrides, message
+):
+    monkeypatch.chdir(Path(__file__).parent / "golden")
+    monkeypatch.setattr("metasched.harness.prepare_replay_bundle", _no_data)
+    code = main([
+        "replay", "--config", "plain.cfg", *(f"--override={o}" for o in overrides),
+        "--trajectory", "ref/instance/trajectory.csv", "--out", str(tmp_path / "run"),
+    ])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert message in err and err.count("\n") == 1
     assert not (tmp_path / "run").exists()
 
 

@@ -1,7 +1,7 @@
 """Config parsing, validation rules, digests, seed derivation."""
 
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 
@@ -11,6 +11,7 @@ from metasched.config import (
     apply_overrides,
     build_config,
     config_from_overrides,
+    config_lines,
     load_config,
     parse_config_text,
     save_config,
@@ -120,16 +121,112 @@ def test_validate_rejects_non_finite_fields(fields, key):
 
 
 def test_lr_drop_factor_that_overflows_the_dropped_rate_is_rejected():
-    cfg = RunConfig(lr=0.1, lr_drop_epoch=1, lr_drop_factor=1e-320)
     with pytest.raises(ConfigError) as err:
-        validate_config(cfg)
+        RunConfig(lr=0.1, lr_drop_epoch=1, lr_drop_factor=1e-320)
     assert str(err.value) == (
         "lr_drop.factor 1e-320 is too small: the dropped rate "
         "train.lr / lr_drop.factor is not finite"
     )
     # a rate near the float maximum, or no drop at all, is valid
-    validate_config(replace(cfg, lr_drop_factor=1.2e-309))
+    cfg = RunConfig(lr=0.1, lr_drop_epoch=1, lr_drop_factor=1.2e-309)
+    validate_config(cfg)
     validate_config(replace(cfg, lr_drop_epoch=None))
+
+
+def test_a_run_config_is_checked_when_built():
+    with pytest.raises(ConfigError, match="learning rates must be positive"):
+        RunConfig(lr=-1.0)
+    with pytest.raises(ConfigError, match="^split.kind: unknown value 'bogus'"):
+        replace(RunConfig(), split_kind="bogus")
+
+
+# key -> declared values, for every field with a fixed set of values
+VALUE_SETS = {
+    f.metadata["key"]: f.metadata["values"] for f in fields(RunConfig) if f.metadata.get("values")
+}
+
+
+def test_value_sets_are_declared():
+    assert VALUE_SETS == {
+        "model.activation": ("identity", "relu", "tanh"),
+        "train.optimizer": ("sgd", "momentum", "adam", "adamw", "polyak_sgd", "lookahead_sgd"),
+        "formulation": ("meta", "temperature"),
+        "meta.mode": ("instance", "class", "none"),
+        "temperature.mode": ("class", "instance", "joint"),
+        "split.kind": ("holdout", "kfold"),
+        "personalization.train_subset": ("full", "biased"),
+    }
+
+
+@pytest.mark.parametrize("formulation", ["meta", "temperature"])
+@pytest.mark.parametrize("key", sorted(VALUE_SETS))
+def test_value_outside_its_set_is_rejected(key, formulation):
+    with pytest.raises(ConfigError) as err:
+        config_from_overrides([f"formulation={formulation}", f"{key}=bogus"])
+    have = ", ".join(VALUE_SETS[key])
+    assert str(err.value) == f"{key}: unknown value 'bogus' (have {have})"
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [[], ["data.n_superclasses=2", "personalization.target=0"], ["split.kind=kfold"]],
+    ids=["holdout", "personalization", "kfold"],
+)
+def test_negative_meta_split_is_rejected(overrides):
+    with pytest.raises(ConfigError, match=r"^split.meta_per_class must be >= 0, got -3$"):
+        config_from_overrides([*overrides, "split.meta_per_class=-3"])
+
+
+# config_lines(RunConfig()): the field order fixes the bytes of config.cfg,
+# the digest in run_info.json and the METASCHED_OUT directory names
+DEFAULT_LINES = [
+    "model.hidden = 64,64",
+    "model.activation = relu",
+    "train.lr = 0.3",
+    "train.epochs = 40",
+    "train.batch_size = 32",
+    "train.optimizer = sgd",
+    "formulation = meta",
+    "meta.mode = none",
+    "meta.data_lr = 5.0",
+    "meta.wd_lr = 0.001",
+    "meta.wd_init = 0.0005",
+    "meta.wd_learnable = false",
+    "meta.history_reset = false",
+    "temperature.mode = class",
+    "temperature.lr = 0.1",
+    "data.classes = 10",
+    "data.per_class = 320",
+    "data.dim = 16",
+    "data.spread = 0.8",
+    "data.path = ",
+    "data.manifest = ",
+    "data.superclass_file = ",
+    "data.n_superclasses = 0",
+    "noise.p = 0.0",
+    "noise.seed = ",
+    "split.kind = holdout",
+    "split.meta_per_class = 20",
+    "split.test_per_class = 100",
+    "split.k = 5",
+    "split.seed = ",
+    "personalization.target = ",
+    "personalization.train_subset = full",
+    "lr_drop.epoch = ",
+    "lr_drop.factor = 10.0",
+    "seed.data = 0",
+    "seed.init = 1",
+    "seed.shuffle = 2",
+]
+
+
+def test_key_order_and_default_digest_are_pinned():
+    assert config_lines(RunConfig()) == DEFAULT_LINES
+    assert list(KEY_MAP) == [line.split(" = ")[0] for line in DEFAULT_LINES]
+    assert RunConfig().digest() == "b3c0762198451e26"
+    # optimizer hyperparameters follow every keyed field
+    tuned = RunConfig(optimizer="adam", optim_hyper=(("beta1", 0.8),))
+    assert config_lines(tuned)[-1] == "optim.beta1 = 0.8"
 
 
 SEED_KEYS = ["seed.data", "seed.init", "seed.shuffle", "noise.seed", "split.seed"]

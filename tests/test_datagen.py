@@ -12,10 +12,11 @@ from hypothesis import strategies as st
 from metasched.datagen import (
     CorruptionManifest,
     LabeledDataset,
-    SplitSpec,
     assign_superclasses,
     corrupt_labels,
     fold_view,
+    holdout_split,
+    kfold_split,
     load_dataset,
     load_manifest,
     load_superclass_map,
@@ -24,7 +25,6 @@ from metasched.datagen import (
     save_dataset,
     save_manifest,
     save_superclass_map,
-    split,
 )
 from metasched.errors import ConfigError
 
@@ -132,8 +132,7 @@ def test_manifest_replay_and_inversion():
 
 def test_split_determinism():
     ds = make_blobs(5, 60, 6, 0.8, seed=2)
-    spec = SplitSpec(kind="holdout", meta_per_class=10, test_per_class=15, seed=4)
-    a, b = split(ds, spec), split(ds, spec)
+    a, b = (holdout_split(ds, meta_per_class=10, test_per_class=15, seed=4) for _ in range(2))
     assert np.array_equal(a.train.indices, b.train.indices)
     assert np.array_equal(a.meta.indices, b.meta.indices)
     assert np.array_equal(a.test.indices, b.test.indices)
@@ -141,8 +140,7 @@ def test_split_determinism():
 
 def test_holdout_is_stratified_and_disjoint():
     ds = make_blobs(5, 60, 6, 0.8, seed=2)
-    spec = SplitSpec(kind="holdout", meta_per_class=10, test_per_class=15, seed=4)
-    parts = split(ds, spec)
+    parts = holdout_split(ds, meta_per_class=10, test_per_class=15, seed=4)
     for view, per in ((parts.meta, 10), (parts.test, 15), (parts.train, 35)):
         counts = np.bincount(view.true_labels, minlength=5)
         assert np.array_equal(counts, np.full(5, per))
@@ -155,13 +153,12 @@ def test_holdout_is_stratified_and_disjoint():
 def test_holdout_infeasible_sizes_rejected():
     ds = make_blobs(3, 20, 4, 0.8, seed=2)
     with pytest.raises(ConfigError):
-        split(ds, SplitSpec(kind="holdout", meta_per_class=10, test_per_class=10, seed=0))
+        holdout_split(ds, meta_per_class=10, test_per_class=10, seed=0)
 
 
 def test_kfold_partitions_the_pool():
     ds = make_blobs(5, 20, 6, 0.8, seed=2)  # N=100
-    spec = SplitSpec(kind="kfold", test_per_class=0, k=5, seed=4)
-    parts = split(ds, spec)
+    parts = kfold_split(ds, test_per_class=0, k=5, seed=4)
     sizes = [f.size for f in parts.folds]
     assert sizes == [20] * 5
     all_pos = np.sort(np.concatenate(parts.folds))
@@ -173,8 +170,7 @@ def test_kfold_partitions_the_pool():
 
 def test_each_instance_trains_in_k_minus_one_folds():
     ds = make_blobs(4, 15, 6, 0.8, seed=2)
-    spec = SplitSpec(kind="kfold", test_per_class=5, k=3, seed=4)
-    parts = split(ds, spec)
+    parts = kfold_split(ds, test_per_class=5, k=3, seed=4)
     seen = {int(idx): 0 for idx in parts.pool.indices}
     for f in range(3):
         train, meta = fold_view(parts.pool, parts.folds, f)
@@ -192,24 +188,24 @@ def test_kfold_rejects_k_above_the_largest_class_pool():
     # pools hold 7, 12 and 12
     keep = np.flatnonzero((ds.labels != 0) | (np.cumsum(ds.labels == 0) <= 9))
     uneven = ds.subset(keep)
-    parts = split(uneven, SplitSpec(kind="kfold", test_per_class=2, k=12, seed=0))
+    parts = kfold_split(uneven, test_per_class=2, k=12, seed=0)
     assert min(f.size for f in parts.folds) > 0
     with pytest.raises(
         ConfigError, match=r"^split.k = 13 exceeds the largest class pool \(12 instances\)"
     ):
-        split(uneven, SplitSpec(kind="kfold", test_per_class=2, k=13, seed=0))
+        kfold_split(uneven, test_per_class=2, k=13, seed=0)
 
 
 def test_meta_and_test_labels_stay_clean():
     ds = make_blobs(5, 60, 6, 0.8, seed=2)
     noisy, _ = corrupt_labels(ds, 0.5, seed=9)
-    parts = split(noisy, SplitSpec(kind="holdout", meta_per_class=10, test_per_class=10, seed=4))
+    parts = holdout_split(noisy, meta_per_class=10, test_per_class=10, seed=4)
     assert np.array_equal(parts.meta.labels, parts.meta.true_labels)
     assert np.array_equal(parts.test.labels, parts.test.true_labels)
     # train keeps the corruption
     assert np.any(parts.train.labels != parts.train.true_labels)
 
-    kparts = split(noisy, SplitSpec(kind="kfold", test_per_class=10, k=4, seed=4))
+    kparts = kfold_split(noisy, test_per_class=10, k=4, seed=4)
     for f in range(4):
         _, meta = fold_view(kparts.pool, kparts.folds, f)
         assert np.array_equal(meta.labels, meta.true_labels)
@@ -245,7 +241,7 @@ def test_personalization_degenerate_target_is_full_train():
 def test_personalization_over_every_class_carves_as_holdout(seed):
     ds = assign_superclasses(make_blobs(4, 30, 6, 0.8, seed=2), 1)
     parts = personalization_split(ds, 0, meta_per_class=4, test_per_class=6, seed=seed)
-    holdout = split(ds, SplitSpec(kind="holdout", meta_per_class=4, test_per_class=6, seed=seed))
+    holdout = holdout_split(ds, meta_per_class=4, test_per_class=6, seed=seed)
     for got, want in [
         (parts.test, holdout.test),
         (parts.meta, holdout.meta),
