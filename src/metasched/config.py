@@ -221,6 +221,14 @@ def build_config(raw, origins=None):
     return RunConfig(**values)
 
 
+def _check_at_least(cfg, bounds):
+    """Raise ConfigError for the first ``(key, least)`` below its least."""
+    for key, least in bounds:
+        value = getattr(cfg, KEY_MAP[key][0])
+        if value < least:
+            raise ConfigError(f"{key}: must be >= {least}, got {value!r}")
+
+
 def validate_config(cfg):
     """Raise ConfigError unless ``cfg`` is a valid run; ``RunConfig``
     calls it on every instance it builds."""
@@ -240,15 +248,12 @@ def validate_config(cfg):
                 f"{f.metadata['key']}: unknown value {value!r} (have {', '.join(allowed)})"
             )
     if any(w < 1 for w in cfg.hidden):
-        raise ConfigError("hidden widths must be positive")
-    if cfg.lr <= 0 or cfg.data_lr <= 0 or cfg.wd_lr <= 0 or cfg.temperature_lr <= 0:
-        raise ConfigError("all learning rates must be positive")
-    if cfg.wd_init < 0:
-        raise ConfigError("weight-decay init must be non-negative")
-    if cfg.epochs < 1:
-        raise ConfigError("epochs must be >= 1")
-    if cfg.batch_size < 1:
-        raise ConfigError("batch size must be >= 1")
+        raise ConfigError(f"model.hidden: widths must be positive, got {_format_value(cfg.hidden)}")
+    for key in ("train.lr", "meta.data_lr", "meta.wd_lr", "temperature.lr"):
+        rate = getattr(cfg, KEY_MAP[key][0])
+        if rate <= 0:
+            raise ConfigError(f"{key}: learning rates must be positive, got {rate!r}")
+    _check_at_least(cfg, (("meta.wd_init", 0), ("train.epochs", 1), ("train.batch_size", 1)))
     for name, _ in cfg.optim_hyper:
         if name not in DEFAULT_HYPER[cfg.optimizer]:
             raise ConfigError(
@@ -290,8 +295,10 @@ def validate_config(cfg):
                 "or noise.p (inject at load)"
             )
     if cfg.data_path is None:
-        if cfg.n_classes < 2 or cfg.per_class < 1 or cfg.dim < 2:
-            raise ConfigError("invalid synthetic data sizes")
+        _check_at_least(cfg, (("data.classes", 2), ("data.per_class", 1), ("data.dim", 2)))
+        if cfg.dim < cfg.n_classes - 1:
+            # the blob means sit on a simplex of data.classes vertices
+            raise ConfigError(f"data.dim: must be >= data.classes - 1, got {cfg.dim}")
         if cfg.spread <= 0:
             raise ConfigError("data.spread must be positive")
     if cfg.n_superclasses < 0:

@@ -142,25 +142,27 @@ def prepare_kfold(cfg):
 EVAL_ROWS = 1024
 
 
-def _evaluate(model, ds, buffers):
+def _evaluate(model, ds, buffers, rows=None):
     """(mean loss, accuracy, predicted classes) of ``ds``.
 
-    The split is walked in chunks of a whole number of ``buffers.rows``
-    blocks, each block through the pass buffers, so evaluation makes no
-    matrix product larger than a training step's and allocates no layer
-    array. A full-split product was the only one large enough to wake the
-    BLAS thread pool, whose threads then spun through the single-threaded
-    steps after it. Each chunk's logits and loss temporaries are dropped
-    once its per-row losses and predictions are written into arrays of
-    the split's length, so evaluation holds 16 bytes per row plus one
-    chunk's arrays; the mean is taken over the whole loss vector.
+    The split is walked in chunks of a whole number of ``rows``-row blocks
+    (by default ``buffers.rows``), each block through the pass buffers, so
+    evaluation makes no matrix product larger than a training step's and
+    allocates no layer array. A full-split product was the only one large
+    enough to wake the BLAS thread pool, whose threads then spun through
+    the single-threaded steps after it. Each chunk's logits and loss
+    temporaries are dropped once its per-row losses and predictions are
+    written into arrays of the split's length, so evaluation holds 16
+    bytes per row plus one chunk's arrays; the mean is taken over the
+    whole loss vector.
     """
     losses = np.empty(ds.n)
     preds = np.empty(ds.n, dtype=np.intp)
-    size = buffers.rows * max(1, EVAL_ROWS // buffers.rows)
+    block = buffers.rows if rows is None else rows
+    size = block * max(1, EVAL_ROWS // block)
     for lo in range(0, ds.n, size):
         hi = min(lo + size, ds.n)
-        logits = nn.forward(model, ds.features[lo:hi], buffers)
+        logits = nn.forward(model, ds.features[lo:hi], buffers, block)
         losses[lo:hi] = losses_mod.cross_entropy_batch(logits, ds.labels[lo:hi])[0]
         np.argmax(logits, axis=1, out=preds[lo:hi])
     return float(losses.mean()), float((preds == ds.labels).mean()), preds
@@ -266,7 +268,7 @@ def replay_train(cfg, schedule, bundle=None, out_dir=None):
 def _optimizer_step(opt_state, workspace, theta, dps, batch, temperature_lr):
     """One optimizer step of ``theta`` on ``batch``: (theta', clamp events).
 
-    The pass runs in the workspace's held set, the mean gradient plus the
+    The pass runs in the workspace's first set, the mean gradient plus the
     decay term is summed into its ``grad`` buffer, and theta' is written
     into the slot that does not hold ``theta``, so a step allocates no
     parameter-sized array. With temperature tables in ``dps`` the loss is
@@ -276,7 +278,7 @@ def _optimizer_step(opt_state, workspace, theta, dps, batch, temperature_lr):
     if dps.tempered:
         sigma, clamped = meta.effective_temperatures(dps, batch.labels, batch.indices)
         clamps = int(np.count_nonzero(clamped))
-    backward = nn.batch_backward(theta, batch, sigma, workspace.held_set)
+    backward = nn.batch_backward(theta, batch, sigma, workspace.sets[0])
     # grad_sum / B + lam theta, in that order
     grad = backward.grad_sum(out=workspace.grad)
     grad /= batch.size
@@ -303,7 +305,7 @@ def _train(cfg, bundle, out_dir, schedule=None):
     other run takes an optimizer step (``_optimizer_step``), which under
     the temperature formulation also reads and updates the temperature
     tables. Every step kind writes into one ``meta.Workspace`` bound for
-    the run, and evaluation runs through its held set.
+    the run, and evaluation runs through its first set in batch blocks.
     """
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
@@ -333,7 +335,7 @@ def _train(cfg, bundle, out_dir, schedule=None):
     if schedule is not None:
 
         def step(theta, dps, batch, lr, next_batch):
-            backward = nn.batch_backward(theta, batch, buffers=workspace.held_set)
+            backward = nn.batch_backward(theta, batch, buffers=workspace.sets[0])
             return meta.rollout_one_step(theta, backward, batch, dps, lr, workspace), 0
 
     elif consumes_meta:
@@ -414,13 +416,13 @@ def _train(cfg, bundle, out_dir, schedule=None):
                 samples += batch.size
                 clamp_events += clamps
             trajectory.record(dps)
-            model = eval_model()
-            train_loss, train_acc, _ = _evaluate(model, train, workspace.held_set)
+            model, buffers = eval_model(), workspace.sets[0]
+            train_loss, train_acc, _ = _evaluate(model, train, buffers, rows)
             meta_loss = meta_acc = None
             if bundle.meta is not None and bundle.meta.n:
-                meta_loss, meta_acc, meta_preds = _evaluate(model, bundle.meta, workspace.held_set)
+                meta_loss, meta_acc, meta_preds = _evaluate(model, bundle.meta, buffers, rows)
                 class_meta_acc.append(_per_class_accuracy(meta_preds, bundle.meta))
-            _, test_acc, _ = _evaluate(model, bundle.test, workspace.held_set)
+            _, test_acc, _ = _evaluate(model, bundle.test, buffers, rows)
             wc_mean, wc_std, wx_mean, wx_std = _weight_stats(dps, train, is_corrupt)
             metrics.append(
                 MetricsRecord(

@@ -25,16 +25,16 @@ theta_{t+1}, so a step runs one backward pass for both. Step t
 
 1. takes the train pass of its batch at theta_t, held from step t-1 (at
    an epoch's first batch and a short last one, a train-only pass runs
-   instead, into the held set);
+   instead, into the leading rows of the first set);
 2. writes the rollout theta_{t+1} from that pass's weighted gradient sum;
 3. runs one joint pass at theta_{t+1} over the meta batch and then the
    train batch of step t+1 (2B rows; meta rows only when step t+1 is a
-   short batch or in another epoch), and takes the mean meta gradient
-   dL_meta/dtheta' from the meta rows;
-4. dots each train row's gradient, from the held pass's factors, with
+   short batch or in another epoch) into the set not holding the train
+   pass, and takes the mean meta gradient dL_meta/dtheta' from the meta rows;
+4. dots each train row's gradient, from the train pass's factors, with
    that meta gradient, and updates the data parameters;
-5. hands on the joint pass's train rows, copied into the held set, as
-   the train pass of step t+1, when every one of them is finite.
+5. hands on the joint pass's train rows, in place, as the train pass of
+   step t+1, when every one of them is finite.
 
 A non-finite meta row aborts step t. A non-finite row of the next train
 batch leaves nothing held: step t+1 then runs its own train pass, which
@@ -45,11 +45,11 @@ Every training run binds one ``Workspace`` for the arrays its steps
 write, whatever the step: a meta step, a replay's rollout or an
 optimizer step. Their lifetimes:
 
-- The joint pass lives in a joint set of 2B rows, valid until the next
-  joint pass. The held pass lives in a held set of B rows that shares the
-  joint set's scratch (``nn.BatchBackward.copy_into``); it is valid until
-  the held set is written again, by the next step's copy, a train-only
-  pass or a ``forward``.
+- The two pass sets, of 2B rows each, share one scratch. A pass stays
+  valid until the next pass into its set; the joint pass writes the set
+  not holding the train pass, so the rows it hands on outlive the next
+  step's joint pass. A train-only pass, the optimizer and replay steps'
+  passes and evaluation use the leading B rows of the first set.
 - The two parameter slots hold theta_t and theta_{t+1}. Each step writes
   its result into the slot that does not hold its input, so a vector a
   step returns stays valid until the step after next, and a step that
@@ -209,12 +209,11 @@ class Workspace:
       rollout).
     - ``grad``: the gradient a step sums, the meta gradient in a meta step
       and the mean train gradient in an optimizer step.
-    - ``joint_set``: the pass set of the joint pass, 2 x ``rows`` rows,
-      with ``features`` and ``labels`` its input rows, meta rows first.
-    - ``held_set``: the pass set of a step's train pass, ``rows`` rows,
-      sharing the joint set's scratch. A run also evaluates through it.
+    - ``sets``: two pass sets of 2 x ``rows`` rows sharing one scratch;
+      a joint pass writes the one not holding the train pass it reads.
+    - ``features`` and ``labels``: the joint pass's input, meta rows first.
     - ``held``: ``(batch, theta, pass)``, the train pass of ``batch`` at
-      ``theta`` that the last joint pass left in the held set; None when
+      ``theta`` that the last joint pass left in its set; None when
       nothing is held, as after a joint pass with a non-finite train row.
     """
 
@@ -223,8 +222,8 @@ class Workspace:
         self.slots = tuple(nn.ParamVector(np.zeros(size), manifest) for _ in range(2))
         self.decay = np.empty(size)
         self.grad = nn.ParamVector(np.zeros(size), manifest)
-        self.joint_set = nn.PassBuffers(manifest, 2 * rows)
-        self.held_set = nn.PassBuffers(manifest, rows, scratch=self.joint_set.scratch)
+        first = nn.PassBuffers(manifest, 2 * rows)
+        self.sets = (first, nn.PassBuffers(manifest, 2 * rows, scratch=first.scratch))
         self.features = np.empty((2 * rows, manifest[0].in_dim))
         self.labels = np.empty(2 * rows, dtype=np.int64)
         self.meta_indices = np.empty(rows, dtype=np.int64)
@@ -235,6 +234,10 @@ class Workspace:
     def slot_after(self, theta):
         """The slot a step from ``theta`` writes: the one not holding it."""
         return self.slots[1] if theta is self.slots[0] else self.slots[0]
+
+    def set_after(self, backward):
+        """The set a pass after ``backward`` writes: the one not holding it."""
+        return self.sets[1] if backward.buffers is self.sets[0] else self.sets[0]
 
     def gather(self, ds, positions):
         """The meta batch of rows ``positions`` of ``ds`` (any object with
@@ -418,7 +421,7 @@ def meta_train_step(
     if held is not None and held[0] is train_batch and held[1] is theta:
         train_pass = held[2]
     else:
-        train_pass = nn.batch_backward(theta, train_batch, buffers=workspace.held_set)
+        train_pass = nn.batch_backward(theta, train_batch, buffers=workspace.sets[0])
 
     # 2. the rollout
     theta_next = rollout_one_step(theta, train_pass, train_batch, dps, lr, workspace)
@@ -433,7 +436,9 @@ def meta_train_step(
     if next_batch is not None:
         features[rows:] = next_batch.features
         labels[rows:] = next_batch.labels
-    joint = nn.unchecked_backward(theta_next, features, labels, buffers=workspace.joint_set)
+    joint = nn.unchecked_backward(
+        theta_next, features, labels, buffers=workspace.set_after(train_pass)
+    )
     bad = joint.first_bad_row()
     if bad is not None and bad < rows:
         raise nn.sample_error(meta_batch.indices, bad)
@@ -465,9 +470,10 @@ def meta_train_step(
         dps.w_inst[:] = 1.0
         dps.w_class[:] = 1.0
 
-    # 5. the next batch's train pass for the next step, when all its rows
-    # are finite; after the dots, which read the held set
+    # 5. the next batch's train pass, when all its rows are finite; its
+    # input is the batch's own rows, as the next joint pass rewrites ours
     if next_batch is not None and bad is None:
-        held = joint.rows(rows).copy_into(workspace.held_set, next_batch.features)
+        held = joint.rows(rows)
+        held.acts = (next_batch.features, *held.acts[1:])
         workspace.held = (next_batch, theta_next, held)
     return theta_next, dps, report

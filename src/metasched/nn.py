@@ -22,19 +22,19 @@ exact per-row check only when the bound is not finite.
 Training passes write into ``PassBuffers``, one set of per-layer arrays
 created once per run, with the row views of each pass size made once, so
 a steady-state step allocates no layer array; ``forward`` streams any
-number of rows through a set in blocks of its size. A ``batch_backward``
-or ``forward`` called without a set makes one for its rows. A
-``ParamVector`` builds its per-layer views once, so a vector reused across
-steps is never sliced again.
+number of rows through a set in blocks of up to its size. A
+``batch_backward`` or ``forward`` called without a set makes one for its
+rows. A ``ParamVector`` builds its per-layer views once, so a vector
+reused across steps is never sliced again.
 
 Lifetime rules:
 
 - The arrays of a ``BatchBackward`` are views into its set and stay valid
   only until the next pass (or ``forward``) into the same set.
 - Two sets may share one scratch tuple (``PassBuffers(..., scratch=)``):
-  scratch is consumed within one call, so a pass in one set never needs
-  what a call on the other left there.
-- The training step's sets and parameter slots (``meta.Workspace``)
+  scratch is consumed within one call, so a pass kept in one set stays
+  valid through a pass into the other.
+- The training step's two sets and parameter slots (``meta.Workspace``)
   follow the step sequence that the ``meta`` module docstring states.
 """
 
@@ -212,10 +212,10 @@ class PassBuffers:
     derivative and ``grad_sum``'s weighted deltas of layer l use
     ``scratch[l + 1]``, ``dots``' product ``d_l @ V_l`` uses
     ``scratch[l]``, and each is consumed before the next is made. A set
-    may take another's ``scratch`` of at least its rows. A pass of b rows
-    uses the leading b rows of each array, through views made once per
-    row count (``views``). See the module docstring for how long a pass's
-    views stay valid.
+    may take another's ``scratch`` of at least its rows, so two sets used
+    in turn share one. A pass of b rows uses the leading b rows of each
+    array, through views made once per row count (``views``). See the
+    module docstring for how long a pass's views stay valid.
     """
 
     def __init__(self, manifest, rows, scratch=None):
@@ -282,21 +282,21 @@ def _forward_cache(model, layers, features, outs):
     return acts
 
 
-def forward(model, features, buffers=None):
+def forward(model, features, buffers=None, rows=None):
     """Logits for any number of feature rows, as a fresh array. Pure; no
     mutation of the model.
 
     The rows go through ``buffers``, or a set made for all of them, in
-    blocks of its ``rows``: no matrix product is larger than a pass of
-    that many rows, no layer array is allocated, and the set's hidden
-    layer outputs are overwritten.
+    blocks of ``rows``, by default the set's: no matrix product is larger
+    than a pass of that many rows, no layer array is allocated, and the
+    set's hidden layer outputs are overwritten.
     """
     x = _checked_features(model, features)
     if buffers is None:
         buffers = PassBuffers(model.manifest, max(len(x), 1))
-    n, size = x.shape[0], buffers.rows
+    n, size = x.shape[0], buffers.rows if rows is None else rows
     logits = np.empty((n, model.manifest[-1].out_dim))
-    layers, hidden = model.layers, buffers.outs[:-1]
+    layers, hidden = model.layers, buffers.views(size)[0][:-1]
     for start in range(0, n, size):
         if n - start < size:
             hidden = buffers.views(n - start)[0][:-1]
@@ -450,25 +450,6 @@ class BatchBackward:
             tuple(d[cut] for d in self.deltas),
             self.buffers,
             None if self.dsigma is None else self.dsigma[cut],
-        )
-
-    def copy_into(self, buffers, features):
-        """This pass moved into ``buffers``: each hidden layer output and
-        hidden delta is copied into the set, and the input is
-        ``features``, the rows' own feature array, equal to this pass's
-        input. The losses, logit delta and dsigma stay the arrays of the
-        pass that made them, which a later pass never writes."""
-        outs, deltas, _ = buffers.views(self.losses.size)
-        hidden = outs[:-1] + deltas
-        for src, dst in zip(self.acts[1:] + self.deltas[:-1], hidden):
-            np.copyto(dst, src)
-        return BatchBackward(
-            self.manifest,
-            self.losses,
-            (features, *outs[:-1]),
-            (*deltas, self.deltas[-1]),
-            buffers,
-            self.dsigma,
         )
 
 

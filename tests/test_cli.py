@@ -256,6 +256,16 @@ def test_ignored_personalization_key_is_validation_error(tmp_path, capsys, argv,
     assert not run_dir.exists()
 
 
+def test_synthetic_dim_too_small_for_its_classes_is_validation_error(tmp_path, capsys):
+    # ten classes need data.dim >= 9; the check runs before any data is made
+    run_dir = tmp_path / "run"
+    assert main(["train", "--override", "data.dim=5", "--out", str(run_dir)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("error: data.dim: ")
+    assert not run_dir.exists()
+
+
 @pytest.mark.parametrize(
     "command",
     ["generate-data", "analyze", "train", "replay", "kfold"],

@@ -140,6 +140,35 @@ def test_a_run_config_is_checked_when_built():
         replace(RunConfig(), split_kind="bogus")
 
 
+@pytest.mark.parametrize(
+    "override, message",
+    [
+        ("model.hidden=64,0", "model.hidden: widths must be positive, got 64,0"),
+        ("train.lr=0", "train.lr: learning rates must be positive, got 0.0"),
+        ("meta.data_lr=-1", "meta.data_lr: learning rates must be positive, got -1.0"),
+        ("meta.wd_lr=0", "meta.wd_lr: learning rates must be positive, got 0.0"),
+        ("temperature.lr=0", "temperature.lr: learning rates must be positive, got 0.0"),
+        ("meta.wd_init=-0.5", "meta.wd_init: must be >= 0, got -0.5"),
+        ("train.epochs=0", "train.epochs: must be >= 1, got 0"),
+        ("train.batch_size=0", "train.batch_size: must be >= 1, got 0"),
+        ("data.classes=1", "data.classes: must be >= 2, got 1"),
+        ("data.per_class=0", "data.per_class: must be >= 1, got 0"),
+        ("data.dim=1", "data.dim: must be >= 2, got 1"),
+        ("data.dim=5", "data.dim: must be >= data.classes - 1, got 5"),
+    ],
+)
+def test_a_single_key_error_starts_with_its_key(override, message):
+    with pytest.raises(ConfigError) as err:
+        config_from_overrides([override])
+    assert str(err.value) == message
+
+
+def test_the_dim_rule_holds_for_synthetic_data_only():
+    # ten blob means need nine dimensions; a dataset file brings its own
+    validate_config(config_from_overrides(["data.dim=9"]))
+    validate_config(config_from_overrides(["data.dim=5", "data.path=data.csv"]))
+
+
 # key -> declared values, for every field with a fixed set of values
 VALUE_SETS = {
     f.metadata["key"]: f.metadata["values"] for f in fields(RunConfig) if f.metadata.get("values")

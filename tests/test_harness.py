@@ -425,6 +425,30 @@ def test_blocked_evaluation_matches_one_full_forward(n, rows, activation, seed):
     assert loss == pytest.approx(float(want_losses.mean()), rel=1e-12, abs=0)
 
 
+@pytest.mark.parametrize("rows, n", [(1, 45), (7, 66), (32, 90), (33, 1100)])
+def test_evaluation_through_a_workspace_set_matches_a_batch_sized_set(rows, n):
+    # the workspace's first set has 2 x rows rows; evaluation still takes
+    # blocks of rows, after a pass over all of them left the set dirty. At
+    # width 64, blocks of 2 x rows round some logits differently
+    rng = np.random.default_rng(rows)
+    manifest = nn.build_manifest(16, (64, 64), 10, "relu")
+    model = nn.init_params(manifest, seed=rows)
+    labels = rng.integers(0, 10, size=n)
+    ds = datagen.LabeledDataset(
+        rng.standard_normal((n, 16)), labels, labels, np.arange(n), tuple("abcdefghij")
+    )
+    workspace = meta.Workspace(manifest, rows)
+    nn.forward(model, rng.standard_normal((2 * rows, 16)), workspace.sets[0])
+    loss, acc, preds = _evaluate(model, ds, workspace.sets[0], rows)
+    want_loss, want_acc, want_preds = _evaluate(model, ds, nn.PassBuffers(manifest, rows))
+    assert (loss, acc) == (want_loss, want_acc)
+    assert np.array_equal(preds, want_preds)
+    # the logits too, whose last bits a mean loss can hide
+    logits = nn.forward(model, ds.features, workspace.sets[0], rows)
+    want = nn.forward(model, ds.features, nn.PassBuffers(manifest, rows))
+    assert logits.tobytes() == want.tobytes()
+
+
 @settings(deadline=None, derandomize=True, max_examples=40)
 @given(
     n=st.integers(1, 90),

@@ -669,7 +669,7 @@ def test_a_run_takes_one_backward_pass_per_step(monkeypatch, batch_size, mode, w
 def steady_state_steps(mode, wd_learnable):
     """(theta, step) after three meta steps on a 16-256-256-10 net, when
     both slots, every row view and a held pass exist; ``step(theta, k)``
-    takes step k on with its next batch."""
+    takes step k on with its next batch, in ``step.workspace``."""
     rng = np.random.default_rng(5)
     manifest = nn.build_manifest(16, (256, 256), 10, "relu")
     theta = nn.init_params(manifest, seed=1)
@@ -690,6 +690,7 @@ def steady_state_steps(mode, wd_learnable):
             theta, dps, batches[k], meta_batch, 0.1, 1.0, 1e-3, workspace, batches[k + 1]
         )[0]
 
+    step.workspace = workspace
     for k in range(3):
         theta = step(theta, k)
     return theta, step
@@ -723,3 +724,31 @@ def test_steady_state_meta_step_builds_no_layer_views(monkeypatch, mode, wd_lear
         )
     step(step(theta, 3), 4)
     assert calls == []
+
+
+def shares_a_layer_array(arrays, buffers):
+    return any(np.shares_memory(a, b) for a in arrays for b in buffers.outs + buffers.deltas)
+
+
+@STEADY
+def test_the_next_train_pass_is_handed_on_in_place(monkeypatch, mode, wd_learnable):
+    theta, step = steady_state_steps(mode, wd_learnable)
+    workspace = step.workspace
+    held = workspace.held[2]
+    hidden = held.acts[1:] + held.deltas[:-1]
+    owners = [s for s in workspace.sets if shares_a_layer_array(hidden, s)]
+    assert len(owners) == 1
+    other = workspace.set_after(held)
+    assert other is not owners[0]
+    before = [a.copy() for a in (held.losses, *held.acts, *held.deltas)]
+    passes = []
+    original = nn.unchecked_backward
+    monkeypatch.setattr(
+        nn, "unchecked_backward",
+        lambda *args, **kw: passes.append(kw["buffers"]) or original(*args, **kw),
+    )
+    step(theta, 3)
+    # the step reads the held pass and runs its joint pass into the other set
+    assert passes == [other]
+    after = (held.losses, *held.acts, *held.deltas)
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(after, before))
