@@ -15,6 +15,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -260,15 +261,7 @@ def _cmd_analyze(args):
         except ValueError:  # no corrupt or no clean instance: no AUC to report
             report["separation"] = None
         else:
-            report["separation"] = {
-                "auc": sep.auc,
-                "clean_mean": sep.clean_mean,
-                "clean_std": sep.clean_std,
-                "corrupt_mean": sep.corrupt_mean,
-                "corrupt_std": sep.corrupt_std,
-                "n_clean": sep.n_clean,
-                "n_corrupt": sep.n_corrupt,
-            }
+            report["separation"] = asdict(sep)
 
     acc_path = os.path.join(run_dir, "class_meta_acc.csv")
     if os.path.exists(acc_path) and trajectory.epochs:

@@ -294,6 +294,16 @@ def validate_config(cfg):
                 "choose one corruption source: data.manifest (pre-corrupted file) "
                 "or noise.p (inject at load)"
             )
+    if cfg.superclass_path is not None:
+        if cfg.data_path is None:
+            raise ConfigError(
+                "data.superclass_file maps the classes of a dataset file; set data.path too"
+            )
+        if cfg.n_superclasses >= 1:
+            raise ConfigError(
+                "data.superclass_file: choose one superclass source, the file or "
+                "data.n_superclasses"
+            )
     if cfg.data_path is None:
         _check_at_least(cfg, (("data.classes", 2), ("data.per_class", 1), ("data.dim", 2)))
         if cfg.dim < cfg.n_classes - 1:

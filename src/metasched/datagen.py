@@ -5,10 +5,16 @@ corruption, so per-instance learning rates, fold membership, and
 clean/corrupt diagnostics all key off the same ids. Label corruption is
 recorded in a manifest; meta and test views always carry true labels.
 
-The splits (``holdout_split``, ``kfold_split``, ``personalization_split``)
-take plain sizes and a seed. The rules a run's sizes obey live in
-``config.validate_config``; a split raises ConfigError only for what the
-data decides: a class too small to carve, or a fold left empty.
+Both splits carve one stratified order: each class's rows, permuted by
+the split seed, give their first rows to test, the next to meta and the
+rest to train (the pool, under k-fold). ``holdout_split`` returns
+(train, meta, test) and can carve meta and test from some classes only,
+as personalization does with the classes of one superclass
+(``superclass_members``); ``kfold_split`` returns (pool, test, folds),
+dealing the pool into stratified folds. Both take plain sizes and a
+seed. The rules a run's sizes obey live in ``config.validate_config``; a
+split raises ConfigError only for what the data decides: a class too
+small to carve, or a fold left empty.
 
 File formats: dataset rows `index,label,true_label,f0..f{d-1}`,
 corruption manifest rows `index,original,assigned` after a
@@ -41,7 +47,7 @@ class LabeledDataset:
     labels: np.ndarray
     true_labels: np.ndarray
     indices: np.ndarray
-    class_names: tuple
+    n_classes: int
     superclass_map: dict | None = None
 
     def __post_init__(self):
@@ -64,10 +70,6 @@ class LabeledDataset:
     @property
     def dim(self):
         return self.features.shape[1]
-
-    @property
-    def n_classes(self):
-        return len(self.class_names)
 
     @property
     def digest(self):
@@ -150,7 +152,7 @@ def make_blobs(n_classes, per_class, dim, spread, seed):
         labels=labels.copy(),
         true_labels=labels.copy(),
         indices=np.arange(n),
-        class_names=tuple(f"c{c}" for c in range(n_classes)),
+        n_classes=n_classes,
     )
 
 
@@ -173,27 +175,9 @@ def corrupt_labels(ds, p, seed):
     return replace(ds, labels=labels), manifest
 
 
-@dataclass(frozen=True)
-class HoldoutSplits:
-    train: LabeledDataset
-    meta: LabeledDataset
-    test: LabeledDataset
-
-
-@dataclass(frozen=True)
-class KFoldSplits:
-    pool: LabeledDataset
-    test: LabeledDataset
-    folds: tuple  # position arrays into pool
-
-
 def _stratified_order(ds, rng):
-    """Per-class permuted position lists, keyed by true label."""
-    by_class = {}
-    for c in range(ds.n_classes):
-        positions = np.flatnonzero(ds.true_labels == c)
-        by_class[c] = rng.permutation(positions)
-    return by_class
+    """Per-class permuted positions, listed by true label."""
+    return [rng.permutation(np.flatnonzero(ds.true_labels == c)) for c in range(ds.n_classes)]
 
 
 def _carve(ds, rng, classes, test_per_class, meta_per_class):
@@ -201,11 +185,9 @@ def _carve(ds, rng, classes, test_per_class, meta_per_class):
     ``classes`` gives the first ``test_per_class`` positions of its
     permuted order to test, the next ``meta_per_class`` to meta and the
     rest, which must keep one, to rest; any other class goes whole to rest."""
-    by_class = _stratified_order(ds, rng)
     need = test_per_class + meta_per_class
     test_pos, meta_pos, rest_pos = [], [], []
-    for c in range(ds.n_classes):
-        order = by_class[c]
+    for c, order in enumerate(_stratified_order(ds, rng)):
         if c not in classes:
             rest_pos.append(order)
             continue
@@ -220,41 +202,42 @@ def _carve(ds, rng, classes, test_per_class, meta_per_class):
     return tuple(np.sort(np.concatenate(pos)) for pos in (test_pos, meta_pos, rest_pos))
 
 
-def holdout_split(ds, meta_per_class, test_per_class, seed):
-    """Disjoint stratified train/meta/test views; meta and test carry true
-    labels."""
+def holdout_split(ds, meta_per_class, test_per_class, seed, classes=None):
+    """(train, meta, test): disjoint stratified views, meta and test with
+    true labels. Only ``classes`` (by default every class) give rows to
+    meta and test; any other class goes whole to train."""
     rng = np.random.default_rng(seed)
-    test_pos, meta_pos, rest_pos = _carve(
-        ds, rng, range(ds.n_classes), test_per_class, meta_per_class
-    )
-    return HoldoutSplits(
-        train=ds.subset(rest_pos),
-        meta=ds.subset(meta_pos).restore_true_labels(),
-        test=ds.subset(test_pos).restore_true_labels(),
+    if classes is None:
+        classes = range(ds.n_classes)
+    test_pos, meta_pos, rest_pos = _carve(ds, rng, classes, test_per_class, meta_per_class)
+    return (
+        ds.subset(rest_pos),
+        ds.subset(meta_pos).restore_true_labels(),
+        ds.subset(test_pos).restore_true_labels(),
     )
 
 
 def kfold_split(ds, test_per_class, k, seed):
-    """A stratified test view with true labels, and the rest as a pool
-    dealt into ``k`` stratified folds."""
+    """(pool, test, folds): a stratified test view with true labels, and
+    the rest as a pool dealt into ``k`` stratified folds of sorted pool
+    positions. Class c deals the j-th row of its permuted order to fold
+    j % k."""
     rng = np.random.default_rng(seed)
     test_pos, _, rest_pos = _carve(ds, rng, range(ds.n_classes), test_per_class, 0)
     pool = ds.subset(rest_pos)
-    fold_lists = [[] for _ in range(k)]
-    pool_by_class = _stratified_order(pool, rng)
-    # class c deals its rows to folds 0 .. n_c - 1: past the largest pool
-    # a fold would hold no row
-    largest = max(order.size for order in pool_by_class.values())
+    orders = _stratified_order(pool, rng)
+    # class c fills folds 0 .. n_c - 1: past the largest pool a fold
+    # would hold no row
+    largest = max(order.size for order in orders)
     if k > largest:
         raise ConfigError(
             f"split.k = {k} exceeds the largest class pool ({largest} "
             "instances), so some fold would be empty"
         )
-    for c in range(pool.n_classes):
-        for j, pos in enumerate(pool_by_class[c]):
-            fold_lists[j % k].append(pos)
-    folds = tuple(np.sort(np.array(f, dtype=np.int64)) for f in fold_lists)
-    return KFoldSplits(pool=pool, test=ds.subset(test_pos).restore_true_labels(), folds=folds)
+    positions = np.concatenate(orders)
+    fold_of = np.concatenate([np.arange(order.size) % k for order in orders])
+    folds = tuple(np.sort(positions[fold_of == f]) for f in range(k))
+    return pool, ds.subset(test_pos).restore_true_labels(), folds
 
 
 def fold_view(pool, folds, f):
@@ -276,39 +259,15 @@ def assign_superclasses(ds, n_super):
     return replace(ds, superclass_map=mapping)
 
 
-@dataclass(frozen=True)
-class PersonalizationSplits:
-    full_train: LabeledDataset
-    biased_train: LabeledDataset
-    meta: LabeledDataset
-    test: LabeledDataset
-    target_classes: tuple
-
-
-def personalization_split(ds, target, meta_per_class, test_per_class, seed):
-    """Carve meta/test from the target superclass only; full_train keeps
-    every class, biased_train only the target classes."""
+def superclass_members(ds, target):
+    """The sorted classes ``ds``'s superclass map puts in ``target``."""
     if ds.superclass_map is None:
         raise ConfigError("dataset has no superclass map")
-    target_classes = tuple(
-        sorted(c for c, s in ds.superclass_map.items() if s == target)
-    )
-    if not target_classes:
+    members = tuple(sorted(c for c, s in ds.superclass_map.items() if s == target))
+    if not members:
         known = sorted(set(ds.superclass_map.values()))
         raise ConfigError(f"unknown superclass {target!r} (have {known})")
-    rng = np.random.default_rng(seed)
-    test_pos, meta_pos, train_pos = _carve(
-        ds, rng, target_classes, test_per_class, meta_per_class
-    )
-    full_train = ds.subset(train_pos)
-    biased_pos = np.flatnonzero(np.isin(full_train.true_labels, target_classes))
-    return PersonalizationSplits(
-        full_train=full_train,
-        biased_train=full_train.subset(biased_pos),
-        meta=ds.subset(meta_pos).restore_true_labels(),
-        test=ds.subset(test_pos).restore_true_labels(),
-        target_classes=target_classes,
-    )
+    return members
 
 
 def save_dataset(ds, path):
@@ -380,7 +339,7 @@ def load_dataset(path):
         labels=np.array(labels, dtype=np.int64),
         true_labels=true_arr,
         indices=np.array(indices, dtype=np.int64),
-        class_names=tuple(f"c{c}" for c in range(n_classes)),
+        n_classes=n_classes,
     )
 
 

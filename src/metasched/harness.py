@@ -52,11 +52,8 @@ class DataBundle:
     n_instances: int
     n_classes: int
     dataset_digest: str
-
-    @classmethod
-    def over(cls, ds, train, meta, test, manifest):
-        """A bundle of splits of ``ds``; the learned tables span all of it."""
-        return cls(train, meta, test, manifest, ds.n, ds.n_classes, ds.digest)
+    # under k-fold: the fold position arrays into ``train``, the pool
+    folds: tuple | None = None
 
 
 @dataclass
@@ -77,16 +74,16 @@ class RunResult:
 
 
 def _load_base_dataset(cfg):
-    if cfg.data_path is not None:
-        ds = datagen.load_dataset(cfg.data_path)
-        if cfg.superclass_path is not None:
-            mapping = datagen.load_superclass_map(cfg.superclass_path, ds.n_classes)
-            ds = replace(ds, superclass_map=mapping)
-    else:
+    if cfg.data_path is None:
         ds = datagen.make_blobs(
             cfg.n_classes, cfg.per_class, cfg.dim, cfg.spread, cfg.seed_data
         )
-    if cfg.superclass_path is None and cfg.n_superclasses >= 1:
+    else:
+        ds = datagen.load_dataset(cfg.data_path)
+    if cfg.superclass_path is not None:
+        mapping = datagen.load_superclass_map(cfg.superclass_path, ds.n_classes)
+        ds = replace(ds, superclass_map=mapping)
+    if cfg.n_superclasses >= 1:
         ds = datagen.assign_superclasses(ds, cfg.n_superclasses)
     return ds
 
@@ -103,39 +100,32 @@ def _corrupt(cfg, ds, train):
 
 
 def prepare_data(cfg):
-    """Holdout bundle: stratified train/meta/test with corruption applied
-    to the train split only. Personalization targets reroute the split."""
+    """The run's bundle: stratified splits, with corruption applied to
+    the train split only.
+
+    A holdout split carves meta and test from every class, or from the
+    personalization target's classes only; ``personalization.train_subset
+    = biased`` then trains on those classes alone. A k-fold split returns
+    its pool as ``train``, no meta set, and the fold positions into the
+    pool as ``folds``; ``kfold_collect`` makes each fold's bundle.
+    """
+    ds = _load_base_dataset(cfg)
+    seed, meta_ds, folds = cfg.split_seed_effective, None, None
     if cfg.split_kind == "kfold":
-        raise ConfigError(
-            "config asks for k-fold splitting; use kfold_collect (or replay_train "
-            "for the full-pool retraining)"
-        )
-    ds = _load_base_dataset(cfg)
-    if cfg.personalization_target is not None:
-        splits = datagen.personalization_split(
-            ds,
-            cfg.personalization_target,
-            cfg.meta_per_class,
-            cfg.test_per_class,
-            cfg.split_seed_effective,
-        )
-        train = splits.full_train if cfg.train_subset == "full" else splits.biased_train
+        train, test, folds = datagen.kfold_split(ds, cfg.test_per_class, cfg.k, seed)
     else:
-        splits = datagen.holdout_split(
-            ds, cfg.meta_per_class, cfg.test_per_class, cfg.split_seed_effective
+        classes = None
+        if cfg.personalization_target is not None:
+            classes = datagen.superclass_members(ds, cfg.personalization_target)
+        train, meta_ds, test = datagen.holdout_split(
+            ds, cfg.meta_per_class, cfg.test_per_class, seed, classes
         )
-        train = splits.train
+        if cfg.train_subset == "biased":
+            train = train.subset(np.flatnonzero(np.isin(train.true_labels, classes)))
+        if cfg.meta_per_class == 0:
+            meta_ds = None
     train, manifest = _corrupt(cfg, ds, train)
-    meta_ds = splits.meta if cfg.meta_per_class > 0 else None
-    return DataBundle.over(ds, train, meta_ds, splits.test, manifest)
-
-
-def prepare_kfold(cfg):
-    """(corrupted pool, test, fold positions, manifest, base dataset)."""
-    ds = _load_base_dataset(cfg)
-    splits = datagen.kfold_split(ds, cfg.test_per_class, cfg.k, cfg.split_seed_effective)
-    pool, manifest = _corrupt(cfg, ds, splits.pool)
-    return pool, splits.test, splits.folds, manifest, ds
+    return DataBundle(train, meta_ds, test, manifest, ds.n, ds.n_classes, ds.digest, folds)
 
 
 # rows per evaluation chunk, rounded down to whole pass blocks
@@ -221,6 +211,11 @@ def run_training(cfg, bundle=None, out_dir=None):
     manifest.csv and class_meta_acc.csv into it.
     """
     if bundle is None:
+        if cfg.split_kind == "kfold":
+            raise ConfigError(
+                "config asks for k-fold splitting; use kfold_collect (or "
+                "replay_train for the full-pool retraining)"
+            )
         bundle = prepare_data(cfg)
     if cfg.meta_driven and (bundle.meta is None or bundle.meta.n == 0):
         raise ConfigError("meta-driven run requires a non-empty meta set")
@@ -459,11 +454,7 @@ def _train(cfg, bundle, out_dir, schedule=None):
 def prepare_replay_bundle(cfg):
     """Full-train bundle for replay: the k-fold pool (corrupted labels
     kept) or the holdout train split, with no meta set."""
-    if cfg.split_kind == "kfold":
-        pool, test, _, manifest, ds = prepare_kfold(cfg)
-        return DataBundle.over(ds, pool, None, test, manifest)
-    bundle = prepare_data(cfg)
-    return replace(bundle, meta=None)
+    return replace(prepare_data(cfg), meta=None)
 
 
 def candidate_configs(cfg, grid):
@@ -495,16 +486,16 @@ def kfold_collect(cfg, grid=None, out_dir=None):
     best = None
     scores = []
     for candidate in candidates:
-        pool, test, folds, manifest, ds = prepare_kfold(candidate)
+        data = prepare_data(candidate)
         if out_dir is not None and not scores:
             # once, before the first training; a later candidate whose
             # data fails validation leaves it behind
             os.makedirs(out_dir, exist_ok=True)
         fold_results = []
         memberships = []
-        for f in range(len(folds)):
-            train, meta_ds = datagen.fold_view(pool, folds, f)
-            bundle = DataBundle.over(ds, train, meta_ds, test, manifest)
+        for f in range(len(data.folds)):
+            train, meta_ds = datagen.fold_view(data.train, data.folds, f)
+            bundle = replace(data, train=train, meta=meta_ds, folds=None)
             try:
                 fold_results.append(run_training(candidate, bundle))
             except NumericError as exc:

@@ -309,8 +309,7 @@ def one_bad_class_bundle(seed):
     """Holdout bundle whose class 0 has mostly corrupted train labels,
     giving the class table a real performance spread to react to."""
     ds = make_blobs(6, 60, 8, 0.8, seed=seed)
-    parts = holdout_split(ds, meta_per_class=10, test_per_class=10, seed=seed + 2)
-    train = parts.train
+    train, meta, test = holdout_split(ds, meta_per_class=10, test_per_class=10, seed=seed + 2)
     rng = np.random.default_rng(seed + 1)
     labels = train.labels.copy()
     for pos in np.flatnonzero(train.true_labels == 0):
@@ -318,8 +317,8 @@ def one_bad_class_bundle(seed):
             labels[pos] = int(rng.integers(1, 6))
     return DataBundle(
         train=replace(train, labels=labels),
-        meta=parts.meta,
-        test=parts.test,
+        meta=meta,
+        test=test,
         manifest=None,
         n_instances=ds.n,
         n_classes=6,

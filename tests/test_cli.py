@@ -256,6 +256,34 @@ def test_ignored_personalization_key_is_validation_error(tmp_path, capsys, argv,
     assert not run_dir.exists()
 
 
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        ["data.superclass_file={smap}"],
+        ["data.superclass_file={smap}", "personalization.target=0"],
+        ["data.path={data}", "data.superclass_file={smap}", "data.n_superclasses=3"],
+    ],
+    ids=["file-without-data", "file-without-data-with-target", "file-and-count"],
+)
+def test_unread_superclass_source_is_validation_error(tmp_path, capsys, overrides):
+    # a superclass file maps the classes of a dataset file, and a run reads
+    # one superclass source; the check runs before any data is read
+    data, smap = tmp_path / "data.csv", tmp_path / "super.csv"
+    assert main([
+        "generate-data", "--classes", "3", "--per-class", "14", "--dim", "4",
+        "--superclasses", "3", "--superclass-out", str(smap), "--out", str(data),
+    ]) == 0
+    capsys.readouterr()
+    argv = ["train", *DATA_OVERRIDES, "--out", str(tmp_path / "run")]
+    for item in overrides:
+        argv += ["--override", item.format(data=data, smap=smap)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("error: data.superclass_file")
+    assert not (tmp_path / "run").exists()
+
+
 def test_synthetic_dim_too_small_for_its_classes_is_validation_error(tmp_path, capsys):
     # ten classes need data.dim >= 9; the check runs before any data is made
     run_dir = tmp_path / "run"

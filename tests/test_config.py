@@ -327,7 +327,7 @@ def test_misc_validation():
 
 
 def test_personalization_target_is_rejected_under_kfold():
-    # prepare_kfold never reads the target: the run would ignore it
+    # a k-fold split never reads the target: the run would ignore it
     with pytest.raises(ConfigError, match="^personalization.target .*k-fold"):
         config_from_overrides(
             ["data.n_superclasses=2", "personalization.target=0", "split.kind=kfold"]

@@ -3,6 +3,7 @@
 import math
 import os
 import tempfile
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,12 +22,14 @@ from metasched.datagen import (
     load_manifest,
     load_superclass_map,
     make_blobs,
-    personalization_split,
     save_dataset,
     save_manifest,
     save_superclass_map,
+    superclass_members,
 )
+from metasched.config import RunConfig
 from metasched.errors import ConfigError
+from metasched.harness import prepare_data
 
 
 def class_means(ds):
@@ -133,18 +136,17 @@ def test_manifest_replay_and_inversion():
 def test_split_determinism():
     ds = make_blobs(5, 60, 6, 0.8, seed=2)
     a, b = (holdout_split(ds, meta_per_class=10, test_per_class=15, seed=4) for _ in range(2))
-    assert np.array_equal(a.train.indices, b.train.indices)
-    assert np.array_equal(a.meta.indices, b.meta.indices)
-    assert np.array_equal(a.test.indices, b.test.indices)
+    for got, want in zip(a, b):
+        assert np.array_equal(got.indices, want.indices)
 
 
 def test_holdout_is_stratified_and_disjoint():
     ds = make_blobs(5, 60, 6, 0.8, seed=2)
-    parts = holdout_split(ds, meta_per_class=10, test_per_class=15, seed=4)
-    for view, per in ((parts.meta, 10), (parts.test, 15), (parts.train, 35)):
+    train, meta, test = holdout_split(ds, meta_per_class=10, test_per_class=15, seed=4)
+    for view, per in ((meta, 10), (test, 15), (train, 35)):
         counts = np.bincount(view.true_labels, minlength=5)
         assert np.array_equal(counts, np.full(5, per))
-    pools = [set(parts.train.indices), set(parts.meta.indices), set(parts.test.indices)]
+    pools = [set(train.indices), set(meta.indices), set(test.indices)]
     assert not (pools[0] & pools[1]) and not (pools[0] & pools[2])
     assert not (pools[1] & pools[2])
     assert pools[0] | pools[1] | pools[2] == set(ds.indices)
@@ -158,28 +160,56 @@ def test_holdout_infeasible_sizes_rejected():
 
 def test_kfold_partitions_the_pool():
     ds = make_blobs(5, 20, 6, 0.8, seed=2)  # N=100
-    parts = kfold_split(ds, test_per_class=0, k=5, seed=4)
-    sizes = [f.size for f in parts.folds]
+    pool, _, folds = kfold_split(ds, test_per_class=0, k=5, seed=4)
+    sizes = [f.size for f in folds]
     assert sizes == [20] * 5
-    all_pos = np.sort(np.concatenate(parts.folds))
-    assert np.array_equal(all_pos, np.arange(parts.pool.n))
+    all_pos = np.sort(np.concatenate(folds))
+    assert np.array_equal(all_pos, np.arange(pool.n))
     for i in range(5):
         for j in range(i + 1, 5):
-            assert not set(parts.folds[i]) & set(parts.folds[j])
+            assert not set(folds[i]) & set(folds[j])
 
 
 def test_each_instance_trains_in_k_minus_one_folds():
     ds = make_blobs(4, 15, 6, 0.8, seed=2)
-    parts = kfold_split(ds, test_per_class=5, k=3, seed=4)
-    seen = {int(idx): 0 for idx in parts.pool.indices}
+    pool, _, folds = kfold_split(ds, test_per_class=5, k=3, seed=4)
+    seen = {int(idx): 0 for idx in pool.indices}
     for f in range(3):
-        train, meta = fold_view(parts.pool, parts.folds, f)
+        train, meta = fold_view(pool, folds, f)
         for idx in train.indices:
             seen[int(idx)] += 1
         assert not set(train.indices) & set(meta.indices)
     assert set(seen.values()) == {2}
     with pytest.raises(ConfigError):
-        fold_view(parts.pool, parts.folds, 3)
+        fold_view(pool, folds, 3)
+
+
+def round_robin_folds(pool, k, rng):
+    """Folds dealt row by row: class c gives the j-th row of its permuted
+    order to fold j % k."""
+    fold_lists = [[] for _ in range(k)]
+    for c in range(pool.n_classes):
+        for j, pos in enumerate(rng.permutation(np.flatnonzero(pool.true_labels == c))):
+            fold_lists[j % k].append(pos)
+    return [np.sort(np.array(f, dtype=np.int64)) for f in fold_lists]
+
+
+@pytest.mark.parametrize("k", [2, 3, 5, 7])
+@pytest.mark.parametrize("seed", [0, 9])
+def test_kfold_deals_folds_as_a_round_robin_loop(k, seed):
+    # make_blobs lays out each class in a block of 31 rows; keeping 9, 23,
+    # 14 and 31 of them leaves pools of 7, 21, 12 and 29
+    ds = make_blobs(4, 31, 6, 0.8, seed=seed)
+    keep = np.arange(ds.n) % 31 < np.array([9, 23, 14, 31])[ds.true_labels]
+    uneven = ds.subset(np.flatnonzero(keep))
+    pool, _, folds = kfold_split(uneven, test_per_class=2, k=k, seed=seed)
+    rng = np.random.default_rng(seed)
+    for c in range(uneven.n_classes):  # the test carve's draws
+        rng.permutation(np.flatnonzero(uneven.true_labels == c))
+    want = round_robin_folds(pool, k, rng)
+    assert len(folds) == k
+    for got, ref in zip(folds, want):
+        assert (got.dtype, got.tobytes()) == (ref.dtype, ref.tobytes())
 
 
 def test_kfold_rejects_k_above_the_largest_class_pool():
@@ -188,8 +218,8 @@ def test_kfold_rejects_k_above_the_largest_class_pool():
     # pools hold 7, 12 and 12
     keep = np.flatnonzero((ds.labels != 0) | (np.cumsum(ds.labels == 0) <= 9))
     uneven = ds.subset(keep)
-    parts = kfold_split(uneven, test_per_class=2, k=12, seed=0)
-    assert min(f.size for f in parts.folds) > 0
+    _, _, folds = kfold_split(uneven, test_per_class=2, k=12, seed=0)
+    assert min(f.size for f in folds) > 0
     with pytest.raises(
         ConfigError, match=r"^split.k = 13 exceeds the largest class pool \(12 instances\)"
     ):
@@ -199,15 +229,15 @@ def test_kfold_rejects_k_above_the_largest_class_pool():
 def test_meta_and_test_labels_stay_clean():
     ds = make_blobs(5, 60, 6, 0.8, seed=2)
     noisy, _ = corrupt_labels(ds, 0.5, seed=9)
-    parts = holdout_split(noisy, meta_per_class=10, test_per_class=10, seed=4)
-    assert np.array_equal(parts.meta.labels, parts.meta.true_labels)
-    assert np.array_equal(parts.test.labels, parts.test.true_labels)
+    train, meta, test = holdout_split(noisy, meta_per_class=10, test_per_class=10, seed=4)
+    assert np.array_equal(meta.labels, meta.true_labels)
+    assert np.array_equal(test.labels, test.true_labels)
     # train keeps the corruption
-    assert np.any(parts.train.labels != parts.train.true_labels)
+    assert np.any(train.labels != train.true_labels)
 
-    kparts = kfold_split(noisy, test_per_class=10, k=4, seed=4)
+    pool, _, folds = kfold_split(noisy, test_per_class=10, k=4, seed=4)
     for f in range(4):
-        _, meta = fold_view(kparts.pool, kparts.folds, f)
+        _, meta = fold_view(pool, folds, f)
         assert np.array_equal(meta.labels, meta.true_labels)
 
 
@@ -221,43 +251,52 @@ def test_assign_superclasses_blocks_and_divisibility():
 
 def test_personalization_target_filter():
     ds = assign_superclasses(make_blobs(10, 30, 12, 0.8, seed=2), 2)
-    parts = personalization_split(ds, 1, meta_per_class=5, test_per_class=5, seed=3)
-    assert parts.target_classes == (5, 6, 7, 8, 9)
-    assert set(parts.biased_train.true_labels.tolist()) == {5, 6, 7, 8, 9}
-    assert set(parts.meta.labels.tolist()) <= {5, 6, 7, 8, 9}
-    assert set(parts.test.labels.tolist()) <= {5, 6, 7, 8, 9}
-    # non-target classes keep every instance in full_train
+    target = superclass_members(ds, 1)
+    assert target == (5, 6, 7, 8, 9)
+    train, meta, test = holdout_split(
+        ds, meta_per_class=5, test_per_class=5, seed=3, classes=target
+    )
+    assert set(meta.labels.tolist()) <= {5, 6, 7, 8, 9}
+    assert set(test.labels.tolist()) <= {5, 6, 7, 8, 9}
+    # non-target classes keep every instance in train
     for c in range(5):
-        assert (parts.full_train.true_labels == c).sum() == 30
+        assert (train.true_labels == c).sum() == 30
+
+
+def personalization_cfg(**kw):
+    base = dict(
+        n_classes=4, per_class=30, dim=6, meta_per_class=4, test_per_class=6,
+        n_superclasses=1, personalization_target=0,
+    )
+    return RunConfig(**{**base, **kw})
 
 
 def test_personalization_degenerate_target_is_full_train():
-    ds = assign_superclasses(make_blobs(4, 30, 6, 0.8, seed=2), 1)
-    parts = personalization_split(ds, 0, meta_per_class=5, test_per_class=5, seed=3)
-    assert parts.biased_train.digest == parts.full_train.digest
+    full = prepare_data(personalization_cfg())
+    biased = prepare_data(personalization_cfg(train_subset="biased"))
+    assert biased.train.digest == full.train.digest
 
 
 @pytest.mark.parametrize("seed", [3, 11])
 def test_personalization_over_every_class_carves_as_holdout(seed):
-    ds = assign_superclasses(make_blobs(4, 30, 6, 0.8, seed=2), 1)
-    parts = personalization_split(ds, 0, meta_per_class=4, test_per_class=6, seed=seed)
-    holdout = holdout_split(ds, meta_per_class=4, test_per_class=6, seed=seed)
-    for got, want in [
-        (parts.test, holdout.test),
-        (parts.meta, holdout.meta),
-        (parts.full_train, holdout.train),
-    ]:
+    # one superclass over every class: prepare_data carves the holdout bundle
+    cfg = personalization_cfg(split_seed=seed, noise_p=0.3)
+    parts = prepare_data(cfg)
+    holdout = prepare_data(replace(cfg, n_superclasses=0, personalization_target=None))
+    for name in ("train", "meta", "test"):
+        got, want = getattr(parts, name), getattr(holdout, name)
         assert np.array_equal(got.indices, want.indices)
         assert got.digest == want.digest
+    assert parts.manifest == holdout.manifest
 
 
 def test_personalization_errors():
     plain = make_blobs(4, 30, 6, 0.8, seed=2)
     with pytest.raises(ConfigError, match="superclass map"):
-        personalization_split(plain, 0, 5, 5, seed=3)
+        superclass_members(plain, 0)
     ds = assign_superclasses(plain, 2)
-    with pytest.raises(ConfigError, match="unknown superclass"):
-        personalization_split(ds, 7, 5, 5, seed=3)
+    with pytest.raises(ConfigError, match=r"unknown superclass 7 \(have \[0, 1\]\)"):
+        superclass_members(ds, 7)
 
 
 def test_dataset_file_round_trip(tmp_path):
@@ -302,7 +341,7 @@ def test_dataset_loader_rejects_empty_or_featureless_file(tmp_path, text, messag
 @pytest.mark.parametrize("shape", [(0, 3), (2, 0)])
 def test_save_dataset_rejects_no_rows_or_no_features(tmp_path, shape):
     n = shape[0]
-    ds = LabeledDataset(np.zeros(shape), np.zeros(n), np.zeros(n), np.arange(n), ("c0",))
+    ds = LabeledDataset(np.zeros(shape), np.zeros(n), np.zeros(n), np.arange(n), 1)
     path = tmp_path / "data.csv"
     with pytest.raises(ValueError, match=f"{shape[0]} rows and {shape[1]} features"):
         save_dataset(ds, path)
@@ -358,7 +397,7 @@ def test_dataset_save_load_is_bit_exact(data):
         labels=labels,
         true_labels=true_labels,
         indices=data.draw(st.permutations(range(n))),
-        class_names=tuple(f"c{c}" for c in range(max(true_labels) + 1)),
+        n_classes=max(true_labels) + 1,
     )
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "data.csv")
@@ -367,7 +406,7 @@ def test_dataset_save_load_is_bit_exact(data):
     for name in ("features", "labels", "true_labels", "indices"):
         a, b = getattr(ds, name), getattr(back, name)
         assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
-    assert back.class_names == ds.class_names
+    assert back.n_classes == ds.n_classes
 
 
 @st.composite

@@ -1,5 +1,6 @@
 """Training-loop orchestration: determinism, replay, k-fold, outputs."""
 
+import hashlib
 import json
 import os
 import tracemalloc
@@ -20,7 +21,6 @@ from metasched.harness import (
     load_model,
     save_model,
     prepare_data,
-    prepare_kfold,
     replay_train,
     run_training,
 )
@@ -221,15 +221,15 @@ def test_kfold_average_matches_scripted_mean():
     report = kfold_collect(cfg)
     assert len(report.fold_results) == 2
 
-    pool, _, folds, _, ds = prepare_kfold(cfg)
-    members = [datagen.fold_view(pool, folds, f)[0].indices for f in range(2)]
+    data = prepare_data(cfg)
+    members = [datagen.fold_view(data.train, data.folds, f)[0].indices for f in range(2)]
     fold_tables = [
         [r.trajectory.snapshot(e).as_tables() for e in range(cfg.epochs)]
         for r in report.fold_results
     ]
     for e in range(cfg.epochs):
         avg = report.averaged.snapshot(e).as_tables()
-        for idx in range(ds.n):
+        for idx in range(data.n_instances):
             owners = [f for f in range(2) if idx in set(int(i) for i in members[f])]
             if owners:
                 want = np.mean([fold_tables[f][e]["w_inst"][idx] for f in owners])
@@ -252,6 +252,42 @@ def test_kfold_grid_keeps_best_candidate(tmp_path):
     assert (tmp_path / "trajectory.csv").exists()
     info = json.loads((tmp_path / "kfold_info.json").read_text())
     assert info["candidate_scores"] == report.candidate_scores
+
+
+def bundle_pin(bundle):
+    """sha256 of a bundle's split arrays, fold positions and manifest."""
+    h = hashlib.sha256()
+    for ds in (bundle.train, bundle.meta, bundle.test):
+        h.update(b"none" if ds is None else ds.digest.encode())
+    for fold in bundle.folds or ():
+        h.update(fold.astype(np.int64).tobytes() + b"|")
+    m = bundle.manifest
+    if m is not None:
+        h.update(repr((m.entries, m.noise_fraction, m.seed, m.n_population)).encode())
+    return h.hexdigest()
+
+
+# computed with the split functions that held one container per split
+# kind; no golden run trains on a biased personalization split
+@pytest.mark.parametrize(
+    "kw, want",
+    [
+        (
+            dict(n_classes=6, dim=6, per_class=20, n_superclasses=3, personalization_target=1,
+                 train_subset="biased", noise_p=0.3, meta_per_class=3, test_per_class=4),
+            "8cedbad457d3928a44ae20a8eefe8b894a342a7beb6e9018da840abf3d3b5151",
+        ),
+        (
+            dict(split_kind="kfold", k=3, n_classes=4, per_class=17, test_per_class=3,
+                 noise_p=0.3),
+            "3b5e3891d3471a615981d601a1394ef86f55d9c114deb0d1ee6320828a260b6a",
+        ),
+    ],
+    ids=["biased", "kfold"],
+)
+def test_prepared_bundle_arrays_are_pinned(kw, want):
+    bundle = prepare_data(tiny_cfg(**kw))
+    assert bundle_pin(bundle) == want
 
 
 def test_personalization_bundle_filters_train():
@@ -413,7 +449,7 @@ def test_blocked_evaluation_matches_one_full_forward(n, rows, activation, seed):
     model = model.with_values(model.values + 0.3 * rng.standard_normal(model.values.size))
     labels = rng.integers(0, 3, size=n)
     ds = datagen.LabeledDataset(
-        rng.standard_normal((n, 4)), labels, labels, np.arange(n), ("a", "b", "c")
+        rng.standard_normal((n, 4)), labels, labels, np.arange(n), 3
     )
     loss, acc, preds = _evaluate(model, ds, nn.PassBuffers(manifest, rows))
     logits = nn.forward(model, ds.features)
@@ -435,7 +471,7 @@ def test_evaluation_through_a_workspace_set_matches_a_batch_sized_set(rows, n):
     model = nn.init_params(manifest, seed=rows)
     labels = rng.integers(0, 10, size=n)
     ds = datagen.LabeledDataset(
-        rng.standard_normal((n, 16)), labels, labels, np.arange(n), tuple("abcdefghij")
+        rng.standard_normal((n, 16)), labels, labels, np.arange(n), 10
     )
     workspace = meta.Workspace(manifest, rows)
     nn.forward(model, rng.standard_normal((2 * rows, 16)), workspace.sets[0])
@@ -464,7 +500,7 @@ def test_chunked_evaluation_matches_one_chunk_bit_for_bit(n, rows, chunk, seed):
     model = nn.init_params(manifest, seed=int(rng.integers(2**31)))
     labels = rng.integers(0, 5, size=n)
     ds = datagen.LabeledDataset(
-        rng.standard_normal((n, 4)), labels, labels, np.arange(n), tuple("abcde")
+        rng.standard_normal((n, 4)), labels, labels, np.arange(n), 5
     )
     buffers = nn.PassBuffers(manifest, rows)
     with pytest.MonkeyPatch.context() as mp:
@@ -483,7 +519,7 @@ def _evaluate_peak(n):
     model = nn.init_params(manifest, seed=3)
     labels = rng.integers(0, 10, size=n)
     ds = datagen.LabeledDataset(
-        rng.standard_normal((n, 16)), labels, labels, np.arange(n), tuple("abcdefghij")
+        rng.standard_normal((n, 16)), labels, labels, np.arange(n), 10
     )
     buffers = nn.PassBuffers(manifest, 32)
     _evaluate(model, ds, buffers)  # makes the buffers' views
