@@ -5,12 +5,14 @@ analytic gradient in the package: per-sample parameter gradients,
 temperature gradients, and the three one-step meta-gradients. Each check
 takes its analytic side from the shipped code: a one-row slice of
 ``nn.batch_backward``, the batch kernel ``losses.cross_entropy_batch``,
-and ``meta_train_step`` itself. The meta-gradient checks difference a
-rollout written out over the weighted gradient sum of one
-``batch_backward`` pass. The other probes quantify qualitative claims:
-clean/corrupt weight separation, rate/performance correlation, and the
-top of the loss Hessian spectrum, whose gradients come from the same
-pass.
+and ``meta_train_step`` itself. The per-sample and temperature checks
+difference one-row losses of that same kernel, so each compares the
+kernel's gradient with the kernel's own loss values. The meta-gradient
+checks difference a rollout written out over the weighted gradient sum
+of one ``batch_backward`` pass. The other probes quantify qualitative
+claims: clean/corrupt weight separation, rate/performance correlation,
+and the top of the loss Hessian spectrum, whose gradients come from the
+same pass.
 """
 
 from __future__ import annotations
@@ -88,10 +90,13 @@ def _relu_safe(model, features, margin=1e-2):
     return True
 
 
+def _row_loss(logits, label, sigma=None):
+    """The batch kernel's loss of one logit row."""
+    return losses_mod.cross_entropy_batch(logits[None, :], [label], sigma)[0][0]
+
+
 def _sample_loss(model, features_row, label):
-    z = nn.forward(model, features_row[None, :])[0]
-    loss, _ = losses_mod.ce_loss(z, int(label))
-    return loss
+    return _row_loss(nn.forward(model, features_row[None, :])[0], label)
 
 
 def _meta_objective(theta, backward, train_batch, dps, lr, meta_batch):
@@ -159,8 +164,7 @@ def _check_temperature(rng, step):
     _, dz, dsigma = losses_mod.cross_entropy_batch(z[None, :], [y], [sigma])
 
     def loss_at(zv, sv):
-        value, _, _, _ = losses_mod.temperature_ce(zv, y, sv)
-        return value
+        return _row_loss(zv, y, [sv])
 
     numeric = np.empty(k + 1)
     for j in range(k):

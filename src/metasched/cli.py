@@ -135,11 +135,14 @@ def _resolve_out(args, cfg, command):
 
 
 def _cmd_generate_data(args):
+    if bool(args.superclasses) != bool(args.superclass_out):
+        # the dataset CSV has no superclass column: the map has its own file
+        flag = "--superclasses" if args.superclasses else "--superclass-out"
+        raise ConfigError(f"{flag}: give --superclasses and --superclass-out together")
     ds = datagen.make_blobs(args.classes, args.per_class, args.dim, args.spread, args.seed)
     if args.superclasses:
         ds = datagen.assign_superclasses(ds, args.superclasses)
-        if args.superclass_out:
-            datagen.save_superclass_map(ds.superclass_map, args.superclass_out)
+        datagen.save_superclass_map(ds.superclass_map, args.superclass_out)
     datagen.save_dataset(ds, args.out)
     print(f"wrote {ds.n} rows ({ds.n_classes} classes, dim {ds.dim}) to {args.out}")
     return 0

@@ -327,6 +327,11 @@ def validate_config(cfg):
         raise ConfigError(
             "personalization.train_subset = biased needs personalization.target"
         )
+    if cfg.data_path is None and cfg.n_superclasses >= 1 and cfg.n_classes % cfg.n_superclasses:
+        raise ConfigError(
+            f"data.n_superclasses: {cfg.n_classes} classes do not divide into "
+            f"{cfg.n_superclasses} superclasses"
+        )
     if cfg.lr_drop_epoch is not None and cfg.lr_drop_epoch < 0:
         raise ConfigError("lr_drop.epoch must be >= 0")
     if cfg.lr_drop_factor <= 0:

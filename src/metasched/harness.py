@@ -84,7 +84,11 @@ def _load_base_dataset(cfg):
         mapping = datagen.load_superclass_map(cfg.superclass_path, ds.n_classes)
         ds = replace(ds, superclass_map=mapping)
     if cfg.n_superclasses >= 1:
-        ds = datagen.assign_superclasses(ds, cfg.n_superclasses)
+        # a dataset file's class count is known only once it is read
+        try:
+            ds = datagen.assign_superclasses(ds, cfg.n_superclasses)
+        except ConfigError as exc:
+            raise ConfigError(f"data.n_superclasses: {exc}") from None
     return ds
 
 
@@ -116,7 +120,10 @@ def prepare_data(cfg):
     else:
         classes = None
         if cfg.personalization_target is not None:
-            classes = datagen.superclass_members(ds, cfg.personalization_target)
+            try:
+                classes = datagen.superclass_members(ds, cfg.personalization_target)
+            except ConfigError as exc:
+                raise ConfigError(f"personalization.target: {exc}") from None
         train, meta_ds, test = datagen.holdout_split(
             ds, cfg.meta_per_class, cfg.test_per_class, seed, classes
         )

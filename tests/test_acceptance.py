@@ -254,22 +254,27 @@ def test_criterion_8_temperature_formulation():
         z = rng.normal(0.0, 2.0, size=k)
         y = int(rng.integers(k))
         sigma = float(rng.uniform(0.2, 5.0))
+        row = z[None, :]
 
         # unit temperature collapses to plain cross-entropy, bit for bit
-        l0, dz0 = losses.ce_loss(z, y)
-        l1, dz1, _, _ = losses.temperature_ce(z, y, 1.0)
-        assert l1 == l0 and np.array_equal(dz1, dz0)
+        l0, dz0, _ = losses.cross_entropy_batch(row, [y])
+        l1, dz1, _ = losses.cross_entropy_batch(row, [y], [1.0])
+        assert l1[0] == l0[0] and np.array_equal(dz1, dz0)
 
         # the temperature derivative points toward the competing mass
-        _, _, dsig, rec = losses.temperature_ce(z, y, sigma)
-        gap = z[y] - float(rec.q @ z)
+        _, _, dsig = losses.cross_entropy_batch(row, [y], [sigma])
+        gap = z[y] - float(oracles.temperature_ce(z, y, sigma)[3].q @ z)
         if gap > 0:
-            assert dsig > 0
+            assert dsig[0] > 0
         elif gap < 0:
-            assert dsig < 0
+            assert dsig[0] < 0
 
-        # scaling logits never changes the prediction
-        assert losses.predict(z / sigma) == losses.predict(z)
+        # at any temperature the label of lowest loss is the argmax that
+        # evaluation predicts
+        every, _, _ = losses.cross_entropy_batch(
+            np.repeat(row, k, axis=0), np.arange(k), np.full(k, sigma)
+        )
+        assert np.argmin(every) == np.argmax(z)
 
 
 def test_criterion_9_spectral_probe():

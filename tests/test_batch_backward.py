@@ -78,7 +78,7 @@ def temperature_oracle(model, batch, sigma):
     outs = nn.PassBuffers(model.manifest, batch.size).outs
     acts = nn._forward_cache(model, model.layers, batch.features, outs)
     dz = np.array([
-        losses.temperature_ce(z, int(y), s)[1]
+        oracles.temperature_ce(z, int(y), s)[1]
         for z, y, s in zip(acts[-1], batch.labels, sigma)
     ])
     return oracles.per_sample_grads_from_dz(model, acts, dz)

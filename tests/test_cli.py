@@ -847,6 +847,63 @@ def test_generate_data_with_superclasses(tmp_path):
     assert len(smap.read_text().splitlines()) == 5
 
 
+@pytest.mark.parametrize(
+    "flags, flag",
+    [
+        (["--superclasses", "2"], "--superclasses"),
+        (["--superclass-out", "{smap}"], "--superclass-out"),
+    ],
+    ids=["count-without-file", "file-without-count"],
+)
+def test_generate_data_superclass_flag_alone_is_validation_error(tmp_path, capsys, flags, flag):
+    # the dataset CSV has no superclass column, so a map goes to its own file
+    data, smap = tmp_path / "d.csv", tmp_path / "s.csv"
+    argv = ["generate-data", "--classes", "4", "--per-class", "5", "--dim", "4"]
+    argv += [f.format(smap=smap) for f in flags] + ["--out", str(data)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith(f"error: {flag}: ")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "overrides, message, reads_data",
+    [
+        # generated data has a known class count: the config check refuses it
+        (["data.n_superclasses=2"],
+         "data.n_superclasses: 3 classes do not divide into 2 superclasses", False),
+        (["data.n_superclasses=3", "personalization.target=5"],
+         "personalization.target: unknown superclass 5 (have [0, 1, 2])", True),
+    ],
+    ids=["indivisible", "unknown-target"],
+)
+def test_superclass_error_names_its_key(
+    tmp_path, capsys, monkeypatch, overrides, message, reads_data
+):
+    monkeypatch.chdir(Path(__file__).parent / "golden")
+    if not reads_data:
+        monkeypatch.setattr("metasched.harness.prepare_data", _no_data)
+    run_dir = tmp_path / "run"
+    argv = ["train", "--config", "plain.cfg", *(f"--override={o}" for o in overrides)]
+    assert main([*argv, "--out", str(run_dir)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not run_dir.exists()
+
+
+def test_indivisible_superclasses_of_a_dataset_file_name_the_key(tmp_path, capsys):
+    data = tmp_path / "data.csv"
+    assert main([
+        "generate-data", "--classes", "3", "--per-class", "14", "--dim", "4", "--out", str(data),
+    ]) == 0
+    capsys.readouterr()
+    argv = ["train", *DATA_OVERRIDES, "--override", f"data.path={data}"]
+    argv += ["--override", "data.n_superclasses=2", "--out", str(tmp_path / "run")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err == "error: data.n_superclasses: 3 classes do not divide into 2 superclasses\n"
+    assert not (tmp_path / "run").exists()
+
+
 def _no_data(*args, **kwargs):
     raise AssertionError("data prepared for a config that should have been rejected")
 
