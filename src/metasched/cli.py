@@ -34,13 +34,21 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+def _checked(convert, rule, holds):
+    """argparse type: ``convert(text)``, refused with ``rule`` unless
+    ``holds`` is true of it."""
+    def check(text):
+        value = convert(text)
+        if not holds(value):
+            raise argparse.ArgumentTypeError(f"{rule}, got {text}")
+        return value
+    check.__name__ = convert.__name__  # argparse's text for "x": "invalid int value: 'x'"
+    return check
+
+
 def _count(minimum):
     """argparse type: an integer no smaller than ``minimum``."""
-    def count(text):
-        if int(text) < minimum:
-            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {text}")
-        return int(text)
-    return count
+    return _checked(int, f"must be at least {minimum}", lambda n: n >= minimum)
 
 
 def _build_parser():
@@ -48,10 +56,11 @@ def _build_parser():
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     gen = sub.add_parser("generate-data", help="write a synthetic blobs dataset")
-    gen.add_argument("--classes", type=int, default=10)
-    gen.add_argument("--per-class", type=int, default=320)
+    gen.add_argument("--classes", type=_count(2), default=10)
+    gen.add_argument("--per-class", type=_count(1), default=320)
     gen.add_argument("--dim", type=int, default=16)
-    gen.add_argument("--spread", type=float, default=0.5)
+    positive = _checked(float, "must be a positive finite number", lambda s: 0 < s < float("inf"))
+    gen.add_argument("--spread", type=positive, default=0.5)
     gen.add_argument("--seed", type=_count(0), default=0)
     gen.add_argument("--out", required=True, help="dataset CSV path")
     gen.add_argument("--superclasses", type=int, default=0)
@@ -59,7 +68,8 @@ def _build_parser():
 
     cor = sub.add_parser("corrupt", help="inject uniform label noise")
     cor.add_argument("--data", required=True)
-    cor.add_argument("--p", type=float, required=True)
+    fraction = _checked(float, "must lie in [0, 1]", lambda p: 0 <= p <= 1)
+    cor.add_argument("--p", type=fraction, required=True)
     cor.add_argument("--seed", type=_count(0), default=0)
     cor.add_argument("--out", required=True, help="corrupted dataset CSV path")
     cor.add_argument("--manifest-out", required=True, help="manifest CSV path")
@@ -139,9 +149,15 @@ def _cmd_generate_data(args):
         # the dataset CSV has no superclass column: the map has its own file
         flag = "--superclasses" if args.superclasses else "--superclass-out"
         raise ConfigError(f"{flag}: give --superclasses and --superclass-out together")
-    ds = datagen.make_blobs(args.classes, args.per_class, args.dim, args.spread, args.seed)
+    try:
+        ds = datagen.make_blobs(args.classes, args.per_class, args.dim, args.spread, args.seed)
+    except ConfigError as exc:  # the parser checks every other flag make_blobs reads
+        raise ConfigError(f"--dim: {exc}") from None
     if args.superclasses:
-        ds = datagen.assign_superclasses(ds, args.superclasses)
+        try:
+            ds = datagen.assign_superclasses(ds, args.superclasses)
+        except ConfigError as exc:
+            raise ConfigError(f"--superclasses: {exc}") from None
         datagen.save_superclass_map(ds.superclass_map, args.superclass_out)
     datagen.save_dataset(ds, args.out)
     print(f"wrote {ds.n} rows ({ds.n_classes} classes, dim {ds.dim}) to {args.out}")
@@ -224,7 +240,7 @@ def _load_run_info(path):
         with open(path, encoding="utf-8") as fh:
             info = json.load(fh)
     except OSError as exc:
-        raise ConfigError(f"cannot read {path}: {exc}") from None
+        raise ConfigError(f"cannot read {path}: {exc.strerror or exc}") from None
     except ValueError as exc:
         raise ConfigError(f"{path}: malformed JSON: {exc}") from None
     for key in ("n_instances", "n_classes"):

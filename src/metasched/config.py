@@ -371,7 +371,7 @@ def load_config(path, overrides=None):
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from None
+        raise ConfigError(f"cannot read config {path}: {exc.strerror or exc}") from None
     from_file = parse_config_text(text)
     overridden = apply_overrides({}, overrides)
     origins = {key: path for key in from_file if key not in overridden}

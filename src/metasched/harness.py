@@ -601,7 +601,7 @@ def load_model(path):
         with open(path, encoding="utf-8") as fh:
             payload = json.load(fh)
     except OSError as exc:
-        raise ConfigError(f"cannot read {path}: {exc}") from None
+        raise ConfigError(f"cannot read {path}: {exc.strerror or exc}") from None
     except ValueError as exc:
         raise ConfigError(f"{path}: malformed JSON: {exc}") from None
     try:
