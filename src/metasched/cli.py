@@ -144,11 +144,20 @@ def _resolve_out(args, cfg, command):
     return None
 
 
+def _distinct_outputs(out, other, flag):
+    """Refuse a second output path ``other``, given by ``flag``, that
+    names the file of ``--out``: one write would replace the other."""
+    if os.path.realpath(out) == os.path.realpath(other):
+        raise ConfigError(f"--out and {flag} name one file: {other}")
+
+
 def _cmd_generate_data(args):
     if bool(args.superclasses) != bool(args.superclass_out):
         # the dataset CSV has no superclass column: the map has its own file
         flag = "--superclasses" if args.superclasses else "--superclass-out"
         raise ConfigError(f"{flag}: give --superclasses and --superclass-out together")
+    if args.superclass_out:
+        _distinct_outputs(args.out, args.superclass_out, "--superclass-out")
     try:
         ds = datagen.make_blobs(args.classes, args.per_class, args.dim, args.spread, args.seed)
     except ConfigError as exc:  # the parser checks every other flag make_blobs reads
@@ -166,6 +175,7 @@ def _cmd_generate_data(args):
 
 def _cmd_corrupt(args):
     ds = datagen.load_dataset(args.data)
+    _distinct_outputs(args.out, args.manifest_out, "--manifest-out")
     corrupted, manifest = datagen.corrupt_labels(ds, args.p, args.seed)
     datagen.save_dataset(corrupted, args.out)
     datagen.save_manifest(manifest, args.manifest_out)

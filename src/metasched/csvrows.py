@@ -22,6 +22,9 @@ import numpy as np
 from .errors import ConfigError
 
 BLOCK_LINES = 1024
+# entries per chunk of text that the writers of these formats and of
+# model.json build: bounds the text an output holds at once
+WRITE_LINES = 1024
 # numpy keeps a bytes field only up to its first NUL, and its number parser
 # skips \x1c-\x1f as spaces where int() and float() reject them
 _UNLIKE_PYTHON = ("\x00", "\x1c", "\x1d", "\x1e", "\x1f")

@@ -33,7 +33,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .csvrows import read_rows
+from .csvrows import WRITE_LINES, read_rows
 from .errors import ConfigError
 
 DATASET_COLUMNS = ("index", "label", "true_label")  # then f0..f{d-1}
@@ -73,11 +73,11 @@ class LabeledDataset:
 
     @property
     def digest(self):
+        """sha256 of the arrays' bytes in C order; a contiguous array is
+        hashed from its own buffer, with no copy."""
         h = hashlib.sha256()
-        h.update(self.features.tobytes())
-        h.update(self.labels.tobytes())
-        h.update(self.true_labels.tobytes())
-        h.update(self.indices.tobytes())
+        for a in (self.features, self.labels, self.true_labels, self.indices):
+            h.update(np.ascontiguousarray(a))
         return h.hexdigest()
 
     def subset(self, positions):
@@ -121,6 +121,11 @@ def make_blobs(n_classes, per_class, dim, spread, seed):
     """Gaussian clusters with class means on a randomly rotated regular
     simplex of pairwise distance 4*spread; cluster noise std spread**2, so
     shrinking spread separates the classes.
+
+    The features are built in place: the noise is drawn, scaled, and each
+    class mean added to its class's contiguous rows. Addition commutes, so
+    the bits are those of ``means[labels] + spread**2 * noise``, and no
+    array but the result is the features' size.
     """
     if n_classes < 2:
         raise ConfigError("need at least 2 classes")
@@ -146,10 +151,13 @@ def make_blobs(n_classes, per_class, dim, spread, seed):
     means = means @ q.T
     n = n_classes * per_class
     labels = np.repeat(np.arange(n_classes), per_class)
-    features = means[labels] + spread**2 * rng.standard_normal((n, dim))
+    features = rng.standard_normal((n, dim))
+    features *= spread**2
+    for c in range(n_classes):
+        features[c * per_class : (c + 1) * per_class] += means[c]
     return LabeledDataset(
         features=features,
-        labels=labels.copy(),
+        labels=labels,
         true_labels=labels.copy(),
         indices=np.arange(n),
         n_classes=n_classes,
@@ -344,18 +352,19 @@ def load_dataset(path):
 
 
 def save_manifest(manifest, path):
-    # a manifest read without a metadata line has no noise fraction to write
-    lines = []
-    if not math.isnan(manifest.noise_fraction):
-        lines.append(
-            f"# noise_fraction={manifest.noise_fraction!r} seed={manifest.seed} "
-            f"n_population={manifest.n_population}"
-        )
-    lines.append(",".join(MANIFEST_COLUMNS))
-    for idx, original, assigned in manifest.entries:
-        lines.append(f"{idx},{original},{assigned}")
+    """Write ``manifest`` as a manifest CSV file, ``WRITE_LINES`` entries
+    at a time."""
+    entries = manifest.entries
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+        # a manifest read without a metadata line has no noise fraction to write
+        if not math.isnan(manifest.noise_fraction):
+            fh.write(
+                f"# noise_fraction={manifest.noise_fraction!r} seed={manifest.seed} "
+                f"n_population={manifest.n_population}\n"
+            )
+        fh.write(",".join(MANIFEST_COLUMNS) + "\n")
+        for lo in range(0, len(entries), WRITE_LINES):
+            fh.write("".join(f"{i},{o},{a}\n" for i, o, a in entries[lo : lo + WRITE_LINES]))
 
 
 def _int_row(path, lineno, fields):

@@ -13,6 +13,7 @@ import json
 import os
 import time
 from dataclasses import asdict, dataclass, field, replace
+from itertools import chain, pairwise
 
 import numpy as np
 
@@ -22,6 +23,7 @@ from . import losses as losses_mod
 from . import meta
 from . import nn
 from . import optim
+from .csvrows import WRITE_LINES
 from .errors import ConfigError, NumericError, ShapeError
 from .trajectory import TrajectoryLog, average_trajectories
 
@@ -137,6 +139,9 @@ def prepare_data(cfg):
 
 # rows per evaluation chunk, rounded down to whole pass blocks
 EVAL_ROWS = 1024
+# train rows gathered at once, rounded down to whole batches: a gather per
+# batch cost about 4% of a temperature-joint step, one per 512 rows under 1%
+GATHER_ROWS = 512
 
 
 def _evaluate(model, ds, buffers, rows=None):
@@ -272,20 +277,22 @@ def _optimizer_step(opt_state, workspace, theta, dps, batch, temperature_lr):
 
     The pass runs in the workspace's first set, the mean gradient plus the
     decay term is summed into its ``grad`` buffer, and theta' is written
-    into the slot that does not hold ``theta``, so a step allocates no
-    parameter-sized array. With temperature tables in ``dps`` the loss is
-    tempered by them and the step then updates them.
+    into the slot that does not hold ``theta``, which holds the decay term
+    until then, so a step allocates no parameter-sized array. With
+    temperature tables in ``dps`` the loss is tempered by them and the
+    step then updates them.
     """
     sigma, clamps = None, 0
     if dps.tempered:
         sigma, clamped = meta.effective_temperatures(dps, batch.labels, batch.indices)
         clamps = int(np.count_nonzero(clamped))
     backward = nn.batch_backward(theta, batch, sigma, workspace.sets[0])
-    # grad_sum / B + lam theta, in that order
+    # grad_sum / B + lam theta, in that order; lam theta is formed in the
+    # slot theta' goes to, which optim.step then overwrites whole
     grad = backward.grad_sum(out=workspace.grad)
     grad /= batch.size
-    grad += np.multiply(theta.values, dps.lam_wd, out=workspace.decay)
     slot = workspace.slot_after(theta)
+    grad += np.multiply(theta.values, dps.lam_wd, out=slot.values)
     optim.step(opt_state, theta.values, grad, out=slot.values)
     if dps.tempered:
         clamps += meta.update_sigma_tables(dps, batch, backward.dsigma, temperature_lr)
@@ -308,6 +315,14 @@ def _train(cfg, bundle, out_dir, schedule=None):
     the temperature formulation also reads and updates the temperature
     tables. Every step kind writes into one ``meta.Workspace`` bound for
     the run, and evaluation runs through its first set in batch blocks.
+
+    The train split is never copied whole: each epoch keeps its labels and
+    ids in shuffled order, and gathers its feature rows from the
+    permutation a chunk of whole batches (``GATHER_ROWS``) at a time, into
+    one of two arrays used in turn; a batch is a slice of its chunk. One
+    array would not do: at a chunk's end a step reads its own batch's
+    features and the next batch's, and a meta step hands on the next
+    batch's train pass, whose input is those features, to the step after.
     """
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
@@ -367,10 +382,24 @@ def _train(cfg, bundle, out_dir, schedule=None):
     timings = []
     class_meta_acc = []
     is_corrupt = _corrupt_mask(bundle)
-    # each epoch's shuffled train split, gathered into arrays made once; a
-    # batch is a slice of them
-    train_arrays = (train.features, train.labels, train.indices)
-    shuffled = tuple(np.empty_like(a) for a in train_arrays)
+    # the epoch's labels and ids in shuffled order, and two arrays that take
+    # its feature rows a chunk of whole batches at a time, in turn
+    labels, indices = np.empty_like(train.labels), np.empty_like(train.indices)
+    size = cfg.batch_size
+    chunk = size * max(1, GATHER_ROWS // size)
+    inputs = [np.empty((min(chunk, n_train), train.dim)) for _ in range(2)]
+
+    def epoch_batches(perm):
+        # a chunk is gathered when its first batch is asked for; unchecked
+        # indices (a permutation's) let take write into out directly
+        for c, lo in enumerate(range(0, n_train, chunk)):
+            features = inputs[c % 2][: min(chunk, n_train - lo)]
+            train.features.take(perm[lo : lo + chunk], axis=0, out=features, mode="clip")
+            yield from [
+                nn.Batch(features[i : i + size], labels[lo + i : lo + i + size],
+                         indices[lo + i : lo + i + size])
+                for i in range(0, len(features), size)
+            ]
 
     def eval_model():
         if opt_state is not None and opt_state.kind == "polyak_sgd" and opt_state.step_count:
@@ -401,18 +430,11 @@ def _train(cfg, bundle, out_dir, schedule=None):
                 # the rollout only reads the tables: no copy
                 dps = replace(schedule.snapshot(epoch), mode=cfg.mode)
             perm = rng_shuffle.permutation(n_train)
-            # a permutation needs no bounds check, and without one
-            # np.take writes straight into out instead of a temporary
-            for source, out in zip(train_arrays, shuffled):
-                np.take(source, perm, axis=0, out=out, mode="clip")
-            features, labels, indices = shuffled
-            size = cfg.batch_size
-            batches = [
-                nn.Batch(features[i : i + size], labels[i : i + size], indices[i : i + size])
-                for i in range(0, n_train, size)
-            ]
-            # each step also sees the epoch's next batch (None at its last)
-            for batch, next_batch in zip(batches, [*batches[1:], None]):
+            train.labels.take(perm, out=labels, mode="clip")
+            train.indices.take(perm, out=indices, mode="clip")
+            # each step also sees the epoch's next batch (None at its last),
+            # which pairwise takes before the step
+            for batch, next_batch in pairwise(chain(epoch_batches(perm), [None])):
                 theta, clamps = step(theta, dps, batch, lr, next_batch)
                 steps += 1
                 samples += batch.size
@@ -582,15 +604,18 @@ def write_run_outputs(out_dir, result, last_good_epoch=None):
 
 
 def save_model(model, path):
-    payload = {
-        "manifest": [
-            [spec.in_dim, spec.out_dim, spec.activation] for spec in model.manifest
-        ],
-        "values": [float(v) for v in model.values],
-    }
+    """Write ``model`` as the JSON object ``{"manifest": ..., "values":
+    ...}``, the bytes ``json.dump`` gives it, with the values encoded
+    ``WRITE_LINES`` at a time instead of as one list of Python floats."""
+    manifest = [[spec.in_dim, spec.out_dim, spec.activation] for spec in model.manifest]
+    values = model.values
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh)
-        fh.write("\n")
+        fh.write(f'{{"manifest": {json.dumps(manifest)}, "values": [')
+        for lo in range(0, values.size, WRITE_LINES):
+            if lo:
+                fh.write(", ")
+            fh.write(json.dumps(values[lo : lo + WRITE_LINES].tolist())[1:-1])
+        fh.write("]}\n")
 
 
 def load_model(path):

@@ -55,6 +55,11 @@ optimizer step. Their lifetimes:
   step returns stays valid until the step after next, and a step that
   fails leaves its input intact. A model that must outlive that is a
   copy.
+- The gradient vector holds the gradient a step sums; in a meta step,
+  from step 3 on. Before that the rollout forms its decay term
+  ``lr * lam_wd * theta`` there. An optimizer step forms its
+  ``lam_wd * theta`` in the slot it then writes, so no array is kept for
+  the decay term.
 
 Data parameters are updated in place by plain SGD on these
 meta-gradients and clamped at zero.
@@ -205,10 +210,9 @@ class Workspace:
 
     - ``slots``: two parameter vectors; a step writes into the one that
       does not hold its input.
-    - ``decay``: a step's ``lam_wd * theta`` term (times ``lr`` in a
-      rollout).
     - ``grad``: the gradient a step sums, the meta gradient in a meta step
-      and the mean train gradient in an optimizer step.
+      and the mean train gradient in an optimizer step; before a meta
+      step's joint pass, the rollout's scratch for its decay term.
     - ``sets``: two pass sets of 2 x ``rows`` rows sharing one scratch;
       a joint pass writes the one not holding the train pass it reads.
     - ``features`` and ``labels``: the joint pass's input, meta rows first.
@@ -220,7 +224,6 @@ class Workspace:
     def __init__(self, manifest, rows):
         size = nn.param_count(manifest)
         self.slots = tuple(nn.ParamVector(np.zeros(size), manifest) for _ in range(2))
-        self.decay = np.empty(size)
         self.grad = nn.ParamVector(np.zeros(size), manifest)
         first = nn.PassBuffers(manifest, 2 * rows)
         self.sets = (first, nn.PassBuffers(manifest, 2 * rows, scratch=first.scratch))
@@ -277,7 +280,8 @@ def rollout_one_step(theta, backward, batch, dps, lr, workspace=None):
     new = backward.grad_sum(effective_weights(dps, batch.labels, batch.indices), out=slot)
     new *= lr / batch.size
     np.subtract(theta.values, new, out=new)
-    new -= np.multiply(theta.values, lr * dps.lam_wd, out=workspace.decay)
+    # lr lam theta in ``grad``, which a meta step fills only after this
+    new -= np.multiply(theta.values, lr * dps.lam_wd, out=workspace.grad.values)
     nn.require_finite(new)
     return slot
 

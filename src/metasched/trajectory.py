@@ -10,7 +10,8 @@ a snapshot raises; code that needs writable tables takes ``as_tables()``
 or ``copy()``. Only the file is sparse: it holds an `inst` row for each
 instance weight that differs from its initial value 1, and an absent row
 reads back as 1. Class tables, the decay coefficient, and temperature
-tables are written densely. A decay row must not be negative.
+tables are written densely, ``csvrows.WRITE_LINES`` entries to a chunk of
+text. A decay row must not be negative.
 
 Interchange format: comma-separated `epoch,kind,id,value` rows with kind
 in {inst, class, wd, sigma_inst, sigma_class}. A clean file is parsed in
@@ -26,7 +27,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .csvrows import read_blocks, read_rows
+from .csvrows import WRITE_LINES, read_blocks, read_rows
 from .errors import ConfigError
 from .meta import DataParamState
 
@@ -56,10 +57,6 @@ def _put(snap, kind, ids, values, n_instances, n_classes):
         if snap.sigma_inst is None:
             snap.sigma_inst = np.zeros(n_instances)
         snap.sigma_inst[ids] = values
-
-
-# entries written per chunk of text: bounds the text held at once
-WRITE_LINES = 4096
 
 
 def _text(epoch, kind, values, ids=None):

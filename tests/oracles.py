@@ -14,10 +14,13 @@ softmax and the renormalized non-target distribution ``q``, and
 its losses with ``losses.cross_entropy_batch``, and the tests compare
 that kernel against these forms row by row.
 
+``traced_peak`` is the allocation measure the memory tests share.
+
 Test modules import this file as ``import oracles``: pytest puts the
 directory of a test module without ``__init__.py`` on ``sys.path``.
 """
 
+import tracemalloc
 from dataclasses import dataclass
 
 import numpy as np
@@ -134,3 +137,18 @@ def predict(z):
     never changes this argmax; inference ignores the sigma tables.
     """
     return int(np.argmax(z))
+
+
+def traced_peak(call):
+    """The most bytes ``call()`` held allocated at once beyond what was
+    held before it, as tracemalloc counts them; numpy reports its array
+    buffers to tracemalloc."""
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        call()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak - before

@@ -11,6 +11,7 @@ import pytest
 from metasched import analysis, nn
 from metasched.analysis import (
     CHECK_TARGETS,
+    REL_TOL,
     compare_grads,
     finite_diff_check,
     hessian_top_eigs,
@@ -34,6 +35,16 @@ def test_compare_grads_pass_rule():
     assert ok
     _, _, ok = compare_grads([1.0], [1.001])
     assert not ok
+    # max_rel is over the components the absolute tolerance leaves to the
+    # relative test: a ~1e-10 gradient whose difference is exactly 0 has
+    # relative error 1, and it passes
+    rel, _, ok = compare_grads([1e-10, 1.0], [0.0, 1.0 + 5e-6])
+    assert ok and rel == pytest.approx(5e-6, rel=1e-4)
+    assert compare_grads([1e-10], [0.0]) == (0.0, 1e-10, True)
+    # a non-finite component passes no test
+    for analytic in (np.nan, np.inf):
+        rel, abs_err, ok = compare_grads([analytic, 1.0], [0.0, 1.0])
+        assert np.isnan(rel) and not ok
     with pytest.raises(ValueError, match="shape"):
         compare_grads([1.0, 2.0], [1.0])
 
@@ -64,6 +75,7 @@ def test_quadratic_sanity_is_nearly_exact():
 def test_each_gradient_target_passes(target):
     report = finite_diff_check(target, trials=40, seed=3)
     assert report.passed, (target, report.max_rel_err, report.max_abs_err)
+    assert report.max_rel_err <= REL_TOL
     assert report.trials == 40
 
 

@@ -485,6 +485,18 @@ REFUSALS = [
               f"{flags[0]}: give --superclasses and --superclass-out together")
       for id, flags in [("count-without-file", ["--superclasses", "2"]),
                         ("file-without-count", ["--superclass-out", "{tmp}/s.csv"])]),
+    # two outputs on one path would leave only the one written last
+    *(Refusal("test_two_outputs_on_one_path_is_validation_error", id,
+              [*argv, "--out", "{tmp}/x.csv", flag, second],
+              f"--out and {flag} name one file: {second}", (dataset(),))
+      for id, argv, flag, second in [
+          ("corrupt", ["corrupt", "--data", "{data}", "--p", "0.5"], "--manifest-out",
+           "{tmp}/x.csv"),
+          ("corrupt-other-spelling", ["corrupt", "--data", "{data}", "--p", "0.5"],
+           "--manifest-out", "{tmp}/./x.csv"),
+          ("generate-data", ["generate-data", "--superclasses", "1"], "--superclass-out",
+           "{tmp}/x.csv"),
+      ]),
     Refusal("test_non_finite_float_in_config_file_names_the_file", None,
             ["train", "--config", "{cfg}", "--out", "{out}"],
             "{cfg}: temperature.lr: expected a finite number, got 'inf'",

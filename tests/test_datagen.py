@@ -1,5 +1,6 @@
 """Synthetic blobs, label corruption, splitting, personalization."""
 
+import hashlib
 import math
 import os
 import tempfile
@@ -31,6 +32,8 @@ from metasched.config import RunConfig
 from metasched.errors import ConfigError
 from metasched.harness import prepare_data
 
+import oracles
+
 
 def class_means(ds):
     return np.stack(
@@ -49,6 +52,26 @@ def test_same_seed_identical_bytes():
     assert a.digest == b.digest
     c = make_blobs(4, 30, 8, 0.7, seed=12)
     assert a.digest != c.digest
+
+
+def test_make_blobs_allocates_only_its_result():
+    # the features are built in place: no temporary of their size
+    ds = make_blobs(10, 1280, 16, 1.0, seed=0)
+    result = sum(a.nbytes for a in (ds.features, ds.labels, ds.true_labels, ds.indices))
+    assert oracles.traced_peak(lambda: make_blobs(10, 1280, 16, 1.0, seed=0)) <= result + 65536
+
+
+def test_digest_hashes_the_arrays_bytes_without_copying():
+    rng = np.random.default_rng(4)
+    base = rng.standard_normal((2000, 32))
+    ints = rng.integers(0, 3, size=4000)
+    arrays = (base[:, ::2], ints[::2], ints[1::2], np.arange(4000)[::2])
+    strided = LabeledDataset(*arrays, n_classes=3)
+    contiguous = LabeledDataset(*(a.copy() for a in arrays), n_classes=3)
+    fortran = LabeledDataset(np.asfortranarray(arrays[0]), *arrays[1:], n_classes=3)
+    oracle = hashlib.sha256(b"".join(a.tobytes() for a in arrays)).hexdigest()
+    assert strided.digest == contiguous.digest == fortran.digest == oracle
+    assert oracles.traced_peak(lambda: contiguous.digest) < min(a.nbytes for a in arrays)
 
 
 def test_tiny_spread_is_perfectly_separable():
@@ -365,11 +388,17 @@ def test_dataset_loader_rejects_out_of_range_index(tmp_path):
         load_dataset(path)
 
 
-def test_manifest_file_round_trip(tmp_path):
+def test_manifest_file_round_trip(tmp_path, monkeypatch):
     ds = make_blobs(3, 40, 5, 0.8, seed=6)
     _, manifest = corrupt_labels(ds, 0.35, seed=8)
     path = tmp_path / "manifest.csv"
-    save_manifest(manifest, path)
+    written = []
+    # the text is the same in any chunk size, the last one holding every entry
+    for lines in (1, 7, len(manifest.entries)):
+        monkeypatch.setattr("metasched.datagen.WRITE_LINES", lines)
+        save_manifest(manifest, path)
+        written.append(path.read_bytes())
+    assert written.count(written[-1]) == len(written)
     back = load_manifest(path)
     assert back.entries == manifest.entries
     assert back.noise_fraction == manifest.noise_fraction

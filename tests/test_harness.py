@@ -3,8 +3,7 @@
 import hashlib
 import json
 import os
-import tracemalloc
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -26,6 +25,8 @@ from metasched.harness import (
 )
 from metasched import datagen, harness, losses, meta, nn, optim
 from metasched.meta import update_sigma_tables
+
+import oracles
 
 
 def tiny_cfg(**kw):
@@ -194,6 +195,52 @@ def test_model_file_round_trip(tmp_path):
     back = load_model(path)
     assert np.array_equal(back.values, result.model.values)
     assert back.manifest == result.model.manifest
+
+
+def test_model_file_is_json_dump_written_a_chunk_at_a_time(tmp_path):
+    # the bytes json.dump writes, with the floats whose repr is unusual;
+    # the default net (P = 5,898) and the 256-wide one (P = 72,714) hold
+    # the same text at once, one chunk of values
+    path = tmp_path / "model.json"
+    peaks = []
+    for hidden in ((64, 64), (256, 256)):
+        manifest = nn.build_manifest(16, hidden, 10, "relu")
+        model = nn.init_params(manifest, seed=0)
+        model.values[:6] = [-0.0, 5e-324, 1e16, 1e-05, -1.5e-300, 0.1]
+        payload = {
+            "manifest": [[s.in_dim, s.out_dim, s.activation] for s in manifest],
+            "values": [float(v) for v in model.values],
+        }
+        peaks.append(oracles.traced_peak(lambda: save_model(model, path)))
+        assert path.read_text(encoding="utf-8") == json.dumps(payload) + "\n"
+    assert peaks[1] - peaks[0] < 16384
+
+
+@pytest.mark.parametrize("mode", ["instance", "none"])
+def test_an_epoch_copies_no_train_features(mode):
+    # 64 features a row: the features are most of what a row costs, so a
+    # copy of the train split's would take the run past their size; the
+    # two gather arrays hold 1,024 of its 4,080 rows
+    cfg = RunConfig(hidden=(8,), epochs=1, n_classes=3, per_class=1400, dim=64,
+                    meta_per_class=20, test_per_class=20, mode=mode, noise_p=0.3)
+    bundle = prepare_data(cfg)
+    assert oracles.traced_peak(lambda: run_training(cfg, bundle)) < bundle.train.features.nbytes
+
+
+@pytest.mark.parametrize("mode", ["instance", "class", "none"])
+def test_the_gather_chunk_size_leaves_a_run_unchanged(monkeypatch, mode):
+    # chunks of one batch, of three, and of the whole split: 78 train rows
+    # in batches of 7 put chunk ends inside an epoch and at its short last
+    # batch, where a meta step's next batch is in the other chunk array
+    cfg = diff_cfg(mode=mode, batch_size=7)
+    runs = []
+    for rows in (1, 21, 10**6):
+        monkeypatch.setattr(harness, "GATHER_ROWS", rows)
+        result = run_training(cfg)
+        tables = result.trajectory.snapshot(cfg.epochs - 1).as_tables()
+        runs.append((result.model.values.tobytes(), tables["w_inst"].tobytes(),
+                     tables["w_class"].tobytes(), [asdict(m) for m in result.metrics]))
+    assert runs[0] == runs[1] == runs[2]
 
 
 def test_lr_drop_at_start_equals_smaller_rate():
@@ -523,15 +570,7 @@ def _evaluate_peak(n):
     )
     buffers = nn.PassBuffers(manifest, 32)
     _evaluate(model, ds, buffers)  # makes the buffers' views
-    tracemalloc.start()
-    try:
-        before, _ = tracemalloc.get_traced_memory()
-        tracemalloc.reset_peak()
-        _evaluate(model, ds, buffers)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    return peak - before
+    return oracles.traced_peak(lambda: _evaluate(model, ds, buffers))
 
 
 def test_evaluation_memory_grows_by_its_per_row_outputs():
@@ -741,15 +780,7 @@ STEADY = pytest.mark.parametrize("temperature_mode", [None, "joint"])
 @STEADY
 def test_steady_state_optimizer_step_allocates_no_parameter_sized_array(temperature_mode):
     theta, step = steady_state_optimizer_steps(temperature_mode)
-    tracemalloc.start()
-    try:
-        before, _ = tracemalloc.get_traced_memory()
-        tracemalloc.reset_peak()
-        step(theta, 3)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak - before < theta.values.nbytes
+    assert oracles.traced_peak(lambda: step(theta, 3)) < theta.values.nbytes
 
 
 @STEADY

@@ -1,7 +1,6 @@
 """One-step lookahead rollout, meta-gradients, and data-parameter updates."""
 
 import json
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -702,15 +701,7 @@ STEADY = pytest.mark.parametrize("mode, wd_learnable", [("instance", False), ("c
 @STEADY
 def test_steady_state_meta_step_allocates_no_parameter_sized_array(mode, wd_learnable):
     theta, step = steady_state_steps(mode, wd_learnable)
-    tracemalloc.start()
-    try:
-        before, _ = tracemalloc.get_traced_memory()
-        tracemalloc.reset_peak()
-        step(theta, 3)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak - before < theta.values.nbytes
+    assert oracles.traced_peak(lambda: step(theta, 3)) < theta.values.nbytes
 
 
 @STEADY
