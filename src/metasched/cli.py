@@ -180,7 +180,7 @@ def _cmd_corrupt(args):
     datagen.save_dataset(corrupted, args.out)
     datagen.save_manifest(manifest, args.manifest_out)
     print(
-        f"drew {len(manifest.entries)} labels, {len(manifest.corrupt_indices)} changed "
+        f"drew {manifest.index.size} labels, {len(manifest.corrupt_indices)} changed "
         f"(effective flip fraction {manifest.effective_flip_fraction:.4f})"
     )
     return 0

@@ -30,6 +30,7 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -94,21 +95,27 @@ class LabeledDataset:
         return replace(self, labels=self.true_labels.copy())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CorruptionManifest:
-    """Exact record of every label draw, self-assignments included."""
+    """Exact record of every label draw, self-assignments included: draw r
+    gave instance ``index[r]``, labelled ``original[r]``, the label
+    ``assigned[r]``. The three are int64 arrays."""
 
-    entries: tuple
+    index: np.ndarray
+    original: np.ndarray
+    assigned: np.ndarray
     noise_fraction: float
     seed: int
     n_population: int
 
-    @property
+    def __post_init__(self):
+        for name in ("index", "original", "assigned"):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=np.int64))
+
+    @cached_property
     def corrupt_indices(self):
         """Instances whose assigned label actually differs from the original."""
-        return np.array(
-            [e[0] for e in self.entries if e[2] != e[1]], dtype=np.int64
-        )
+        return self.index[self.assigned != self.original]
 
     @property
     def effective_flip_fraction(self):
@@ -170,16 +177,11 @@ def corrupt_labels(ds, p, seed):
     if not 0.0 <= p <= 1.0:
         raise ConfigError("noise fraction must lie in [0, 1]")
     rng = np.random.default_rng(seed)
-    drawn = rng.random(ds.n) < p
-    assigned = rng.integers(0, ds.n_classes, size=ds.n)
+    drawn = np.flatnonzero(rng.random(ds.n) < p)
+    assigned = rng.integers(0, ds.n_classes, size=ds.n)[drawn]
+    manifest = CorruptionManifest(ds.indices[drawn], ds.labels[drawn], assigned, p, seed, ds.n)
     labels = ds.labels.copy()
-    entries = []
-    for pos in np.flatnonzero(drawn):
-        entries.append((int(ds.indices[pos]), int(labels[pos]), int(assigned[pos])))
-        labels[pos] = assigned[pos]
-    manifest = CorruptionManifest(
-        entries=tuple(entries), noise_fraction=p, seed=seed, n_population=ds.n
-    )
+    labels[drawn] = assigned
     return replace(ds, labels=labels), manifest
 
 
@@ -354,7 +356,7 @@ def load_dataset(path):
 def save_manifest(manifest, path):
     """Write ``manifest`` as a manifest CSV file, ``WRITE_LINES`` entries
     at a time."""
-    entries = manifest.entries
+    columns = (manifest.index, manifest.original, manifest.assigned)
     with open(path, "w", encoding="utf-8") as fh:
         # a manifest read without a metadata line has no noise fraction to write
         if not math.isnan(manifest.noise_fraction):
@@ -363,8 +365,9 @@ def save_manifest(manifest, path):
                 f"n_population={manifest.n_population}\n"
             )
         fh.write(",".join(MANIFEST_COLUMNS) + "\n")
-        for lo in range(0, len(entries), WRITE_LINES):
-            fh.write("".join(f"{i},{o},{a}\n" for i, o, a in entries[lo : lo + WRITE_LINES]))
+        for lo in range(0, manifest.index.size, WRITE_LINES):
+            rows = zip(*(column[lo : lo + WRITE_LINES].tolist() for column in columns))
+            fh.write("".join(f"{i},{o},{a}\n" for i, o, a in rows))
 
 
 def _int_row(path, lineno, fields):
@@ -437,14 +440,12 @@ def load_manifest(path, ds=None):
                     f"{path} line {lineno}: assigned label {assigned} differs from the "
                     f"dataset's label {label_of[index]} for instance {index}"
                 )
+        if max(entry) >= 2**63:
+            raise ConfigError(f"{path} line {lineno}: {max(entry)} does not fit a 64-bit integer")
         line_of[index] = lineno
         entries.append(entry)
-    return CorruptionManifest(
-        entries=tuple(entries),
-        noise_fraction=noise_fraction,
-        seed=seed,
-        n_population=n_population,
-    )
+    columns = np.array(entries, dtype=np.int64).reshape(-1, 3)
+    return CorruptionManifest(*columns.T, noise_fraction, seed, n_population)
 
 
 def save_superclass_map(mapping, path):

@@ -275,7 +275,7 @@ def replay_train(cfg, schedule, bundle=None, out_dir=None):
 def _optimizer_step(opt_state, workspace, theta, dps, batch, temperature_lr):
     """One optimizer step of ``theta`` on ``batch``: (theta', clamp events).
 
-    The pass runs in the workspace's first set, the mean gradient plus the
+    The pass runs in the workspace's buffers, the mean gradient plus the
     decay term is summed into its ``grad`` buffer, and theta' is written
     into the slot that does not hold ``theta``, which holds the decay term
     until then, so a step allocates no parameter-sized array. With
@@ -286,7 +286,7 @@ def _optimizer_step(opt_state, workspace, theta, dps, batch, temperature_lr):
     if dps.tempered:
         sigma, clamped = meta.effective_temperatures(dps, batch.labels, batch.indices)
         clamps = int(np.count_nonzero(clamped))
-    backward = nn.batch_backward(theta, batch, sigma, workspace.sets[0])
+    backward = nn.batch_backward(theta, batch, sigma, workspace.buffers)
     # grad_sum / B + lam theta, in that order; lam theta is formed in the
     # slot theta' goes to, which optim.step then overwrites whole
     grad = backward.grad_sum(out=workspace.grad)
@@ -314,15 +314,15 @@ def _train(cfg, bundle, out_dir, schedule=None):
     other run takes an optimizer step (``_optimizer_step``), which under
     the temperature formulation also reads and updates the temperature
     tables. Every step kind writes into one ``meta.Workspace`` bound for
-    the run, and evaluation runs through its first set in batch blocks.
+    the run, and evaluation runs through its pass buffers in batch blocks.
 
     The train split is never copied whole: each epoch keeps its labels and
     ids in shuffled order, and gathers its feature rows from the
     permutation a chunk of whole batches (``GATHER_ROWS``) at a time, into
     one of two arrays used in turn; a batch is a slice of its chunk. One
-    array would not do: at a chunk's end a step reads its own batch's
-    features and the next batch's, and a meta step hands on the next
-    batch's train pass, whose input is those features, to the step after.
+    array would not do: the next batch's chunk is gathered before the
+    step on a chunk's last batch, which may still read that batch's
+    features.
     """
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
@@ -342,7 +342,7 @@ def _train(cfg, bundle, out_dir, schedule=None):
     )
     train = bundle.train
     n_train = train.n
-    # arrays made once per run; no pass set is larger than the largest split
+    # arrays made once per run; no batch is larger than the largest split
     splits = [ds for ds in (train, bundle.meta, bundle.test) if ds is not None]
     rows = max(1, min(cfg.batch_size, max(ds.n for ds in splits)))
     workspace = meta.Workspace(manifest, rows)
@@ -352,7 +352,7 @@ def _train(cfg, bundle, out_dir, schedule=None):
     if schedule is not None:
 
         def step(theta, dps, batch, lr, next_batch):
-            backward = nn.batch_backward(theta, batch, buffers=workspace.sets[0])
+            backward = nn.batch_backward(theta, batch, buffers=workspace.buffers)
             return meta.rollout_one_step(theta, backward, batch, dps, lr, workspace), 0
 
     elif consumes_meta:
@@ -440,7 +440,7 @@ def _train(cfg, bundle, out_dir, schedule=None):
                 samples += batch.size
                 clamp_events += clamps
             trajectory.record(dps)
-            model, buffers = eval_model(), workspace.sets[0]
+            model, buffers = eval_model(), workspace.buffers
             train_loss, train_acc, _ = _evaluate(model, train, buffers, rows)
             meta_loss = meta_acc = None
             if bundle.meta is not None and bundle.meta.n:
@@ -586,7 +586,6 @@ def write_run_outputs(out_dir, result, last_good_epoch=None):
         "dataset_digest": result.bundle.dataset_digest,
         "n_instances": result.bundle.n_instances,
         "n_classes": result.bundle.n_classes,
-        "train_indices": [int(i) for i in result.bundle.train.indices],
         "counters": result.counters,
         "package_version": PACKAGE_VERSION,
         "noise_p": result.config.noise_p,
@@ -598,9 +597,22 @@ def write_run_outputs(out_dir, result, last_good_epoch=None):
     }
     if last_good_epoch is not None:
         info["last_good_epoch"] = last_good_epoch
-    with open(os.path.join(out_dir, "run_info.json"), "w", encoding="utf-8") as fh:
-        json.dump(info, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_run_info(os.path.join(out_dir, "run_info.json"), info, result.bundle.train.indices)
+
+
+def _write_run_info(path, info, train_indices):
+    """Write ``info`` with the integer array ``train_indices`` as the bytes
+    ``json.dump(..., indent=2, sort_keys=True)`` and a newline give it,
+    with the indices encoded ``WRITE_LINES`` at a time instead of as one
+    list of Python ints."""
+    text = json.dumps({**info, "train_indices": "\0"}, indent=2, sort_keys=True)
+    head, tail = text.split('"\\u0000"')
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(head + "[")
+        for lo in range(0, train_indices.size, WRITE_LINES):
+            items = ",\n    ".join(map(str, train_indices[lo : lo + WRITE_LINES].tolist()))
+            fh.write(("," if lo else "") + "\n    " + items)
+        fh.write(("\n  ]" if train_indices.size else "]") + tail + "\n")
 
 
 def save_model(model, path):

@@ -25,12 +25,17 @@ theta_{t+1}, so a step runs one backward pass for both. Step t
 
 1. takes the train pass of its batch at theta_t, held from step t-1 (at
    an epoch's first batch and a short last one, a train-only pass runs
-   instead, into the leading rows of the first set);
+   instead, into the leading rows of the run's pass buffers);
 2. writes the rollout theta_{t+1} from that pass's weighted gradient sum;
-3. runs one joint pass at theta_{t+1} over the meta batch and then the
-   train batch of step t+1 (2B rows; meta rows only when step t+1 is a
-   short batch or in another epoch) into the set not holding the train
-   pass, and takes the mean meta gradient dL_meta/dtheta' from the meta rows;
+3. runs one joint pass at theta_{t+1} over the meta batch and the train
+   batch of step t+1 (2b rows for batches of b rows; meta rows only when
+   step t+1 is a short batch or in another epoch), and takes the mean
+   meta gradient dL_meta/dtheta' from the meta rows. The meta rows sit
+   at rows [B, B + b) of the run's buffers, and the next train rows on
+   the side away from the train pass in hand: right after the meta rows,
+   or right before them (a train-only pass counts as before). So the
+   joint pass is one product over contiguous rows, and it writes none of
+   the train pass's rows;
 4. dots each train row's gradient, from the train pass's factors, with
    that meta gradient, and updates the data parameters;
 5. hands on the joint pass's train rows, in place, as the train pass of
@@ -42,14 +47,16 @@ aborts it, after step t has committed. No per-sample gradient matrix is
 built.
 
 Every training run binds one ``Workspace`` for the arrays its steps
-write, whatever the step: a meta step, a replay's rollout or an
-optimizer step. Their lifetimes:
+write: a meta step, a replay's rollout or an optimizer step. Their
+lifetimes:
 
-- The two pass sets, of 2B rows each, share one scratch. A pass stays
-  valid until the next pass into its set; the joint pass writes the set
-  not holding the train pass, so the rows it hands on outlive the next
-  step's joint pass. A train-only pass, the optimizer and replay steps'
-  passes and evaluation use the leading B rows of the first set.
+- One ``nn.PassBuffers`` of 3B rows, which takes passes of up to 2B
+  rows. A pass stays valid until a pass writes its rows again. A meta
+  step's train pass lies before or after the meta rows, and its joint
+  pass covers the meta rows and the other side, so the train rows a
+  joint pass hands on, with their input rows, outlive the next step's
+  joint pass. A train-only pass, the optimizer and replay steps' passes
+  and evaluation use the leading rows.
 - The two parameter slots hold theta_t and theta_{t+1}. Each step writes
   its result into the slot that does not hold its input, so a vector a
   step returns stays valid until the step after next, and a step that
@@ -213,24 +220,26 @@ class Workspace:
     - ``grad``: the gradient a step sums, the meta gradient in a meta step
       and the mean train gradient in an optimizer step; before a meta
       step's joint pass, the rollout's scratch for its decay term.
-    - ``sets``: two pass sets of 2 x ``rows`` rows sharing one scratch;
-      a joint pass writes the one not holding the train pass it reads.
-    - ``features`` and ``labels``: the joint pass's input, meta rows first.
-    - ``held``: ``(batch, theta, pass)``, the train pass of ``batch`` at
-      ``theta`` that the last joint pass left in its set; None when
-      nothing is held, as after a joint pass with a non-finite train row.
+    - ``buffers``: the pass buffers, of 3 x ``rows`` rows, which take
+      passes of up to 2 x ``rows``.
+    - ``features`` and ``labels``: a meta step's joint pass input, row
+      for row with ``buffers``; the meta rows are the middle third.
+    - ``held``: ``(batch, theta, pass, before)``, the train pass of
+      ``batch`` at ``theta`` that the last joint pass left in ``buffers``,
+      ``before`` the meta rows or after them; None when nothing is held,
+      as after a joint pass with a non-finite train row.
     """
 
     def __init__(self, manifest, rows):
         size = nn.param_count(manifest)
+        self.rows = rows
         self.slots = tuple(nn.ParamVector(np.zeros(size), manifest) for _ in range(2))
         self.grad = nn.ParamVector(np.zeros(size), manifest)
-        first = nn.PassBuffers(manifest, 2 * rows)
-        self.sets = (first, nn.PassBuffers(manifest, 2 * rows, scratch=first.scratch))
-        self.features = np.empty((2 * rows, manifest[0].in_dim))
-        self.labels = np.empty(2 * rows, dtype=np.int64)
+        self.buffers = nn.PassBuffers(manifest, 2 * rows, layer_rows=3 * rows)
+        self.features = np.empty((3 * rows, manifest[0].in_dim))
+        self.labels = np.empty(3 * rows, dtype=np.int64)
         self.meta_indices = np.empty(rows, dtype=np.int64)
-        # one batch of views into the leading input rows per row count
+        # one batch of views into the middle input rows per row count
         self._gather_batches = {}
         self.held = None
 
@@ -238,20 +247,19 @@ class Workspace:
         """The slot a step from ``theta`` writes: the one not holding it."""
         return self.slots[1] if theta is self.slots[0] else self.slots[0]
 
-    def set_after(self, backward):
-        """The set a pass after ``backward`` writes: the one not holding it."""
-        return self.sets[1] if backward.buffers is self.sets[0] else self.sets[0]
-
     def gather(self, ds, positions):
         """The meta batch of rows ``positions`` of ``ds`` (any object with
         ``features``, ``labels`` and ``indices`` arrays), taken straight
-        into the joint input's leading rows; the batch is valid until the
+        into the joint input's middle third; the batch is valid until the
         next ``gather``. Positions must be in range: unchecked, ``take``
         writes into ``out`` with no temporary."""
         rows = len(positions)
         batch = self._gather_batches.get(rows)
         if batch is None:
-            batch = nn.Batch(self.features[:rows], self.labels[:rows], self.meta_indices[:rows])
+            meta_rows = slice(self.rows, self.rows + rows)
+            batch = nn.Batch(
+                self.features[meta_rows], self.labels[meta_rows], self.meta_indices[:rows]
+            )
             self._gather_batches[rows] = batch
         ds.features.take(positions, axis=0, out=batch.features, mode="clip")
         ds.labels.take(positions, out=batch.labels, mode="clip")
@@ -399,12 +407,12 @@ def meta_train_step(
     and the update then changes ``dps`` in place.
 
     ``workspace`` is the run's ``Workspace`` (one is made for the call
-    without it), and ``next_batch`` the train batch of the next step, or
-    None at an epoch's last batch. The step leaves that batch's train pass
-    in ``workspace.held`` for the next call, which uses it only when it
-    comes from the returned theta' on that same batch object; any other
-    call, a next batch of another size than the meta batch, and one with
-    a non-finite row, runs its own train pass.
+    without it), and ``next_batch`` the train batch of
+    the next step, or None at an epoch's last batch. The step leaves that
+    batch's train pass in ``workspace.held`` for the next call, which uses
+    it only when it comes from the returned theta' on that same batch
+    object; any other call, a next batch of another size than the meta
+    batch, and one with a non-finite row, runs its own train pass.
 
     Returns (theta_next, dps, report).
     """
@@ -420,33 +428,42 @@ def meta_train_step(
         # another row count OpenBLAS may round its rows differently
         next_batch = None
 
-    # 1. the train pass, held by the last step or run now
+    # 1. the train pass, held by the last step or run now at [0, b): before
+    # the meta rows
     held, workspace.held = workspace.held, None
     if held is not None and held[0] is train_batch and held[1] is theta:
-        train_pass = held[2]
+        train_pass, before = held[2], held[3]
     else:
-        train_pass = nn.batch_backward(theta, train_batch, buffers=workspace.sets[0])
+        train_pass = nn.batch_backward(theta, train_batch, buffers=workspace.buffers)
+        before = True
 
     # 2. the rollout
     theta_next = rollout_one_step(theta, train_pass, train_batch, dps, lr, workspace)
 
-    # 3. one pass at theta' over the meta rows, then the next batch's; a
-    # meta batch from ``gather`` is already in place, and its copy onto
-    # itself writes nothing
-    stop = rows if next_batch is None else 2 * rows
-    features, labels = workspace.features[:stop], workspace.labels[:stop]
-    features[:rows] = meta_batch.features
-    labels[:rows] = meta_batch.labels
+    # 3. one pass at theta' over the meta rows, at [B, B + b), and the
+    # next batch's, right after them or right before them: away from the
+    # train pass. A meta batch from ``gather`` is already in place, and its
+    # copy onto itself writes nothing
+    features, labels = workspace.features, workspace.labels
+    lo = mid = workspace.rows
+    hi = mid + rows
+    features[mid:hi] = meta_batch.features
+    labels[mid:hi] = meta_batch.labels
     if next_batch is not None:
-        features[rows:] = next_batch.features
-        labels[rows:] = next_batch.labels
+        start = hi if before else mid - rows
+        features[start : start + rows] = next_batch.features
+        labels[start : start + rows] = next_batch.labels
+        lo, hi = min(lo, start), max(hi, start + rows)
     joint = nn.unchecked_backward(
-        theta_next, features, labels, buffers=workspace.set_after(train_pass)
+        theta_next, features[lo:hi], labels[lo:hi], buffers=workspace.buffers, start=lo
     )
+    meta_pass = joint.rows(mid - lo, mid - lo + rows)
+    # the train rows may come first, but a non-finite meta row aborts the step
     bad = joint.first_bad_row()
-    if bad is not None and bad < rows:
-        raise nn.sample_error(meta_batch.indices, bad)
-    meta_pass = joint.rows(0, rows)
+    if bad is not None:
+        meta_bad = meta_pass.first_bad_row()
+        if meta_bad is not None:
+            raise nn.sample_error(meta_batch.indices, meta_bad)
     meta_grad = meta_pass.grad_sum(out=workspace.grad)
     meta_grad /= rows
 
@@ -474,10 +491,8 @@ def meta_train_step(
         dps.w_inst[:] = 1.0
         dps.w_class[:] = 1.0
 
-    # 5. the next batch's train pass, when all its rows are finite; its
-    # input is the batch's own rows, as the next joint pass rewrites ours
+    # 5. the next batch's train pass, in place, when all its rows are finite
     if next_batch is not None and bad is None:
-        held = joint.rows(rows)
-        held.acts = (next_batch.features, *held.acts[1:])
-        workspace.held = (next_batch, theta_next, held)
+        held = joint.rows(start - lo, start - lo + rows)
+        workspace.held = (next_batch, theta_next, held, start < mid)
     return theta_next, dps, report

@@ -20,21 +20,20 @@ its batch of non-finite values with one norm bound and falls back to the
 exact per-row check only when the bound is not finite.
 
 Training passes write into ``PassBuffers``, one set of per-layer arrays
-created once per run, with the row views of each pass size made once, so
-a steady-state step allocates no layer array; ``forward`` streams any
-number of rows through a set in blocks of up to its size. A
-``batch_backward`` or ``forward`` called without a set makes one for its
-rows. A ``ParamVector`` builds its per-layer views once, so a vector
-reused across steps is never sliced again.
+created once per run, with the row views of each pass size and offset
+made once, so a steady-state step allocates no layer array; ``forward``
+streams any number of rows through a set in blocks of up to its pass
+size. A ``batch_backward`` or ``forward`` called without a set makes one
+for its rows. A ``ParamVector`` builds its per-layer views once, so a
+vector reused across steps is never sliced again.
 
 Lifetime rules:
 
-- The arrays of a ``BatchBackward`` are views into its set and stay valid
-  only until the next pass (or ``forward``) into the same set.
-- Two sets may share one scratch tuple (``PassBuffers(..., scratch=)``):
-  scratch is consumed within one call, so a pass kept in one set stays
-  valid through a pass into the other.
-- The training step's two sets and parameter slots (``meta.Workspace``)
+- The arrays of a ``BatchBackward`` are views into its set's rows and
+  stay valid until a pass (or ``forward``) writes those rows again; a
+  pass at other rows of the same set leaves them as they are. Scratch is
+  consumed within one call.
+- The training step's pass rows and parameter slots (``meta.Workspace``)
   follow the step sequence that the ``meta`` module docstring states.
 """
 
@@ -202,47 +201,51 @@ class Batch:
 
 
 class PassBuffers:
-    """Reusable per-layer arrays for passes of up to ``rows`` rows.
+    """Reusable per-layer arrays for passes of up to ``rows`` rows, each at
+    any offset into ``layer_rows`` rows (``rows`` by default).
 
     ``outs[l]`` holds layer l's output and ``deltas[l]`` its output delta
     (every layer but the last, whose delta is the loss's own array), both
-    rows x out_dim. ``scratch[j]`` holds the short-lived products at
+    layer_rows x out_dim. ``scratch[j]`` holds the short-lived products at
     layer boundary j, rows x the width there (``scratch[0]`` the input
     width, ``scratch[l + 1]`` layer l's output width): the activation
     derivative and ``grad_sum``'s weighted deltas of layer l use
     ``scratch[l + 1]``, ``dots``' product ``d_l @ V_l`` uses
-    ``scratch[l]``, and each is consumed before the next is made. A set
-    may take another's ``scratch`` of at least its rows, so two sets used
-    in turn share one. A pass of b rows uses the leading b rows of each
-    array, through views made once per row count (``views``). See the
-    module docstring for how long a pass's views stay valid.
+    ``scratch[l]``, and each is consumed before the next is made. A pass
+    of b rows from row ``start`` uses those rows of each layer array and
+    the leading b rows of scratch, through views made once per offset and
+    row count (``views``). See the module docstring for how long a pass's
+    views stay valid.
     """
 
-    def __init__(self, manifest, rows, scratch=None):
+    def __init__(self, manifest, rows, layer_rows=None):
         if rows < 1:
             raise ShapeError(f"buffer rows must be positive, got {rows}")
+        layer_rows = rows if layer_rows is None else layer_rows
         self.rows = rows
-        self.outs = tuple(np.empty((rows, spec.out_dim)) for spec in manifest)
-        self.deltas = tuple(np.empty((rows, spec.out_dim)) for spec in manifest[:-1])
-        if scratch is None:
-            widths = [manifest[0].in_dim] + [spec.out_dim for spec in manifest]
-            scratch = tuple(np.empty((rows, width)) for width in widths)
-        elif scratch[0].shape[0] < rows:
-            raise ShapeError(f"shared scratch of {scratch[0].shape[0]} rows is under {rows}")
-        self.scratch = scratch
+        self.outs = tuple(np.empty((layer_rows, spec.out_dim)) for spec in manifest)
+        self.deltas = tuple(np.empty((layer_rows, spec.out_dim)) for spec in manifest[:-1])
+        widths = [manifest[0].in_dim] + [spec.out_dim for spec in manifest]
+        self.scratch = tuple(np.empty((rows, width)) for width in widths)
         self._views = {}
 
-    def views(self, rows):
-        """(outs, deltas, scratch) as views of their leading ``rows`` rows,
-        made on a row count's first use and kept."""
-        views = self._views.get(rows)
+    def views(self, rows, start=0):
+        """(outs, deltas, scratch): rows ``start:start + rows`` of the layer
+        arrays and the leading ``rows`` of scratch, made on an offset and
+        row count's first use and kept."""
+        views = self._views.get((start, rows))
         if views is None:
-            if rows > self.rows:
-                raise ShapeError(f"{rows} rows do not fit pass buffers of {self.rows} rows")
-            views = tuple(
-                tuple(a[:rows] for a in arrays) for arrays in (self.outs, self.deltas, self.scratch)
+            if rows > self.rows or start + rows > len(self.outs[0]):
+                raise ShapeError(
+                    f"{rows} rows do not fit pass buffers of {self.rows} rows at row {start}"
+                )
+            cut = slice(start, start + rows)
+            views = (
+                tuple(a[cut] for a in self.outs),
+                tuple(a[cut] for a in self.deltas),
+                tuple(a[:rows] for a in self.scratch),
             )
-            self._views[rows] = views
+            self._views[start, rows] = views
         return views
 
 
@@ -348,9 +351,9 @@ class BatchBackward:
     pre-activation (B x out_dim). ``dsigma`` holds each row's temperature
     derivative when the pass used a temperature-scaled loss.
 
-    The pass holds views into ``buffers``, and its ``grad_sum`` and
-    ``dots`` use the set's scratch: it is valid only until the next pass
-    into the same set.
+    The pass holds views into rows of ``buffers``, and its ``grad_sum``
+    and ``dots`` use the set's scratch: it is valid only until the next
+    pass into the same rows.
     """
 
     __slots__ = ("manifest", "losses", "acts", "deltas", "buffers", "dsigma")
@@ -453,14 +456,15 @@ class BatchBackward:
         )
 
 
-def unchecked_backward(model, features, labels, sigma=None, buffers=None):
+def unchecked_backward(model, features, labels, sigma=None, buffers=None, start=0):
     """``batch_backward`` over feature and label arrays, without its finite
     check: for a caller that reads ``first_bad_row`` itself, as a pass over
-    two batches stacked in one does."""
+    two batches stacked in one does. The pass writes rows ``start`` on of
+    ``buffers``."""
     rows = len(features)
     if buffers is None:
         buffers = PassBuffers(model.manifest, rows)
-    outs, deltas, scratch = buffers.views(rows)
+    outs, deltas, scratch = buffers.views(rows, start)
     acts = _forward_cache(model, model.layers, features, outs)
     sample_losses, dz, dsigma = losses_mod.cross_entropy_batch(acts[-1], labels, sigma)
     hidden = _deltas(model.manifest, model.layers, acts, dz, deltas, scratch)

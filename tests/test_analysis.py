@@ -129,8 +129,9 @@ def test_checker_catches_flipped_sign():
 
 
 def manifest_for(corrupt_ids, n):
-    entries = tuple((int(i), 0, 1) for i in corrupt_ids)
-    return CorruptionManifest(entries=entries, noise_fraction=0.5, seed=0, n_population=n)
+    ones = np.ones(len(corrupt_ids), dtype=np.int64)
+    return CorruptionManifest(corrupt_ids, np.zeros_like(ones), ones, noise_fraction=0.5,
+                              seed=0, n_population=n)
 
 
 def brute_auc(w, corrupt_ids, clean_ids):

@@ -468,7 +468,7 @@ def test_train_factors_survive_a_meta_pass_into_the_other_set(problem):
     for mode, wd_learnable in itertools.product(meta.META_MODES, (False, True)):
         runs = []
         used = meta.Workspace(model.manifest, train_buffers.rows)
-        # an earlier step leaves the workspace's sets and slots dirty
+        # an earlier step leaves the workspace's buffers and slots dirty
         meta.meta_train_step(
             model, DataParamState.initial(N_POOL, k), meta_batch, train, 0.1, 1.0, 0.0, used
         )

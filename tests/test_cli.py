@@ -305,13 +305,15 @@ def dataset(name="data", classes=3, per_class=14, dim=4, superclasses=0):
 
 def trained(*overrides):
     """Input: the directory {run} of a 3-epoch run, with its {trajectory},
-    {info}, {model} and {acc} files; an override may name {data}."""
+    {info}, {model}, {acc} and {run_manifest} files; an override may name
+    {data}."""
     def build(paths):
         run = paths["tmp"] / "run"
         flags = [f"--override={o.format(**paths)}" for o in overrides]
         assert main(["train", *DATA_OVERRIDES, *flags, "--out", str(run)]) == 0
         return {"run": run, "trajectory": run / "trajectory.csv", "info": run / "run_info.json",
-                "model": run / "model.json", "acc": run / "class_meta_acc.csv"}
+                "model": run / "model.json", "acc": run / "class_meta_acc.csv",
+                "run_manifest": run / "manifest.csv"}
     return build
 
 
@@ -673,6 +675,12 @@ REFUSALS = [
           ("-4,2,0.1", "epoch -4 outside [0, 3)", ""),
           ("2,1,0.5", "second row for epoch 2, class 1", ""),
       ]),
+    # a manifest's columns are int64 arrays
+    Refusal("test_manifest_entry_past_int64_is_validation_error", None,
+            ["analyze", "--run", "{run}"],
+            "{run_manifest} line 3: 9223372036854775808 does not fit a 64-bit integer",
+            (trained("noise.p=0.3"),
+             damaged("run_manifest", with_line(3, "9223372036854775808,0,1", insert=True)))),
     *(Refusal("test_bad_run_info_is_validation_error", f"{text}-{message}",
               ["analyze", "--run", "{run}"], f"{{info}}: {message}{tail}",
               (trained(), damaged("info", lambda _, text=text: text)))
@@ -706,6 +714,9 @@ REFUSALS = [
            "manifest predicts (67,)", json_with(values=[0.0] * 66),
            "{model}: not a saved model: parameter vector has shape (66,), "
            "manifest predicts (67,)"),
+          ("non-integer-dims", json_with(manifest=[[4.0, 8, "relu"], [8, 3, "identity"]]),
+           "{model}: not a saved model: layer dims must be integers, got "
+           "[[4.0, 8, 'relu'], [8, 3, 'identity']]"),
       ]),
     *(Refusal("test_bad_probe_flag_is_validation_error", id, [*PROBE, *flags], err,
               (dataset(), dataset("wide", dim=5), dataset("more", classes=4), trained()))
@@ -719,6 +730,9 @@ REFUSALS = [
           ("more-classes", ["2", "--data", "{more}"],
            "{more}: 4 features and 4 classes; the model in {model} takes 4 and predicts 3"),
       ]),
+    Refusal("test_bad_probe_flag_is_validation_error", "no-data",
+            ["analyze", "--run", "{run}", "--hessian-top", "2"],
+            "--hessian-top needs --data for the probe sample", (trained(),)),
     *(Refusal("test_bad_gradcheck_trials_is_validation_error", count,
               ["gradcheck", "--trials", count],
               f"argument --trials: must be at least 1, got {count}")

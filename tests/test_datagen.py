@@ -127,14 +127,14 @@ def test_corrupt_p_zero_is_noop():
     ds = make_blobs(3, 20, 4, 0.5, seed=1)
     out, manifest = corrupt_labels(ds, 0.0, seed=2)
     assert out.digest == ds.digest
-    assert manifest.entries == ()
+    assert manifest.index.size == 0
     assert manifest.effective_flip_fraction == 0.0
 
 
 def test_corrupt_p_one_flips_about_two_thirds():
     ds = make_blobs(3, 1000, 4, 0.5, seed=1)
     out, manifest = corrupt_labels(ds, 1.0, seed=2)
-    assert len(manifest.entries) == 3000  # every instance drawn
+    assert manifest.index.size == 3000  # every instance drawn
     frac = np.mean(out.labels != out.true_labels)
     assert abs(frac - 2.0 / 3.0) <= 0.03
     assert manifest.effective_flip_fraction == frac
@@ -145,9 +145,9 @@ def test_manifest_matches_actual_label_changes():
     out, manifest = corrupt_labels(ds, 0.3, seed=7)
     changed = set(out.indices[out.labels != out.true_labels].tolist())
     assert changed == set(manifest.corrupt_indices.tolist())
-    for _, original, assigned in manifest.entries:
-        assert 0 <= assigned < 4
-        assert 0 <= original < 4
+    for labels in (manifest.original, manifest.assigned):
+        assert labels.dtype == np.int64
+        assert 0 <= labels.min() and labels.max() < 4
 
 
 def test_manifest_replay_and_inversion():
@@ -310,7 +310,7 @@ def test_personalization_over_every_class_carves_as_holdout(seed):
         got, want = getattr(parts, name), getattr(holdout, name)
         assert np.array_equal(got.indices, want.indices)
         assert got.digest == want.digest
-    assert parts.manifest == holdout.manifest
+    assert manifest_fields(parts.manifest) == manifest_fields(holdout.manifest)
 
 
 def test_personalization_errors():
@@ -394,13 +394,13 @@ def test_manifest_file_round_trip(tmp_path, monkeypatch):
     path = tmp_path / "manifest.csv"
     written = []
     # the text is the same in any chunk size, the last one holding every entry
-    for lines in (1, 7, len(manifest.entries)):
+    for lines in (1, 7, manifest.index.size):
         monkeypatch.setattr("metasched.datagen.WRITE_LINES", lines)
         save_manifest(manifest, path)
         written.append(path.read_bytes())
     assert written.count(written[-1]) == len(written)
     back = load_manifest(path)
-    assert back.entries == manifest.entries
+    assert manifest_fields(back) == manifest_fields(manifest)
     assert back.noise_fraction == manifest.noise_fraction
     assert back.seed == manifest.seed
     assert back.n_population == manifest.n_population
@@ -448,17 +448,22 @@ def manifests(draw):
     )
     if draw(st.booleans()):
         return CorruptionManifest(
-            entries=tuple(entries),
+            *columns(entries),
             noise_fraction=draw(st.floats(0.0, 1.0)),
             seed=draw(st.integers(-(2**63), 2**63)),
             n_population=draw(st.integers(0, 10**6)),
         )
-    return CorruptionManifest(tuple(entries), float("nan"), 0, 0)
+    return CorruptionManifest(*columns(entries), float("nan"), 0, 0)
+
+
+def columns(entries):
+    """(index, original, assigned) arrays of a list of entry triples."""
+    return np.array(entries, dtype=np.int64).reshape(-1, 3).T
 
 
 def manifest_fields(manifest):
     return (
-        manifest.entries,
+        [a.tolist() for a in (manifest.index, manifest.original, manifest.assigned)],
         repr(manifest.noise_fraction),
         manifest.seed,
         manifest.n_population,
@@ -472,7 +477,7 @@ def test_manifest_save_load_keeps_entries_and_metadata(manifest):
         path = os.path.join(tmp, "manifest.csv")
         if math.isnan(manifest.noise_fraction):
             # a manifest loaded from a file that has no metadata line
-            rows = [f"{i},{o},{a}" for i, o, a in manifest.entries]
+            rows = [f"{i},{o},{a}" for i, o, a in zip(*manifest_fields(manifest)[0])]
             with open(path, "w", encoding="utf-8") as fh:
                 fh.write("\n".join(["index,original,assigned", *rows]) + "\n")
             assert manifest_fields(load_manifest(path)) == manifest_fields(manifest)

@@ -24,6 +24,7 @@ from metasched.harness import (
     run_training,
 )
 from metasched import datagen, harness, losses, meta, nn, optim
+from metasched.csvrows import WRITE_LINES
 from metasched.meta import update_sigma_tables
 
 import oracles
@@ -216,6 +217,65 @@ def test_model_file_is_json_dump_written_a_chunk_at_a_time(tmp_path):
     assert peaks[1] - peaks[0] < 16384
 
 
+@pytest.mark.parametrize("n", [0, 1, WRITE_LINES - 1, WRITE_LINES, WRITE_LINES + 1])
+def test_run_info_is_json_dump_written_a_chunk_at_a_time(tmp_path, n):
+    info = {"config_digest": "ab12", "counters": {"steps": 3, "clamp_events": 0},
+            "effective_flip_fraction": None, "last_good_epoch": 1, "noise_p": 0.25}
+    indices = 7 * np.arange(n, dtype=np.int64)[::-1]
+    path = tmp_path / "run_info.json"
+    harness._write_run_info(path, info, indices)
+    want = json.dumps({**info, "train_indices": indices.tolist()}, indent=2, sort_keys=True)
+    assert path.read_text(encoding="utf-8") == want + "\n"
+
+
+def owned_bytes(root):
+    """Bytes of the arrays reachable from ``root`` through attributes,
+    tuples, lists and dicts that own their data; views are not counted."""
+    arrays, seen, stack = {}, set(), [root]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, np.ndarray):
+            if obj.base is None:
+                arrays[id(obj)] = obj.nbytes
+        elif isinstance(obj, (tuple, list)):
+            stack.extend(obj)
+        elif isinstance(obj, dict):
+            stack.extend(obj.values())
+        elif hasattr(obj, "__dict__"):
+            stack.extend(vars(obj).values())
+    return sum(arrays.values())
+
+
+@pytest.mark.parametrize("kind", ["meta", "optimizer", "replay"])
+def test_a_run_binds_one_3b_row_pass_buffer(monkeypatch, kind):
+    # a meta step's joint pass of 2B rows and the train pass it holds
+    # share 3B layer rows, with 2B rows of scratch and 3B of joint input;
+    # every step kind binds that one layout
+    cfg = tiny_cfg(mode="none" if kind == "optimizer" else "instance", noise_p=0.3)
+    schedule = run_training(cfg).trajectory if kind == "replay" else None
+    made = []
+
+    class Recorded(meta.Workspace):
+        def __init__(self, *args, **kw):
+            super().__init__(*args, **kw)
+            made.append(self)
+
+    monkeypatch.setattr(meta, "Workspace", Recorded)
+    run_training(cfg) if schedule is None else replay_train(cfg, schedule)
+    [workspace] = made
+    manifest = nn.build_manifest(cfg.dim, cfg.hidden, cfg.n_classes)
+    b, in_dim = cfg.batch_size, cfg.dim
+    # outs and deltas (the last layer has none), and scratch per row
+    layers = sum(2 * spec.out_dim for spec in manifest) - cfg.n_classes
+    scratch = in_dim + sum(spec.out_dim for spec in manifest)
+    # features and labels of the joint input, and the meta ids
+    rows = 3 * b * layers + 2 * b * scratch + 3 * b * (in_dim + 1) + b
+    assert owned_bytes(workspace) == 8 * (3 * nn.param_count(manifest) + rows)
+
+
 @pytest.mark.parametrize("mode", ["instance", "none"])
 def test_an_epoch_copies_no_train_features(mode):
     # 64 features a row: the features are most of what a row costs, so a
@@ -310,7 +370,10 @@ def bundle_pin(bundle):
         h.update(fold.astype(np.int64).tobytes() + b"|")
     m = bundle.manifest
     if m is not None:
-        h.update(repr((m.entries, m.noise_fraction, m.seed, m.n_population)).encode())
+        # the repr of the tuple of (index, original, assigned) triples the
+        # manifest held before it held arrays
+        entries = tuple(zip(m.index.tolist(), m.original.tolist(), m.assigned.tolist()))
+        h.update(repr((entries, m.noise_fraction, m.seed, m.n_population)).encode())
     return h.hexdigest()
 
 
@@ -510,9 +573,9 @@ def test_blocked_evaluation_matches_one_full_forward(n, rows, activation, seed):
 
 @pytest.mark.parametrize("rows, n", [(1, 45), (7, 66), (32, 90), (33, 1100)])
 def test_evaluation_through_a_workspace_set_matches_a_batch_sized_set(rows, n):
-    # the workspace's first set has 2 x rows rows; evaluation still takes
-    # blocks of rows, after a pass over all of them left the set dirty. At
-    # width 64, blocks of 2 x rows round some logits differently
+    # a meta step's buffers take passes of 2 x rows rows; evaluation still
+    # takes blocks of rows, after a pass over all of them left the set
+    # dirty. At width 64, blocks of 2 x rows round some logits differently
     rng = np.random.default_rng(rows)
     manifest = nn.build_manifest(16, (64, 64), 10, "relu")
     model = nn.init_params(manifest, seed=rows)
@@ -520,14 +583,14 @@ def test_evaluation_through_a_workspace_set_matches_a_batch_sized_set(rows, n):
     ds = datagen.LabeledDataset(
         rng.standard_normal((n, 16)), labels, labels, np.arange(n), 10
     )
-    workspace = meta.Workspace(manifest, rows)
-    nn.forward(model, rng.standard_normal((2 * rows, 16)), workspace.sets[0])
-    loss, acc, preds = _evaluate(model, ds, workspace.sets[0], rows)
+    buffers = meta.Workspace(manifest, rows).buffers
+    nn.forward(model, rng.standard_normal((2 * rows, 16)), buffers)
+    loss, acc, preds = _evaluate(model, ds, buffers, rows)
     want_loss, want_acc, want_preds = _evaluate(model, ds, nn.PassBuffers(manifest, rows))
     assert (loss, acc) == (want_loss, want_acc)
     assert np.array_equal(preds, want_preds)
     # the logits too, whose last bits a mean loss can hide
-    logits = nn.forward(model, ds.features, workspace.sets[0], rows)
+    logits = nn.forward(model, ds.features, buffers, rows)
     want = nn.forward(model, ds.features, nn.PassBuffers(manifest, rows))
     assert logits.tobytes() == want.tobytes()
 

@@ -717,29 +717,35 @@ def test_steady_state_meta_step_builds_no_layer_views(monkeypatch, mode, wd_lear
     assert calls == []
 
 
-def shares_a_layer_array(arrays, buffers):
-    return any(np.shares_memory(a, b) for a in arrays for b in buffers.outs + buffers.deltas)
+def factors(backward):
+    """A pass's input and layer arrays: the rows it holds in its buffers."""
+    return backward.acts + backward.deltas[:-1]
 
 
 @STEADY
 def test_the_next_train_pass_is_handed_on_in_place(monkeypatch, mode, wd_learnable):
     theta, step = steady_state_steps(mode, wd_learnable)
     workspace = step.workspace
-    held = workspace.held[2]
-    hidden = held.acts[1:] + held.deltas[:-1]
-    owners = [s for s in workspace.sets if shares_a_layer_array(hidden, s)]
-    assert len(owners) == 1
-    other = workspace.set_after(held)
-    assert other is not owners[0]
-    before = [a.copy() for a in (held.losses, *held.acts, *held.deltas)]
+    buffers = workspace.buffers
     passes = []
     original = nn.unchecked_backward
     monkeypatch.setattr(
         nn, "unchecked_backward",
-        lambda *args, **kw: passes.append(kw["buffers"]) or original(*args, **kw),
+        lambda *args, **kw: passes.append(original(*args, **kw)) or passes[-1],
     )
-    step(theta, 3)
-    # the step reads the held pass and runs its joint pass into the other set
-    assert passes == [other]
-    after = (held.losses, *held.acts, *held.deltas)
-    assert all(a.tobytes() == b.tobytes() for a, b in zip(after, before))
+    # the held pass lies after the meta rows, then before them
+    for k, before in ((3, False), (4, True)):
+        held = workspace.held[2]
+        assert workspace.held[3] is before
+        owned = [workspace.features, *buffers.outs, *buffers.deltas]
+        assert all(any(np.shares_memory(a, b) for b in owned) for a in factors(held))
+        kept = [a.copy() for a in (held.losses, *held.acts, *held.deltas)]
+        passes.clear()
+        theta = step(theta, k)
+        # one pass, the joint one, in the same buffers, on rows the held
+        # pass does not hold, which keeps its bits through it
+        [joint] = passes
+        assert joint.buffers is buffers
+        assert not any(np.shares_memory(a, b) for a in factors(held) for b in factors(joint))
+        after = (held.losses, *held.acts, *held.deltas)
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(after, kept))
