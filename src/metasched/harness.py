@@ -407,8 +407,8 @@ def _train(cfg, bundle, out_dir, schedule=None):
         return theta
 
     def result(model):
-        # a workspace slot is overwritten by later steps: keep a copy
-        model = model.with_values(model.values.copy())
+        # no step runs after this: the model stays in its workspace slot,
+        # uncopied, and the rest of the workspace goes when _train returns
         meta_samples = samples if consumes_meta else 0
         counters = {
             "steps": steps,

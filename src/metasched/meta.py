@@ -50,8 +50,11 @@ Every training run binds one ``Workspace`` for the arrays its steps
 write: a meta step, a replay's rollout or an optimizer step. Their
 lifetimes:
 
-- One ``nn.PassBuffers`` of 3B rows, which takes passes of up to 2B
-  rows. A pass stays valid until a pass writes its rows again. A meta
+- One ``nn.PassBuffers`` of 3B layer rows, which takes passes of up to
+  2B rows, and B rows of scratch: a 2B-row joint pass takes its
+  activation derivatives B rows at a time, and the only weighted sums
+  and dots are a train pass's, of B rows. A pass stays valid until a
+  pass writes its rows again. A meta
   step's train pass lies before or after the meta rows, and its joint
   pass covers the meta rows and the other side, so the train rows a
   joint pass hands on, with their input rows, outlive the next step's
@@ -60,8 +63,8 @@ lifetimes:
 - The two parameter slots hold theta_t and theta_{t+1}. Each step writes
   its result into the slot that does not hold its input, so a vector a
   step returns stays valid until the step after next, and a step that
-  fails leaves its input intact. A model that must outlive that is a
-  copy.
+  fails leaves its input intact. The model a run returns is the slot
+  that holds it, uncopied: no step runs after it.
 - The gradient vector holds the gradient a step sums; in a meta step,
   from step 3 on. Before that the rollout forms its decay term
   ``lr * lam_wd * theta`` there. An optimizer step forms its
@@ -220,8 +223,8 @@ class Workspace:
     - ``grad``: the gradient a step sums, the meta gradient in a meta step
       and the mean train gradient in an optimizer step; before a meta
       step's joint pass, the rollout's scratch for its decay term.
-    - ``buffers``: the pass buffers, of 3 x ``rows`` rows, which take
-      passes of up to 2 x ``rows``.
+    - ``buffers``: the pass buffers, of 3 x ``rows`` layer rows, which
+      take passes of up to 2 x ``rows``, and ``rows`` rows of scratch.
     - ``features`` and ``labels``: a meta step's joint pass input, row
       for row with ``buffers``; the meta rows are the middle third.
     - ``held``: ``(batch, theta, pass, before)``, the train pass of
@@ -235,7 +238,7 @@ class Workspace:
         self.rows = rows
         self.slots = tuple(nn.ParamVector(np.zeros(size), manifest) for _ in range(2))
         self.grad = nn.ParamVector(np.zeros(size), manifest)
-        self.buffers = nn.PassBuffers(manifest, 2 * rows, layer_rows=3 * rows)
+        self.buffers = nn.PassBuffers(manifest, rows, layer_rows=3 * rows)
         self.features = np.empty((3 * rows, manifest[0].in_dim))
         self.labels = np.empty(3 * rows, dtype=np.int64)
         self.meta_indices = np.empty(rows, dtype=np.int64)

@@ -20,19 +20,20 @@ its batch of non-finite values with one norm bound and falls back to the
 exact per-row check only when the bound is not finite.
 
 Training passes write into ``PassBuffers``, one set of per-layer arrays
-created once per run, with the row views of each pass size and offset
-made once, so a steady-state step allocates no layer array; ``forward``
-streams any number of rows through a set in blocks of up to its pass
-size. A ``batch_backward`` or ``forward`` called without a set makes one
-for its rows. A ``ParamVector`` builds its per-layer views once, so a
-vector reused across steps is never sliced again.
+and one scratch array created once per run, with the row views of each
+pass size and offset made once, so a steady-state step allocates no
+layer array; ``forward`` streams any number of rows through a set in
+blocks of its scratch rows by default. A ``batch_backward`` or
+``forward`` called without a set makes one for its rows. A
+``ParamVector`` builds its per-layer views once, so a vector reused
+across steps is never sliced again.
 
 Lifetime rules:
 
 - The arrays of a ``BatchBackward`` are views into its set's rows and
   stay valid until a pass (or ``forward``) writes those rows again; a
   pass at other rows of the same set leaves them as they are. Scratch is
-  consumed within one call.
+  consumed within one call, each product before the next is made.
 - The training step's pass rows and parameter slots (``meta.Workspace``)
   follow the step sequence that the ``meta`` module docstring states.
 """
@@ -201,21 +202,26 @@ class Batch:
 
 
 class PassBuffers:
-    """Reusable per-layer arrays for passes of up to ``rows`` rows, each at
-    any offset into ``layer_rows`` rows (``rows`` by default).
+    """Reusable per-layer arrays for passes at any offset into
+    ``layer_rows`` rows (``rows`` by default), and one scratch array of
+    ``rows`` rows.
 
     ``outs[l]`` holds layer l's output and ``deltas[l]`` its output delta
     (every layer but the last, whose delta is the loss's own array), both
-    layer_rows x out_dim. ``scratch[j]`` holds the short-lived products at
-    layer boundary j, rows x the width there (``scratch[0]`` the input
-    width, ``scratch[l + 1]`` layer l's output width): the activation
-    derivative and ``grad_sum``'s weighted deltas of layer l use
-    ``scratch[l + 1]``, ``dots``' product ``d_l @ V_l`` uses
-    ``scratch[l]``, and each is consumed before the next is made. A pass
-    of b rows from row ``start`` uses those rows of each layer array and
-    the leading b rows of scratch, through views made once per offset and
-    row count (``views``). See the module docstring for how long a pass's
-    views stay valid.
+    layer_rows x out_dim. ``scratch`` is one array of rows x the widest
+    layer boundary, and a pass sees it as one contiguous view per
+    boundary j, rows x the width there (boundary 0 the input width,
+    boundary l + 1 layer l's output width), every view at its start: the
+    activation derivative and ``grad_sum``'s weighted deltas of layer l
+    use boundary l + 1, ``dots``' product ``d_l @ V_l`` boundary l. The
+    views overlap, so what makes them safe is that each product is
+    consumed before the next is made. A pass of b rows from row ``start``
+    uses those rows of each layer array, and min(b, rows) rows of scratch;
+    a pass of more rows than that takes its activation derivatives a
+    block of scratch rows at a time, and its ``grad_sum`` with weights and
+    its ``dots`` need a scratch of its rows. Views are made once per
+    offset and row count (``views``). See the module docstring for how
+    long a pass's views stay valid.
     """
 
     def __init__(self, manifest, rows, layer_rows=None):
@@ -225,25 +231,27 @@ class PassBuffers:
         self.rows = rows
         self.outs = tuple(np.empty((layer_rows, spec.out_dim)) for spec in manifest)
         self.deltas = tuple(np.empty((layer_rows, spec.out_dim)) for spec in manifest[:-1])
-        widths = [manifest[0].in_dim] + [spec.out_dim for spec in manifest]
-        self.scratch = tuple(np.empty((rows, width)) for width in widths)
+        self.widths = (manifest[0].in_dim, *(spec.out_dim for spec in manifest))
+        self.scratch = np.empty(rows * max(self.widths))
         self._views = {}
 
     def views(self, rows, start=0):
         """(outs, deltas, scratch): rows ``start:start + rows`` of the layer
-        arrays and the leading ``rows`` of scratch, made on an offset and
-        row count's first use and kept."""
+        arrays and each boundary's view of min(rows, ``self.rows``) scratch
+        rows, made on an offset and row count's first use and kept."""
         views = self._views.get((start, rows))
         if views is None:
-            if rows > self.rows or start + rows > len(self.outs[0]):
+            if start + rows > len(self.outs[0]):
                 raise ShapeError(
-                    f"{rows} rows do not fit pass buffers of {self.rows} rows at row {start}"
+                    f"{rows} rows do not fit pass buffers of {len(self.outs[0])} rows "
+                    f"at row {start}"
                 )
             cut = slice(start, start + rows)
+            n = min(rows, self.rows)
             views = (
                 tuple(a[cut] for a in self.outs),
                 tuple(a[cut] for a in self.deltas),
-                tuple(a[:rows] for a in self.scratch),
+                tuple(self.scratch[: n * w].reshape(n, w) for w in self.widths),
             )
             self._views[start, rows] = views
         return views
@@ -317,20 +325,25 @@ def _deltas(manifest, layers, acts, dz, out, slopes):
     from the layer output ``a``: ReLU's mask ``a > 0`` equals ``s > 0``
     for every float, NaN included, so the derivative is 0 at the kink;
     tanh's is ``1 - a^2``; identity layers are left as they are. Hidden
-    delta l is written into ``out[l]`` and its derivative into
-    ``slopes[l + 1]``, each with ``dz``'s rows.
+    delta l is written into ``out[l]``, with ``dz``'s rows, and its
+    derivative into ``slopes[l + 1]``, as many rows at a time as that
+    holds: the derivative multiplies elementwise, so blocks of rows give
+    the bits of one multiply.
     """
     deltas = [dz]
     for li in range(len(layers) - 1, 0, -1):
         d = np.matmul(deltas[-1], layers[li][0], out=out[li - 1])
         activation = manifest[li - 1].activation
-        a = acts[li]
-        slope = slopes[li]
-        if activation == "relu":
-            d *= np.greater(a, 0.0, out=slope)
-        elif activation == "tanh":
-            slope = np.multiply(a, a, out=slope)
-            d *= np.subtract(1.0, slope, out=slope)
+        a, slope, n = acts[li], slopes[li], len(slopes[li])
+        blocks = [(a, d, slope)] if len(d) == n else [
+            (a[lo : lo + n], d[lo : lo + n], slope[: len(d) - lo]) for lo in range(0, len(d), n)
+        ]
+        for a, block, slope in blocks:
+            if activation == "relu":
+                block *= np.greater(a, 0.0, out=slope)
+            elif activation == "tanh":
+                slope = np.multiply(a, a, out=slope)
+                block *= np.subtract(1.0, slope, out=slope)
         deltas.append(d)
     return tuple(deltas[::-1])
 
@@ -377,6 +390,16 @@ class BatchBackward:
             raise ShapeError(f"vector has shape {v.shape}, parameter count is {expected}")
         return v, _layer_blocks(self.manifest, v)
 
+    def _scratch(self):
+        """The set's scratch views of this pass's rows, which ``grad_sum``
+        and ``dots`` write whole."""
+        rows = self.losses.size
+        if rows > self.buffers.rows:
+            raise ShapeError(
+                f"a pass of {rows} rows does not fit {self.buffers.rows} rows of scratch"
+            )
+        return self.buffers.views(rows)[2]
+
     def grad_sum(self, weights=None, out=None):
         """Flat ``sum_i weights[i] * g_i``; unit weights when None.
 
@@ -389,7 +412,7 @@ class BatchBackward:
         if out is None:
             out = np.empty(param_count(self.manifest))
         values, blocks = self._flat(out)
-        scratch = self.buffers.views(self.losses.size)[2]
+        scratch = self._scratch()
         column = None if weights is None else weights[:, None]
         for (g_w, g_b), a, d, s in zip(blocks, self.acts, self.deltas, scratch[1:]):
             if column is not None:
@@ -407,9 +430,8 @@ class BatchBackward:
         is ``((d_l @ V_l) * a_l).sum(1) + d_l @ v_b``.
         """
         _, blocks = self._flat(v)
-        rows = self.losses.size
-        out = np.zeros(rows)
-        scratch = self.buffers.views(rows)[2]
+        scratch = self._scratch()
+        out = np.zeros(self.losses.size)
         for (v_w, v_b), a, d, s in zip(blocks, self.acts, self.deltas, scratch):
             dv = np.matmul(d, v_w, out=s)
             dv *= a

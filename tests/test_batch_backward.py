@@ -487,17 +487,39 @@ def test_train_factors_survive_a_meta_pass_into_the_other_set(problem):
         assert all(same_bits(g, w) for g, w in zip(reused, fresh))
 
 
-def test_second_pass_allocates_no_layer_array():
+class RecordingNumpy:
+    """numpy, except that the functions named record each array they
+    return, as (name, array, a copy of its bits when it is made)."""
+
+    def __init__(self, *names):
+        self.names, self.made = names, []
+
+    def __getattr__(self, name):
+        f = getattr(np, name)
+        if name not in self.names:
+            return f
+
+        def call(*args, **kw):
+            out = f(*args, **kw)
+            self.made.append((name, out, out.copy()))
+            return out
+        return call
+
+
+def test_second_pass_allocates_no_layer_array(monkeypatch):
     rng = np.random.default_rng(3)
     for activation in nn.ACTIVATIONS:
         manifest = nn.build_manifest(3, (6, 5), 4, activation)
         model = nn.init_params(manifest, seed=2)
         buffers = nn.PassBuffers(manifest, 8)
-        passes = []
-        for b in (8, 5):
-            batch = Batch(rng.standard_normal((b, 3)), rng.integers(0, 4, b), np.arange(b))
-            passes.append(nn.batch_backward(model, batch, buffers=buffers))
-        first, second = passes
+        batch = Batch(rng.standard_normal((8, 3)), rng.integers(0, 4, 8), np.arange(8))
+        first = nn.batch_backward(model, batch, buffers=buffers)
+        # each product goes into the one scratch array, whose views
+        # overlap: its bits are checked when it is made, not afterwards
+        recorder = RecordingNumpy("greater", "subtract", "multiply", "matmul")
+        monkeypatch.setattr(nn, "np", recorder)
+        batch = Batch(rng.standard_normal((5, 3)), rng.integers(0, 4, 5), np.arange(5))
+        second = nn.batch_backward(model, batch, buffers=buffers)
         # every layer output and hidden delta is the set's memory; the
         # logit delta is the loss's own array
         for li, a in enumerate(second.acts[1:]):
@@ -506,16 +528,54 @@ def test_second_pass_allocates_no_layer_array():
         for li, d in enumerate(second.deltas[:-1]):
             assert np.shares_memory(d, buffers.deltas[li])
             assert np.shares_memory(d, first.deltas[li])
-        # grad_sum and dots leave their per-layer products in the scratch
+        # the activation derivatives, from the last hidden layer back
+        slopes = [made for made in recorder.made if made[0] in ("greater", "subtract")]
+        if activation == "identity":
+            assert slopes == []
+        else:
+            hidden = second.acts[1:][::-1]
+            assert len(slopes) == len(hidden)
+            for (_, out, bits), a in zip(slopes, hidden):
+                assert np.shares_memory(out, buffers.scratch)
+                want = (a > 0).astype(float) if activation == "relu" else 1.0 - a * a
+                assert same_bits(bits, want)
         weights = rng.uniform(0.5, 2.0, size=5)
+        recorder.made.clear()
         second.grad_sum(weights)
-        for li, d in enumerate(second.deltas):
-            assert same_bits(buffers.scratch[li + 1][:5], d * weights[:, None])
+        made = [made for made in recorder.made if made[0] == "multiply"]
+        assert len(made) == len(second.deltas)
+        for (_, out, bits), d in zip(made, second.deltas):
+            assert np.shares_memory(out, buffers.scratch)
+            assert same_bits(bits, d * weights[:, None])
         v = rng.standard_normal(model.values.size)
+        recorder.made.clear()
         second.dots(v)
         blocks = nn._layer_blocks(manifest, v)
-        for li, ((v_w, _), a, d) in enumerate(zip(blocks, second.acts, second.deltas)):
-            assert same_bits(buffers.scratch[li][:5], (d @ v_w) * a)
+        assert len(recorder.made) == len(blocks)
+        for (_, out, bits), (v_w, _), d in zip(recorder.made, blocks, second.deltas):
+            assert np.shares_memory(out, buffers.scratch)
+            assert same_bits(bits, d @ v_w)
+        monkeypatch.undo()
+
+
+@pytest.mark.parametrize("activation", nn.ACTIVATIONS)
+def test_pass_of_more_rows_than_its_scratch_matches_a_fresh_pass(activation):
+    # 8 rows through 3 rows of scratch: the activation derivatives go in
+    # blocks of 3, 3 and 2 rows, and give the bits of one multiply
+    rng = np.random.default_rng(5)
+    manifest = nn.build_manifest(3, (6, 5), 4, activation)
+    model = nn.init_params(manifest, seed=2)
+    buffers = nn.PassBuffers(manifest, 3, layer_rows=10)
+    assert buffers.scratch.shape == (3 * 6,)
+    batch = Batch(rng.standard_normal((8, 3)), rng.integers(0, 4, 8), np.arange(8))
+    got = nn.batch_backward(model, batch, buffers=buffers)
+    want = nn.batch_backward(model, batch)
+    assert all(same_bits(g, w) for g, w in zip(got.acts, want.acts))
+    assert all(same_bits(g, w) for g, w in zip(got.deltas, want.deltas))
+    # a pass's rows of scratch are written whole, so it must hold them
+    with pytest.raises(ShapeError, match="a pass of 8 rows does not fit 3 rows of scratch"):
+        got.dots(model)
+    assert same_bits(got.rows(5).grad_sum(np.ones(3)), want.rows(5).grad_sum(np.ones(3)))
 
 
 def test_forward_streams_rows_through_the_buffers():

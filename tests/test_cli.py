@@ -544,6 +544,14 @@ REFUSALS = [
     Refusal("test_negative_superclass_count_is_validation_error", None,
             ["train", *DATA_OVERRIDES, "--override=data.n_superclasses=-1", "--out", "{out}"],
             "data.n_superclasses must be >= 0, got -1", before="data"),
+    *(Refusal("test_out_of_range_config_value_is_validation_error", key,
+              ["train", *DATA_OVERRIDES, f"--override={key}={value}", "--out", "{out}"],
+              err, before="data")
+      for key, value, err in [
+          ("data.spread", "0", "data.spread must be positive"),
+          ("lr_drop.epoch", "-1", "lr_drop.epoch must be >= 0"),
+          ("lr_drop.factor", "0", "lr_drop.factor must be positive"),
+      ]),
     # generated data has a known class count: the config check refuses it
     Refusal("test_superclass_error_names_its_key", "indivisible",
             ["train", *PLAIN, "--override=data.n_superclasses=2"],
@@ -737,10 +745,15 @@ REFUSALS = [
               ["gradcheck", "--trials", count],
               f"argument --trials: must be at least 1, got {count}")
       for count in ["0", "-3"]),
-    Refusal("test_divergence_returns_numeric_exit", None,
+    Refusal("test_divergence_returns_numeric_exit", "train",
             ["train", "--override=train.lr=1e150", *DATA_OVERRIDES],
             "non-finite loss or gradient for sample index 4 (aborted in epoch 0; last complete "
             "epoch -1)", code=2),
+    # k-fold names the fold whose training diverged
+    Refusal("test_divergence_returns_numeric_exit", "kfold",
+            ["kfold", "--config", "{golden}/kfold.cfg", "--override=train.lr=1e150"],
+            "fold 0: non-finite loss or gradient for sample index 8 (aborted in epoch 0; "
+            "last complete epoch -1)", code=2),
 ]
 
 

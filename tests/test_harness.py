@@ -26,6 +26,7 @@ from metasched.harness import (
 from metasched import datagen, harness, losses, meta, nn, optim
 from metasched.csvrows import WRITE_LINES
 from metasched.meta import update_sigma_tables
+from metasched.trajectory import TrajectoryLog
 
 import oracles
 
@@ -249,13 +250,8 @@ def owned_bytes(root):
     return sum(arrays.values())
 
 
-@pytest.mark.parametrize("kind", ["meta", "optimizer", "replay"])
-def test_a_run_binds_one_3b_row_pass_buffer(monkeypatch, kind):
-    # a meta step's joint pass of 2B rows and the train pass it holds
-    # share 3B layer rows, with 2B rows of scratch and 3B of joint input;
-    # every step kind binds that one layout
-    cfg = tiny_cfg(mode="none" if kind == "optimizer" else "instance", noise_p=0.3)
-    schedule = run_training(cfg).trajectory if kind == "replay" else None
+def recorded_workspaces(monkeypatch):
+    """The list that each ``meta.Workspace`` made from now on joins."""
     made = []
 
     class Recorded(meta.Workspace):
@@ -264,16 +260,49 @@ def test_a_run_binds_one_3b_row_pass_buffer(monkeypatch, kind):
             made.append(self)
 
     monkeypatch.setattr(meta, "Workspace", Recorded)
+    return made
+
+
+@pytest.mark.parametrize("kind", ["meta", "optimizer", "replay"])
+def test_a_run_binds_one_3b_row_pass_buffer(monkeypatch, kind):
+    # a meta step's joint pass of 2B rows and the train pass it holds
+    # share 3B layer rows, with 3B of joint input, and one scratch of B
+    # rows by the widest layer boundary; every step kind binds that layout
+    cfg = tiny_cfg(mode="none" if kind == "optimizer" else "instance", noise_p=0.3)
+    schedule = run_training(cfg).trajectory if kind == "replay" else None
+    made = recorded_workspaces(monkeypatch)
     run_training(cfg) if schedule is None else replay_train(cfg, schedule)
     [workspace] = made
     manifest = nn.build_manifest(cfg.dim, cfg.hidden, cfg.n_classes)
     b, in_dim = cfg.batch_size, cfg.dim
     # outs and deltas (the last layer has none), and scratch per row
     layers = sum(2 * spec.out_dim for spec in manifest) - cfg.n_classes
-    scratch = in_dim + sum(spec.out_dim for spec in manifest)
+    scratch = max(in_dim, *(spec.out_dim for spec in manifest))
     # features and labels of the joint input, and the meta ids
-    rows = 3 * b * layers + 2 * b * scratch + 3 * b * (in_dim + 1) + b
+    rows = 3 * b * layers + b * scratch + 3 * b * (in_dim + 1) + b
     assert owned_bytes(workspace) == 8 * (3 * nn.param_count(manifest) + rows)
+
+
+@pytest.mark.parametrize("mode", ["instance", "none"])
+def test_the_returned_model_is_a_workspace_slot(monkeypatch, mode):
+    # no step runs after the last one, so the model leaves uncopied
+    made = recorded_workspaces(monkeypatch)
+    result = run_training(tiny_cfg(mode=mode, noise_p=0.3))
+    [workspace] = made
+    assert any(np.shares_memory(result.model.values, slot.values) for slot in workspace.slots)
+
+
+def test_replay_of_a_trajectory_over_other_instances_is_refused():
+    # the CLI reads a trajectory against the bundle's own instance count;
+    # a library caller can pass one of any size
+    cfg = tiny_cfg(noise_p=0.3)
+    n = harness.prepare_replay_bundle(cfg).n_instances
+    log = TrajectoryLog(n + 1, cfg.n_classes)
+    for _ in range(cfg.epochs):
+        log.record(meta.DataParamState.initial(n + 1, cfg.n_classes))
+    want = f"^trajectory is over {n + 1} instances, dataset has {n}$"
+    with pytest.raises(ConfigError, match=want):
+        replay_train(cfg, log)
 
 
 @pytest.mark.parametrize("mode", ["instance", "none"])
@@ -584,7 +613,7 @@ def test_evaluation_through_a_workspace_set_matches_a_batch_sized_set(rows, n):
         rng.standard_normal((n, 16)), labels, labels, np.arange(n), 10
     )
     buffers = meta.Workspace(manifest, rows).buffers
-    nn.forward(model, rng.standard_normal((2 * rows, 16)), buffers)
+    nn.forward(model, rng.standard_normal((2 * rows, 16)), buffers, 2 * rows)
     loss, acc, preds = _evaluate(model, ds, buffers, rows)
     want_loss, want_acc, want_preds = _evaluate(model, ds, nn.PassBuffers(manifest, rows))
     assert (loss, acc) == (want_loss, want_acc)
